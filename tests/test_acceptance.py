@@ -6,6 +6,7 @@ end-to-end pipeline is shared by criteria 8-11 through module fixtures and
 is executed twice so the determinism criterion can compare bytes.
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -372,3 +373,40 @@ def test_criterion_11_deterministic_reports(check, repeats500, pipeline_pair, sy
         not mismatched,
         "7 report files" if not mismatched else "differs: " + ", ".join(mismatched),
     )
+
+
+# ---------------------------------------------------------------------------
+# frozen artifact digests
+# ---------------------------------------------------------------------------
+
+FROZEN_SHA256 = {
+    "bins.csv": "e7163f9941dc0fc0c4f409f446d6ba2e4feb83cc3883865e38f75b6404fff59d",
+    "calibration.json": "b2d3f4ff9578aac235d74531881486aee6f8a62d0c44af0a0369e94357fd9fb7",
+    "curve.csv": "350de2372dcdf7719234daba0dc7baa482dced640a753de1255b5faa8928dd09",
+    "model.json": "b416c4f03db21459cee61909380c3b030ef7317afb5ac92694edda4993d1d82d",
+    "posteriors.jsonl": "087be81ee4988848ba95833fdb85117769a23f98b1892cc6a95f4ee5d37d83b1",
+    "predictions.jsonl": "7d01fbe5ba33a21feded93d2d58d2b314c1eea1fbb3cf850cf36d3471cb1772a",
+    "repeats.csv": "3e3970badd9e59c28e1abd982bf2bbaf6536d92738cd4ba3a7ba2748ab499cc6",
+    "repeats500.csv": "3c1d4cfbf2d7c7a4cac0b1760d0d8247989d50b29b99cf6e2eaa1cb49745520b",
+    "report.json": "8226a9b74119f4e278065429025f9aff6e98cb80441aa92a3c5f53e4667bd18f",
+    "responses.jsonl": "a54d15dea657059c8a22a7d3f1f32a1a6fffc38b1d7b156da16e016b9124b25c",
+    "scheme.json": "831f9c0c16c7fce4643c977dd04c30be78e9b4840851c9b10a75bc4d3ab5b71f",
+    "tasks.jsonl": "9ee1e053bfeda4e9d3f32b14a7206225c5e6925e34a01bffb0b7831ea21713cf",
+}
+
+
+def test_artifact_digests_frozen(repeats500, pipeline_pair):
+    """Every seed-0 acceptance artifact keeps its bytes across refactors.
+
+    Criterion 11 compares two runs of the same code; these digests pin the
+    bytes themselves.  Frozen with Python 3.11, numpy 2.4.6 and OpenBLAS
+    0.3.31 (scipy-openblas build): model.json and the files derived from it
+    carry full-precision floats from BLAS matrix products, so another numpy
+    or BLAS build may legitimately move them by an ULP.
+    """
+    paths = {p.name: p for p in pipeline_pair["a"].iterdir()}
+    paths["repeats500.csv"] = repeats500["paths"][0]
+    got = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+    changed = sorted(name for name in got.keys() | FROZEN_SHA256.keys()
+                     if got.get(name) != FROZEN_SHA256.get(name))
+    assert not changed, f"artifact bytes changed: {changed}"
