@@ -9,14 +9,13 @@ because confidences live in [0, 1].
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import json_ready, round_sig
+from .core import json_ready, write_csv
 
 
 def _as_curve_inputs(confidences, correct):
@@ -271,25 +270,6 @@ def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
 # Plot-ready CSV artifacts
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return ""
-    if isinstance(v, float):
-        return repr(round_sig(v))
-    return str(v)
-
-
-def _write_csv(path, header, rows, provenance: Optional[dict] = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if provenance:
-            items = " ".join(f"{k}={v}" for k, v in sorted(provenance.items()))
-            fh.write(f"# {items}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def write_curve_csv(path, bands: BootstrapBands, provenance: Optional[dict] = None) -> None:
     rows = zip(
         (float(t) for t in bands.thresholds),
@@ -298,8 +278,8 @@ def write_curve_csv(path, bands: BootstrapBands, provenance: Optional[dict] = No
         (float(a) for a in bands.acc_q50),
         (float(a) for a in bands.acc_q975),
     )
-    _write_csv(path, ["threshold", "automation", "acc_q025", "acc_q50", "acc_q975"],
-               rows, provenance)
+    write_csv(path, ["threshold", "automation", "acc_q025", "acc_q50", "acc_q975"],
+              rows, provenance)
 
 
 def write_bins_csv(path, bins_: Sequence[CalibrationBin],
@@ -308,5 +288,5 @@ def write_bins_csv(path, bins_: Sequence[CalibrationBin],
         (b.lo, b.hi, b.count, b.mean_predicted, b.mean_actual, b.mean_distance)
         for b in bins_
     )
-    _write_csv(path, ["bin_lo", "bin_hi", "count", "mean_predicted", "mean_actual", "mean_distance"],
-               rows, provenance)
+    write_csv(path, ["bin_lo", "bin_hi", "count", "mean_predicted", "mean_actual", "mean_distance"],
+              rows, provenance)

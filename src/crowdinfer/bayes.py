@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoryScheme, CountVector, DirichletParams, SoftLabel
+from .core import CategoryScheme, CountVector, DirichletParams, InputError, SoftLabel
 from .head import log_gamma
 
 
@@ -79,6 +79,19 @@ def posterior_mode(alpha: DirichletParams) -> SoftLabel:
     if total > 0.0:
         return SoftLabel(shifted / total)
     return posterior_mean(alpha)
+
+
+def point_estimates(alpha: np.ndarray, how: str = "mode") -> np.ndarray:
+    """posterior_mode or posterior_mean (how="mode"/"mean") of each row of
+    stacked concentration vectors, bitwise equal to the scalar functions."""
+    mean = alpha / alpha.sum(axis=-1, keepdims=True)
+    if how == "mean":
+        return mean
+    if how != "mode":
+        raise InputError(f"unknown point estimate {how!r}")
+    shifted = np.maximum(alpha - 1.0, 0.0)
+    total = shifted.sum(axis=-1, keepdims=True)
+    return np.divide(shifted, total, out=mean, where=total > 0.0)
 
 
 def log_density(alpha: DirichletParams, q: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from .autothresh import (
     write_bins_csv,
     write_curve_csv,
 )
-from .bayes import posterior, posterior_mean, posterior_mode, uniform_prior
+from .bayes import point_estimates, posterior, posterior_mode, uniform_prior
 from .core import (
     DirichletParams,
     InputError,
@@ -50,7 +50,7 @@ from .core import (
     write_scheme,
     write_tasks,
 )
-from .head import TrainConfig, TrainExample, load_model, predict, save_model, train_head
+from .head import TrainConfig, TrainExample, head_forward, load_model, save_model, train_head
 from .metrics import (
     AmbiguityConfig,
     ambiguity,
@@ -60,7 +60,7 @@ from .metrics import (
     soft_distance,
     soft_weight,
 )
-from .priors import blend_prior, repeats_summary, write_repeats_csv
+from .priors import blend_prior, repeats_summary, uniform_provider, write_repeats_csv
 from .sim import SimConfig, simulate_dataset
 
 DEFAULTS: Dict[str, object] = {
@@ -197,40 +197,35 @@ def _split_ids(cfg: dict, tasks: List[TaskRecord]) -> frozenset:
     return split_dataset(tasks, cfg["ratios"], seed=cfg["seed"]).of(name)
 
 
-def _point(params: DirichletParams, how: str) -> SoftLabel:
-    if how == "mode":
-        return posterior_mode(params)
-    if how == "mean":
-        return posterior_mean(params)
-    raise InputError(f"unknown point estimate {how!r}")
-
-
 def _read_pair(cfg: dict):
     preds = read_alpha_records(_path(cfg, "predictions"))
     posts = read_alpha_records(_path(cfg, "posteriors"))
     return preds, posts
 
 
-def _covered(preds: dict, posts: dict, ids) -> List[str]:
-    """The given task ids, sorted, verified present in both record files."""
+def _point_estimates(cfg: dict, preds: dict, posts: dict, ids):
+    """The ids, sorted and verified present in both record files, with the
+    predictions' point estimates (per cfg) and the reference modes as rows."""
     missing = sorted(tid for tid in ids if tid not in preds or tid not in posts)
     if missing:
         raise InputError(
             f"{len(missing)} tasks lack predictions or posteriors (first: {missing[0]!r})"
         )
-    return sorted(ids)
+    if not ids:
+        raise InputError("no tasks to score in the requested split")
+    ordered = sorted(ids)
+    q_hat = point_estimates(np.stack([preds[tid][0].alpha for tid in ordered]),
+                            cfg["point_estimate"])
+    q_ref = point_estimates(np.stack([posts[tid][0].alpha for tid in ordered]))
+    return ordered, q_hat, q_ref
 
 
-def _conf_correct(cfg: dict, preds: dict, posts: dict, ids: List[str]):
-    how = cfg["point_estimate"]
-    conf = np.empty(len(ids))
-    correct = np.empty(len(ids), dtype=bool)
-    for i, tid in enumerate(ids):
-        q_hat = _point(preds[tid][0], how)
-        q_ref = _point(posts[tid][0], "mode")
-        conf[i] = confidence(q_hat)
-        correct[i] = q_hat.argmax() == q_ref.argmax()
-    return conf, correct
+def _conf_correct(cfg: dict, preds: dict, posts: dict, ids):
+    """Row-wise metrics.confidence of each prediction, and whether its
+    majority category matches the reference's."""
+    _, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
+    k = q_hat.shape[1]
+    return (k * q_hat.max(axis=1) - 1.0) / (k - 1), q_hat.argmax(axis=1) == q_ref.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +267,7 @@ def cmd_infer(cfg: dict) -> int:
         def prior_for(task: TaskRecord) -> DirichletParams:
             if task.features is None:
                 raise InputError(f"task {task.task_id} has no features for the model prior")
-            return blend_prior(predict(model, task.features, 0), cfg["blend"])
+            return blend_prior(head_forward(model, task.features, 0), cfg["blend"])
 
     elif cfg["prior"] == "uniform":
         uni = uniform_prior(scheme)
@@ -292,45 +287,40 @@ def cmd_infer(cfg: dict) -> int:
     return 0
 
 
-def _train_examples(scheme, tasks, ids, weights) -> List[TrainExample]:
+def _train_examples(scheme, tasks, split) -> List[List[TrainExample]]:
+    """Train and val examples from one tally per task, weighted by train label rarity."""
     uni = uniform_prior(scheme)
-    out = []
+    targets = {}
     for task in tasks:
-        if task.task_id not in ids:
-            continue
-        if task.features is None:
-            raise InputError(f"task {task.task_id} has no features; cannot train on it")
-        counts = tally(task.responses, scheme)
-        target = posterior(uni, counts)
-        q_ref = posterior_mode(target)
-        out.append(
+        if task.task_id in split.train or task.task_id in split.val:
+            if task.features is None:
+                raise InputError(f"task {task.task_id} has no features; cannot train on it")
+            targets[task.task_id] = posterior(uni, tally(task.responses, scheme))
+    refs = {tid: posterior_mode(target) for tid, target in targets.items()}
+    class_counts = np.zeros(scheme.num_categories)
+    for tid in split.train:
+        class_counts[refs[tid].argmax()] += 1
+    weights = hard_weights(class_counts)
+    return [
+        [
             TrainExample(
                 features=task.features,
-                target_alpha=target.alpha,
-                n=counts.total,
-                weight=soft_weight(q_ref, weights),
+                target_alpha=targets[task.task_id].alpha,
+                n=task.n_responses,
+                weight=soft_weight(refs[task.task_id], weights),
                 task_id=task.task_id,
             )
-        )
-    return out
-
-
-def _reference_class_weights(scheme, tasks, ids) -> np.ndarray:
-    """Inverse-frequency weights from majority labels of the given tasks."""
-    counts = np.zeros(scheme.num_categories)
-    uni = uniform_prior(scheme)
-    for task in tasks:
-        if task.task_id in ids:
-            counts[posterior_mode(posterior(uni, tally(task.responses, scheme))).argmax()] += 1
-    return hard_weights(counts)
+            for task in tasks
+            if task.task_id in ids
+        ]
+        for ids in (split.train, split.val)
+    ]
 
 
 def cmd_train(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg)
     split = split_dataset(tasks, cfg["ratios"], seed=cfg["seed"])
-    weights = _reference_class_weights(scheme, tasks, split.train)
-    train_ex = _train_examples(scheme, tasks, split.train, weights)
-    val_ex = _train_examples(scheme, tasks, split.val, weights)
+    train_ex, val_ex = _train_examples(scheme, tasks, split)
     try:
         tc = TrainConfig(
             learning_rate=cfg["learning_rate"],
@@ -371,7 +361,7 @@ def cmd_predict(cfg: dict) -> int:
         if task.features is None:
             raise InputError(f"task {task.task_id} has no features to predict from")
         n = cfg["inference_n"] if cfg["inference_n"] is not None else task.n_responses
-        records.append((task.task_id, predict(model, task.features, n), n))
+        records.append((task.task_id, head_forward(model, task.features, n), n))
     write_alpha_records(_path(cfg, "predictions"), records)
     print(f"predicted {len(records)} tasks")
     return 0
@@ -381,15 +371,11 @@ def cmd_eval(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg, with_responses=False)
     ids = _split_ids(cfg, tasks)
     preds, posts = _read_pair(cfg)
-    ordered = _covered(preds, posts, ids)
-    how = cfg["point_estimate"]
-    predictions = {tid: _point(preds[tid][0], how) for tid in ordered}
-    references = {tid: _point(posts[tid][0], "mode") for tid in ordered}
+    ordered, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
+    predictions = {tid: SoftLabel(q) for tid, q in zip(ordered, q_hat)}
+    references = {tid: SoftLabel(q) for tid, q in zip(ordered, q_ref)}
 
-    ref_counts = np.zeros(scheme.num_categories)
-    for tid in ordered:
-        ref_counts[references[tid].argmax()] += 1
-    weights = hard_weights(ref_counts)
+    weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
     report = evaluate(predictions, references, weights)
 
     amb_cfg = AmbiguityConfig(cfg["eta0"], cfg["pi0"])
@@ -415,12 +401,11 @@ def cmd_curve(cfg: dict) -> int:
     _, tasks = _load_dataset(cfg, with_responses=False)
     ids = _split_ids(cfg, tasks)
     preds, posts = _read_pair(cfg)
-    ordered = _covered(preds, posts, ids)
-    conf, correct = _conf_correct(cfg, preds, posts, ordered)
+    conf, correct = _conf_correct(cfg, preds, posts, ids)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
     write_curve_csv(_path(cfg, "curve"), bands, provenance(cfg))
     print(
-        f"curve over {len(ordered)} tasks ({cfg['split']}), "
+        f"curve over {conf.size} tasks ({cfg['split']}), "
         f"{bands.thresholds.size} thresholds, B={cfg['bootstrap']}"
     )
     return 0
@@ -430,10 +415,8 @@ def cmd_calibrate(cfg: dict) -> int:
     _, tasks = _load_dataset(cfg, with_responses=False)
     split = split_dataset(tasks, cfg["ratios"], seed=cfg["seed"])
     preds, posts = _read_pair(cfg)
-    val_sorted = _covered(preds, posts, split.val)
-    test_sorted = _covered(preds, posts, split.test)
-    val_conf, val_corr = _conf_correct(cfg, preds, posts, val_sorted)
-    test_conf, test_corr = _conf_correct(cfg, preds, posts, test_sorted)
+    val_conf, val_corr = _conf_correct(cfg, preds, posts, split.val)
+    test_conf, test_corr = _conf_correct(cfg, preds, posts, split.test)
     result = calibrate(
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
@@ -469,16 +452,15 @@ def cmd_repeats(cfg: dict) -> int:
         if task.features is None:
             raise InputError(f"task {task.task_id} has no features")
         n = cfg["inference_n"] if cfg["inference_n"] is not None else task.n_responses
-        conf = confidence(posterior_mode(predict(model, task.features, n)))
+        conf = confidence(posterior_mode(head_forward(model, task.features, n)))
         if conf < threshold:
             kept.append(task)
     if not kept:
         raise InputError("no non-automated tasks left for the repeats analysis")
     kept.sort(key=lambda t: t.task_id)
 
-    uni = uniform_prior(scheme)
     informed = {
-        t.task_id: blend_prior(predict(model, t.features, 0), cfg["blend"]) for t in kept
+        t.task_id: blend_prior(head_forward(model, t.features, 0), cfg["blend"]) for t in kept
     }
     common = dict(
         max_repeats=cfg["max_repeats"],
@@ -486,7 +468,7 @@ def cmd_repeats(cfg: dict) -> int:
         seed=cfg["seed"],
     )
     summaries = [
-        repeats_summary(kept, lambda t: uni, variant="uniform", **common),
+        repeats_summary(kept, uniform_provider(scheme.num_categories), variant="uniform", **common),
         repeats_summary(kept, lambda t: informed[t.task_id], variant="informed", **common),
     ]
     write_repeats_csv(_path(cfg, "repeats_csv"), summaries, provenance(cfg))

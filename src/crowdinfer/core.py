@@ -7,6 +7,7 @@ vectors over the answer space follow the ordering (proper..., cs).
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -129,8 +130,8 @@ class SoftLabel:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if (q < 0).any():
-            raise InputError(f"soft label has negative components: {q}")
+        if not (q >= 0).all():
+            raise InputError(f"soft label has negative or NaN components: {q}")
         if abs(q.sum() - 1.0) > SIMPLEX_ATOL:
             raise InputError(f"soft label does not sum to 1: {q} (sum {q.sum()!r})")
         object.__setattr__(self, "q", q)
@@ -170,6 +171,8 @@ class TaskRecord:
     def __post_init__(self):
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)
+            if not np.isfinite(self.features).all():
+                raise InputError(f"non-finite feature values in task {self.task_id!r}")
 
     @property
     def n_responses(self) -> int:
@@ -310,6 +313,27 @@ def json_ready(obj):
     return obj
 
 
+def _csv_cell(v) -> str:
+    if v is None or (isinstance(v, float) and not math.isfinite(v)):
+        return ""
+    if isinstance(v, float):
+        return repr(round_sig(v))
+    return str(v)
+
+
+def write_csv(path, header, rows, provenance: Optional[dict] = None) -> None:
+    """Provenance-commented CSV; floats at 9 significant digits, None and
+    non-finite values as empty cells."""
+    with open(path, "w", newline="") as fh:
+        if provenance:
+            items = " ".join(f"{k}={v}" for k, v in sorted(provenance.items()))
+            fh.write(f"# {items}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
+
+
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -341,6 +365,7 @@ def write_tasks(path, tasks: Iterable[TaskRecord]) -> None:
 def read_tasks(path) -> list:
     tasks = []
     feature_dim = None
+    seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -354,6 +379,9 @@ def read_tasks(path) -> list:
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: bad task record: {exc}") from exc
+            if task.task_id in seen:
+                raise InputError(f"{path}:{lineno}: duplicate task_id {task.task_id!r}")
+            seen.add(task.task_id)
             if task.features is not None:
                 if feature_dim is None:
                     feature_dim = task.features.size
@@ -428,10 +456,11 @@ def read_alpha_records(path) -> dict:
                 continue
             try:
                 rec = json.loads(line)
-                out[str(rec["task_id"])] = (
-                    DirichletParams(np.asarray(rec["alpha"], dtype=float)),
-                    rec["n"],
-                )
+                task_id = str(rec["task_id"])
+                record = (DirichletParams(np.asarray(rec["alpha"], dtype=float)), rec["n"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
+            if task_id in out:
+                raise InputError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
+            out[task_id] = record
     return out

@@ -214,11 +214,6 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
     return DirichletParams(alpha[0])
 
 
-def predict(model: HeadModel, features: np.ndarray, n: int) -> DirichletParams:
-    """Alias of head_forward used at pipeline level."""
-    return head_forward(model, features, n)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------

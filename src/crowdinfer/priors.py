@@ -9,15 +9,13 @@ orders, quantifies how many human labels the prediction is worth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .bayes import posterior_mode
-from .core import DirichletParams, SoftLabel, TaskRecord, round_sig, task_rng
-from .metrics import soft_distance
+from .bayes import point_estimates
+from .core import DirichletParams, TaskRecord, task_rng, write_csv
 
 _REPEATS_STREAM = "repeats"
 
@@ -50,17 +48,18 @@ def repeats_run(task: TaskRecord, prior: DirichletParams, permutations: int,
     answers = np.array([r.answer for r in task.responses])
     if (answers < 0).any() or (answers >= k).any():
         raise ValueError(f"task {task.task_id} has answers outside the prior's categories")
-    empirical = SoftLabel(np.bincount(answers, minlength=k) / n)
+    empirical = np.bincount(answers, minlength=k) / n
 
-    totals = np.zeros(n)
-    for _ in range(permutations):
-        order = rng.permutation(n)
-        alpha = prior.alpha.copy()
-        for step, j in enumerate(order):
-            alpha[answers[j]] += 1.0
-            mode = posterior_mode(DirichletParams(alpha))
-            totals[step] += soft_distance(mode, empirical)
-    return totals / permutations
+    orders = np.array([rng.permutation(n) for _ in range(permutations)])
+    steps = np.zeros((permutations, n + 1, k))
+    steps[:, 0] = prior.alpha
+    steps[np.arange(permutations)[:, None], np.arange(1, n + 1), answers[orders]] = 1.0
+    modes = point_estimates(np.cumsum(steps, axis=1)[:, 1:])
+    denom = np.maximum(empirical, 1.0 - empirical)
+    distances = np.max(np.abs(modes - empirical) / denom, axis=-1)
+    # cumsum adds the permutations in draw order; sum(axis=0) may add them
+    # pairwise, which moves the last ULP away from a one-draw-at-a-time replay
+    return np.cumsum(distances, axis=0)[-1] / permutations
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,10 @@ def uniform_provider(k: int) -> Callable[[TaskRecord], DirichletParams]:
 
 def write_repeats_csv(path, summaries: Sequence[RepeatsSummary],
                       provenance: Optional[dict] = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if provenance:
-            items = " ".join(f"{k}={v}" for k, v in sorted(provenance.items()))
-            fh.write(f"# {items}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "step", "q025", "q25", "median", "q75", "q975", "n_tasks"])
-        for summary in summaries:
-            for s in summary.steps:
-                writer.writerow(
-                    [summary.variant, s.step]
-                    + [repr(round_sig(v)) for v in (s.q025, s.q25, s.median, s.q75, s.q975)]
-                    + [s.n_tasks]
-                )
+    rows = (
+        [summary.variant, s.step, s.q025, s.q25, s.median, s.q75, s.q975, s.n_tasks]
+        for summary in summaries
+        for s in summary.steps
+    )
+    write_csv(path, ["variant", "step", "q025", "q25", "median", "q75", "q975", "n_tasks"],
+              rows, provenance)

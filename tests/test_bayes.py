@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from crowdinfer.bayes import (
     log_density,
     marginal_conditional,
     marginal_solvability,
+    point_estimates,
     posterior,
     posterior_mean,
     posterior_mode,
@@ -117,3 +120,37 @@ def test_log_density_matches_scipy():
         ours = log_density(DirichletParams(alpha), q)
         ref = stats.dirichlet.logpdf(q / q.sum(), alpha)
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+_alpha_rows = st.integers(2, 12).flatmap(
+    lambda k: st.lists(
+        st.one_of(
+            st.just([1.0] * k),   # mode has no mass left: falls back to the mean
+            st.lists(st.floats(0.01, 50.0), min_size=k, max_size=k),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alpha_rows)
+def test_point_estimates_equal_scalar_estimators_bitwise(rows):
+    alpha = np.array(rows)
+    modes = point_estimates(alpha)
+    means = point_estimates(alpha, "mean")
+    for row, mode, mean in zip(alpha, modes, means):
+        assert np.array_equal(mode, posterior_mode(DirichletParams(row)).q)
+        assert np.array_equal(mean, posterior_mean(DirichletParams(row)).q)
+
+
+def test_point_estimates_keep_leading_axes_and_reject_unknown():
+    alpha = np.ones((2, 3, 4))
+    alpha[1, 2] = [3.0, 1.0, 0.5, 2.0]
+    out = point_estimates(alpha)
+    assert out.shape == (2, 3, 4)
+    assert np.array_equal(out[0, 0], np.full(4, 0.25))
+    assert np.array_equal(out[1, 2], [2 / 3, 0.0, 0.0, 1 / 3])
+    with pytest.raises(ValueError):
+        point_estimates(alpha, "median")

@@ -205,6 +205,45 @@ def test_orphan_responses_exit_2(tmp_path):
     assert run(tmp_path, "infer") == 2
 
 
+def _copy_inputs(pipeline, tmp_path, *names):
+    for name in names:
+        (tmp_path / name).write_bytes((pipeline / name).read_bytes())
+
+
+def test_duplicate_task_ids_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl", "model.json")
+    lines = (pipeline / "tasks.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "tasks.jsonl").write_text("".join(lines + lines[:1]))
+    assert run(tmp_path, "infer") == 2
+    assert f"tasks.jsonl:{len(lines) + 1}: duplicate task_id" in capsys.readouterr().err
+
+    _copy_inputs(pipeline, tmp_path, "tasks.jsonl", "predictions.jsonl")
+    lines = (pipeline / "posteriors.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "posteriors.jsonl").write_text("".join(lines[:3] + lines[1:2] + lines[3:]))
+    assert run(tmp_path, "eval", "--split", "test") == 2
+    assert "posteriors.jsonl:4: duplicate task_id" in capsys.readouterr().err
+
+
+def test_non_finite_task_values_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl", "model.json")
+    records = read_jsonl(pipeline / "tasks.jsonl")
+    for key in ("features", "true_q"):
+        bad = [dict(r) for r in records]
+        bad[2][key] = [float("nan")] + bad[2][key][1:]
+        (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in bad))
+        assert run(tmp_path, "predict") == 2
+        assert "tasks.jsonl:3: " in capsys.readouterr().err
+
+
+def test_empty_split_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "posteriors.jsonl",
+                 "predictions.jsonl")
+    ratios = ("--ratios", "0.99,0.005,0.005")   # 119/1/0 tasks: the test split is empty
+    assert run(tmp_path, "eval", "--split", "test", *ratios) == 2
+    assert run(tmp_path, "calibrate", "--bootstrap", "4", *ratios) == 2
+    assert capsys.readouterr().err.count("no tasks to score") == 2
+
+
 def test_corrupt_model_exit_3(pipeline, tmp_path):
     for name in ("scheme.json", "tasks.jsonl", "responses.jsonl"):
         (tmp_path / name).write_bytes((pipeline / name).read_bytes())

@@ -67,6 +67,10 @@ def test_soft_label_validation():
         SoftLabel([0.5, 0.6, 0.1])
     with pytest.raises(InputError):
         SoftLabel([-0.1, 1.1, 0.0])
+    # NaN compares false against the sum tolerance, so it needs its own check
+    for bad in ([math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [-math.inf, 1.0, 1.0]):
+        with pytest.raises(InputError):
+            SoftLabel(bad)
 
 
 def test_soft_label_argmax_ties_break_low():

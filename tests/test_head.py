@@ -19,7 +19,6 @@ from crowdinfer.head import (
     init_model,
     load_model,
     log_gamma,
-    predict,
     save_model,
     softmax,
     train_head,
@@ -306,7 +305,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(back.W, model.W)
     assert back.alpha0_sum == model.alpha0_sum
     x = np.ones(5)
-    assert np.array_equal(predict(back, x, 7).alpha, predict(model, x, 7).alpha)
+    assert np.array_equal(head_forward(back, x, 7).alpha, head_forward(model, x, 7).alpha)
 
 
 def test_model_load_rejects_unknown_format(tmp_path):

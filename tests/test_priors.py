@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdinfer.core import DirichletParams, ResponseRecord, TaskRecord
+from crowdinfer.bayes import posterior_mode
+from crowdinfer.core import DirichletParams, ResponseRecord, SoftLabel, TaskRecord
+from crowdinfer.metrics import soft_distance
 from crowdinfer.priors import (
     RepeatsSummary,
     blend_prior,
@@ -134,6 +138,58 @@ def test_repeats_run_validation():
         repeats_run(_task("t0", [0]), prior, 0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="t7"):
         repeats_run(_task("t7", [0, 3]), prior, 4, np.random.default_rng(0))
+
+
+def _replay_oracle(task, prior, permutations, rng):
+    """Scalar reference for repeats_run: replays one draw at a time, one
+    posterior_mode and one soft_distance per step."""
+    n = task.n_responses
+    answers = np.array([r.answer for r in task.responses])
+    empirical = SoftLabel(np.bincount(answers, minlength=len(prior)) / n)
+    totals = np.zeros(n)
+    for _ in range(permutations):
+        order = rng.permutation(n)
+        alpha = prior.alpha.copy()
+        for step, j in enumerate(order):
+            alpha[answers[j]] += 1.0
+            mode = posterior_mode(DirichletParams(alpha))
+            totals[step] += soft_distance(mode, empirical)
+    return totals / permutations
+
+
+@st.composite
+def _replay_cases(draw):
+    k = draw(st.integers(2, 6))
+    answers = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=30))
+    # blended priors dip below 1 in some components; also cover the uniform one
+    prior = draw(st.one_of(
+        st.just([1.0] * k),
+        st.lists(st.floats(0.01, 4.0), min_size=k, max_size=k),
+    ))
+    return k, answers, prior, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_cases())
+def test_repeats_run_equals_scalar_replay_bitwise(case):
+    k, answers, prior, permutations, seed = case
+    task = _task("t", answers)
+    prior = DirichletParams(prior)
+    got = repeats_run(task, prior, permutations, np.random.default_rng(seed))
+    want = _replay_oracle(task, prior, permutations, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+def test_repeats_run_equals_scalar_replay_on_blended_priors():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        k = int(rng.integers(2, 7))
+        raw = rng.uniform(0.02, 1.0, size=k)
+        prior = blend_prior(DirichletParams(k * raw / raw.sum()))
+        task = _task(f"t{trial}", list(rng.integers(0, k, size=int(rng.integers(1, 31)))))
+        got = repeats_run(task, prior, 16, np.random.default_rng(trial))
+        want = _replay_oracle(task, prior, 16, np.random.default_rng(trial))
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
