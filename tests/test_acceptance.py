@@ -18,6 +18,7 @@ from scipy import integrate, special
 
 from crowdinfer.autothresh import ambiguity_calibration, write_bins_csv
 from crowdinfer.bayes import posterior, posterior_mean, posterior_mode, uniform_prior
+from crowdinfer import cli
 from crowdinfer.cli import main
 from crowdinfer.core import (
     CategoryScheme,
@@ -410,3 +411,35 @@ def test_artifact_digests_frozen(repeats500, pipeline_pair):
     changed = sorted(name for name in got.keys() | FROZEN_SHA256.keys()
                      if got.get(name) != FROZEN_SHA256.get(name))
     assert not changed, f"artifact bytes changed: {changed}"
+
+
+def test_wide_model_digest_frozen(tmp_path, monkeypatch):
+    """model.json and the per-epoch losses of a small K = 5 run keep their bytes.
+
+    The acceptance pipeline trains a K = 3 head with model selection; this run
+    covers a wider head, several minibatches per epoch, a validation set and
+    select=last, so every Adam step reaches the file.  Same build caveat as
+    above.
+    """
+    history = []
+    train_head = cli.train_head
+
+    def recording(*args, callback, **kwargs):
+        def record(epoch, train_loss, val_loss):
+            history.append(f"{epoch} {train_loss.hex()} {val_loss.hex()}")
+            callback(epoch, train_loss, val_loss)
+
+        return train_head(*args, callback=record, **kwargs)
+
+    monkeypatch.setattr(cli, "train_head", recording)
+    out = str(tmp_path)
+    assert main(["simulate", "--outdir", out, "--num-tasks", "300", "--categories", "4",
+                 "--repeats", "12", "--seed", "3"]) == 0
+    assert main(["infer", "--outdir", out]) == 0
+    assert main(["train", "--outdir", out, "--epochs", "40", "--batch-size", "64",
+                 "--learning-rate", "0.01", "--select", "last", "--seed", "3"]) == 0
+    assert len(history) == 40
+    model = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+    losses = hashlib.sha256("\n".join(history).encode()).hexdigest()
+    assert model == "140c4f4b1f958681f25cc88aff367e447f60e3c59eea3903697fa4e7917e2980"
+    assert losses == "3d0feaf18ab80c34ba45ca3ad2f47259fa6c757b1e490a326249183cd4036e4c"
