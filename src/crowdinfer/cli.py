@@ -197,9 +197,9 @@ def _split_ids(cfg: dict, tasks: List[TaskRecord]) -> frozenset:
     return split_dataset(tasks, cfg["ratios"], seed=cfg["seed"]).of(name)
 
 
-def _read_pair(cfg: dict):
-    preds = read_alpha_records(_path(cfg, "predictions"))
-    posts = read_alpha_records(_path(cfg, "posteriors"))
+def _read_pair(cfg: dict, scheme):
+    preds = read_alpha_records(_path(cfg, "predictions"), scheme.num_categories)
+    posts = read_alpha_records(_path(cfg, "posteriors"), scheme.num_categories)
     return preds, posts
 
 
@@ -320,6 +320,9 @@ def _train_examples(scheme, tasks, split) -> List[List[TrainExample]]:
 def cmd_train(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg)
     split = split_dataset(tasks, cfg["ratios"], seed=cfg["seed"])
+    if not split.train:
+        ratios = ",".join(str(r) for r in cfg["ratios"])
+        raise InputError(f"ratios {ratios} leave no training tasks among {len(tasks)}")
     train_ex, val_ex = _train_examples(scheme, tasks, split)
     try:
         tc = TrainConfig(
@@ -370,7 +373,7 @@ def cmd_predict(cfg: dict) -> int:
 def cmd_eval(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg, with_responses=False)
     ids = _split_ids(cfg, tasks)
-    preds, posts = _read_pair(cfg)
+    preds, posts = _read_pair(cfg, scheme)
     ordered, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     predictions = {tid: SoftLabel(q) for tid, q in zip(ordered, q_hat)}
     references = {tid: SoftLabel(q) for tid, q in zip(ordered, q_ref)}
@@ -398,9 +401,9 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_curve(cfg: dict) -> int:
-    _, tasks = _load_dataset(cfg, with_responses=False)
+    scheme, tasks = _load_dataset(cfg, with_responses=False)
     ids = _split_ids(cfg, tasks)
-    preds, posts = _read_pair(cfg)
+    preds, posts = _read_pair(cfg, scheme)
     conf, correct = _conf_correct(cfg, preds, posts, ids)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
     write_curve_csv(_path(cfg, "curve"), bands, provenance(cfg))
@@ -412,9 +415,9 @@ def cmd_curve(cfg: dict) -> int:
 
 
 def cmd_calibrate(cfg: dict) -> int:
-    _, tasks = _load_dataset(cfg, with_responses=False)
+    scheme, tasks = _load_dataset(cfg, with_responses=False)
     split = split_dataset(tasks, cfg["ratios"], seed=cfg["seed"])
-    preds, posts = _read_pair(cfg)
+    preds, posts = _read_pair(cfg, scheme)
     val_conf, val_corr = _conf_correct(cfg, preds, posts, split.val)
     test_conf, test_corr = _conf_correct(cfg, preds, posts, split.test)
     result = calibrate(

@@ -447,8 +447,11 @@ def write_alpha_records(path, records: Iterable[tuple]) -> None:
             )
 
 
-def read_alpha_records(path) -> dict:
-    """Read a posterior/prediction file back as {task_id: (params, n)}."""
+def read_alpha_records(path, num_categories: int) -> dict:
+    """Read a posterior/prediction file back as {task_id: (params, n)}.
+
+    Every record must carry num_categories components, the scheme's K.
+    """
     out: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -462,5 +465,10 @@ def read_alpha_records(path) -> dict:
                 raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
             if task_id in out:
                 raise InputError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
+            if len(record[0]) != num_categories:
+                raise InputError(
+                    f"{path}:{lineno}: {len(record[0])} alpha components for a scheme "
+                    f"of {num_categories} categories"
+                )
             out[task_id] = record
     return out

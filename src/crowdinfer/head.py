@@ -84,8 +84,9 @@ def digamma(x):
         mask = xv < 8.5
         if not mask.any():
             break
-        acc[mask] -= 1.0 / xv[mask]
-        xv[mask] += 1.0
+        # subtracting 0.0 and adding False leave the other entries' bits alone
+        acc -= np.where(mask, 1.0 / xv, 0.0)
+        xv += mask
     inv2 = 1.0 / (xv * xv)
     series = inv2 * (
         1.0 / 12.0
@@ -104,23 +105,41 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
 
-def _chernoff_raw(a: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
-    """Closed-form Chernoff distance; a, b have shape (..., K)."""
-    m = tau * a + (1.0 - tau) * b
-    return (
-        log_gamma(m.sum(axis=-1))
-        - log_gamma(m).sum(axis=-1)
-        + tau * (log_gamma(a).sum(axis=-1) - log_gamma(a.sum(axis=-1)))
-        + (1.0 - tau) * (log_gamma(b).sum(axis=-1) - log_gamma(b.sum(axis=-1)))
-    )
+def _target_term(b: np.ndarray, tau: float) -> np.ndarray:
+    """The part of the closed form that depends on b alone, per row of b."""
+    lg = log_gamma(np.concatenate([b.ravel(), np.ravel(b.sum(axis=-1))]))
+    return (1.0 - tau) * (lg[: b.size].reshape(b.shape).sum(axis=-1)
+                          - lg[b.size :].reshape(b.shape[:-1]))
 
 
-def _chernoff_grad_raw(a: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
-    """Gradient of the closed form with respect to a's components."""
+def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool = False):
+    """Closed-form Chernoff distance, and with grad=True also its gradient with
+    respect to a's components; a, b have shape (..., K).
+
+    target is _target_term(b, tau), which callers that score the same b many
+    times compute once.  log_gamma, and digamma for the gradient, run once on
+    the sums and components of m = tau*a + (1-tau)*b and of a laid end to end;
+    both act element by element, so each term has the value a separate call
+    would give it.
+    """
+    if target is None:
+        target = _target_term(b, tau)
     m = tau * a + (1.0 - tau) * b
-    psi_sm = np.asarray(digamma(m.sum(axis=-1)))
-    psi_sa = np.asarray(digamma(a.sum(axis=-1)))
-    return tau * (psi_sm[..., None] - digamma(m) + digamma(a) - psi_sa[..., None])
+    rows, size = a.shape[:-1], a.size
+    n = size // a.shape[-1]
+    x = np.concatenate([np.ravel(m.sum(axis=-1)), m.ravel(), a.ravel(), np.ravel(a.sum(axis=-1))])
+
+    def split(values):
+        return (values[:n].reshape(rows), values[n : n + size].reshape(a.shape),
+                values[n + size : n + 2 * size].reshape(a.shape),
+                values[n + 2 * size :].reshape(rows))
+
+    lg_sm, lg_m, lg_a, lg_sa = split(log_gamma(x))
+    J = lg_sm - lg_m.sum(axis=-1) + tau * (lg_a.sum(axis=-1) - lg_sa) + target
+    if not grad:
+        return J
+    psi_sm, psi_m, psi_a, psi_sa = split(digamma(x))
+    return J, tau * (psi_sm[..., None] - psi_m + psi_a - psi_sa[..., None])
 
 
 def chernoff(a: DirichletParams, b: DirichletParams, tau: float = 0.5) -> float:
@@ -132,7 +151,7 @@ def chernoff(a: DirichletParams, b: DirichletParams, tau: float = 0.5) -> float:
     _check_tau(tau)
     if len(a) != len(b):
         raise ValueError("parameter vectors must have equal length")
-    return float(max(_chernoff_raw(a.alpha, b.alpha, tau), 0.0))
+    return float(max(_chernoff(a.alpha, b.alpha, tau), 0.0))
 
 
 def chernoff_grad(a: DirichletParams, b: DirichletParams, tau: float = 0.5) -> np.ndarray:
@@ -140,7 +159,7 @@ def chernoff_grad(a: DirichletParams, b: DirichletParams, tau: float = 0.5) -> n
     _check_tau(tau)
     if len(a) != len(b):
         raise ValueError("parameter vectors must have equal length")
-    return _chernoff_grad_raw(a.alpha, b.alpha, tau)
+    return _chernoff(a.alpha, b.alpha, tau, grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +183,16 @@ class HeadModel:
         k = bias.size
         if A.ndim != 2 or A.shape[1] != k or W.shape != (k, k):
             raise ValueError(f"inconsistent parameter shapes: A {A.shape}, bias {bias.shape}, W {W.shape}")
-        for name, arr in (("A", A), ("bias", bias), ("W", W)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite entries in {name}")
+        _check_finite_params((A, bias, W))
         if not self.alpha0_sum > 0:
             raise ValueError("alpha0_sum must be positive")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "W", W)
+
+    @property
+    def params(self) -> tuple:
+        return self.A, self.bias, self.W
 
     @property
     def feature_dim(self) -> int:
@@ -182,17 +203,24 @@ class HeadModel:
         return self.bias.size
 
 
+def _check_finite_params(params) -> None:
+    for name, arr in zip(("A", "bias", "W"), params):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite entries in {name}")
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(model: HeadModel, X: np.ndarray, n: np.ndarray):
-    Z = X @ model.A + model.bias
+def _forward_batch(params, alpha0_sum: float, X: np.ndarray, n: np.ndarray):
+    A, bias, W = params
+    Z = X @ A + bias
     S = softmax(Z)
-    Sigma = softmax(Z @ model.W.T)
-    alpha = model.alpha0_sum * S + n[:, None] * Sigma
+    Sigma = softmax(Z @ W.T)
+    alpha = alpha0_sum * S + n[:, None] * Sigma
     return alpha, Z, S, Sigma
 
 
@@ -210,7 +238,8 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
         raise ValueError("non-finite feature values")
     if n < 0:
         raise ValueError("response count n must be non-negative")
-    alpha, _, _, _ = _forward_batch(model, features[None, :], np.array([float(n)]))
+    alpha, _, _, _ = _forward_batch(model.params, model.alpha0_sum, features[None, :],
+                                    np.array([float(n)]))
     return DirichletParams(alpha[0])
 
 
@@ -240,8 +269,16 @@ class TrainConfig:
     select: str = "best"                 # "best" (monitored loss) or "last"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.warmup_iters is not None and self.warmup_iters < 0:
+            raise ValueError(f"warmup_iters must be non-negative, got {self.warmup_iters}")
         _check_tau(self.tau)
         if self.select not in ("best", "last"):
             raise ValueError(f"unknown model selection rule {self.select!r}")
@@ -284,36 +321,37 @@ def _degenerate_rows(alpha: np.ndarray) -> np.ndarray:
     return ~(np.isfinite(alpha).all(axis=-1) & (alpha > 0).all(axis=-1))
 
 
-def _batch_loss_grads(model: HeadModel, X, T, n, w, tau):
-    """Weighted mean Chernoff loss and its gradients (dA, dbias, dW)."""
-    alpha, Z, S, Sigma = _forward_batch(model, X, n)
+def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
+    """Weighted mean Chernoff loss, the per-row losses J and, with grad=True,
+    the gradients (dA, dbias, dW).
+
+    target is _target_term(T, tau) when the caller has it.  A degenerate
+    prediction makes the loss and its rows of J infinite, without gradients.
+    """
+    alpha, Z, S, Sigma = _forward_batch(params, alpha0_sum, X, n)
     bad = _degenerate_rows(alpha)
     if bad.any():
-        J = np.where(bad, np.inf, 0.0)
-        zeros = (np.zeros_like(model.A), np.zeros_like(model.bias), np.zeros_like(model.W))
-        return math.inf, J, zeros
-    J = _chernoff_raw(alpha, T, tau)
+        return math.inf, np.where(bad, np.inf, 0.0), None
     wn = w / w.sum()
-    loss = float(J @ wn)
-
-    G = _chernoff_grad_raw(alpha, T, tau) * wn[:, None]
-    dS = model.alpha0_sum * G
+    if not grad:
+        J = _chernoff(alpha, T, tau, target)
+        return float(J @ wn), J, None
+    J, G = _chernoff(alpha, T, tau, target, grad=True)
+    G = G * wn[:, None]
+    W = params[2]
+    dS = alpha0_sum * G
     dZ = S * dS - S * (S * dS).sum(axis=1, keepdims=True)
     dSigma = n[:, None] * G
     dU = Sigma * dSigma - Sigma * (Sigma * dSigma).sum(axis=1, keepdims=True)
-    dZ = dZ + dU @ model.W
+    dZ = dZ + dU @ W
     dW = dU.T @ Z
     dA = X.T @ dZ
     dbias = dZ.sum(axis=0)
-    return loss, J, (dA, dbias, dW)
+    return float(J @ wn), J, (dA, dbias, dW)
 
 
 def _mean_loss(model: HeadModel, X, T, n, w, tau) -> float:
-    alpha, _, _, _ = _forward_batch(model, X, n)
-    if _degenerate_rows(alpha).any():
-        return math.inf
-    J = _chernoff_raw(alpha, T, tau)
-    return float(J @ (w / w.sum()))
+    return _loss_grads(model.params, model.alpha0_sum, X, T, n, w, tau)[0]
 
 
 def init_model(feature_dim: int, num_categories: int, alpha0_sum: float,
@@ -344,15 +382,16 @@ def train_head(
     if not dataset:
         raise ValueError("empty training dataset")
     X, T, n, w = _stack(dataset)
+    target = _target_term(T, cfg.tau)
     k = T.shape[1]
     if alpha0_sum is None:
         alpha0_sum = float(k)
     if val_dataset:
         Xv, Tv, nv, wv = _stack(val_dataset)
+        target_v = _target_term(Tv, cfg.tau)
 
     rng = np.random.default_rng(cfg.seed)
-    model = init_model(X.shape[1], k, alpha0_sum, rng)
-    params = [model.A, model.bias, model.W]
+    params = init_model(X.shape[1], k, alpha0_sum, rng).params
     adam = _Adam([p.shape for p in params], cfg)
 
     best_loss = math.inf
@@ -362,7 +401,8 @@ def train_head(
         order = rng.permutation(N)
         for start in range(0, N, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, J, grads = _batch_loss_grads(model, X[idx], T[idx], n[idx], w[idx], cfg.tau)
+            loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
+                                         cfg.tau, target[idx], grad=True)
             if not math.isfinite(loss):
                 bad = idx[~np.isfinite(J)]
                 bad_id = dataset[bad[0]].task_id if bad.size else "unknown"
@@ -370,10 +410,11 @@ def train_head(
                     f"non-finite training loss at iteration {adam.t + 1}, example {bad_id}"
                 )
             params = adam.step(params, grads)
-            model = HeadModel(params[0], params[1], params[2], alpha0_sum)
+            _check_finite_params(params)
 
-        train_loss = _mean_loss(model, X, T, n, w, cfg.tau)
-        val_loss = _mean_loss(model, Xv, Tv, nv, wv, cfg.tau) if val_dataset else None
+        train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
+        val_loss = (_loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
+                    if val_dataset else None)
         monitored = val_loss if val_dataset else train_loss
         if monitored < best_loss:
             best_loss = monitored
@@ -381,9 +422,7 @@ def train_head(
         if callback is not None:
             callback(epoch, train_loss, val_loss)
 
-    if cfg.select == "best":
-        model = HeadModel(best_params[0], best_params[1], best_params[2], alpha0_sum)
-    return model
+    return HeadModel(*(best_params if cfg.select == "best" else params), alpha0_sum)
 
 
 # ---------------------------------------------------------------------------

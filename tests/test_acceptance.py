@@ -27,7 +27,7 @@ from crowdinfer.core import (
     SoftLabel,
     task_rng,
 )
-from crowdinfer.head import chernoff, chernoff_grad, head_forward, init_model, _chernoff_raw
+from crowdinfer.head import _chernoff, chernoff, chernoff_grad, head_forward, init_model
 from crowdinfer.metrics import AmbiguityConfig, ambiguity, confidence, soft_distance
 from crowdinfer.priors import repeats_run, repeats_summary, uniform_provider, write_repeats_csv
 from crowdinfer.sim import SimConfig, gen_tasks, simulate_dataset, synthetic_predictor
@@ -145,7 +145,7 @@ def test_criterion_03_gradient_finite_differences(check):
             ap, am = a.copy(), a.copy()
             ap[j] += h
             am[j] -= h
-            fd[j] = (_chernoff_raw(ap, b, tau) - _chernoff_raw(am, b, tau)) / (2 * h)
+            fd[j] = (_chernoff(ap, b, tau) - _chernoff(am, b, tau)) / (2 * h)
         worst = max(worst, float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd))))
     check(3, "gradient vs finite differences", worst < 1e-5, f"max rel err {worst:.2e}")
 

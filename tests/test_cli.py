@@ -244,6 +244,35 @@ def test_empty_split_exit_2(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.count("no tasks to score") == 2
 
 
+def test_empty_train_split_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")
+    assert run(tmp_path, "train", "--epochs", "1", "--ratios", "0.001,0.001,0.998") == 2
+    assert "leave no training tasks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    ("--epochs", "0"), ("--epochs", "-3"), ("--batch-size", "0"),
+    ("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--learning-rate", "0"),
+    ("--beta1", "1.5"), ("--beta1", "-0.1"), ("--beta2", "1"), ("--warmup-iters", "-1"),
+])
+def test_invalid_train_options_exit_2(pipeline, tmp_path, capsys, option):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")
+    assert run(tmp_path, "train", *option) == 2
+    assert option[0][2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_alpha_record_of_wrong_length_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "posteriors.jsonl")
+    records = read_jsonl(pipeline / "predictions.jsonl")
+    records[4]["alpha"].append(1.0)
+    (tmp_path / "predictions.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    for argv in (("eval", "--split", "all"), ("curve", "--split", "all", "--bootstrap", "4"),
+                 ("calibrate", "--bootstrap", "4")):
+        assert run(tmp_path, *argv) == 2, argv
+        assert "predictions.jsonl:5: 4 alpha components for a scheme of 3" in capsys.readouterr().err
+
+
 def test_corrupt_model_exit_3(pipeline, tmp_path):
     for name in ("scheme.json", "tasks.jsonl", "responses.jsonl"):
         (tmp_path / name).write_bytes((pipeline / name).read_bytes())

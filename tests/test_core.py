@@ -231,7 +231,7 @@ def test_attach_responses_rejects_orphans():
 def test_alpha_records_round_trip(tmp_path):
     path = tmp_path / "posteriors.jsonl"
     write_alpha_records(path, [("t1", DirichletParams([1.0, 21.0, 1.0]), 20)])
-    back = read_alpha_records(path)
+    back = read_alpha_records(path, 3)
     assert set(back) == {"t1"}
     assert np.allclose(back["t1"][0].alpha, [1, 21, 1])
     assert back["t1"][1] == 20
@@ -241,4 +241,8 @@ def test_alpha_records_bad_line(tmp_path):
     path = tmp_path / "posteriors.jsonl"
     path.write_text('{"task_id": "t1", "alpha": [1.0, -1.0], "n": 0}\n')
     with pytest.raises(InputError, match=":1"):
-        read_alpha_records(path)
+        read_alpha_records(path, 2)
+    path.write_text('{"task_id": "t1", "alpha": [1.0, 1.0], "n": 0}\n'
+                    '{"task_id": "t2", "alpha": [1.0, 1.0, 1.0], "n": 0}\n')
+    with pytest.raises(InputError, match=":2: 3 alpha components for a scheme of 2"):
+        read_alpha_records(path, 2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from crowdinfer.core import DirichletParams
@@ -10,8 +12,8 @@ from crowdinfer.head import (
     HeadModel,
     TrainConfig,
     TrainExample,
-    _chernoff_grad_raw,
-    _chernoff_raw,
+    _chernoff,
+    _target_term,
     chernoff,
     chernoff_grad,
     digamma,
@@ -23,6 +25,114 @@ from crowdinfer.head import (
     softmax,
     train_head,
 )
+
+# ---------------------------------------------------------------------------
+# reference implementations: the fused kernels must equal these bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _digamma_oracle(x):
+    """digamma with the upward shift done by boolean indexing."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    xv = np.atleast_1d(x).astype(float).copy()
+    acc = np.zeros_like(xv)
+    for _ in range(9):
+        mask = xv < 8.5
+        if not mask.any():
+            break
+        acc[mask] -= 1.0 / xv[mask]
+        xv[mask] += 1.0
+    inv2 = 1.0 / (xv * xv)
+    series = inv2 * (
+        1.0 / 12.0
+        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
+    )
+    out = acc + np.log(xv) - 0.5 / xv - series
+    return float(out[0]) if scalar else out
+
+
+def _chernoff_raw(a, b, tau):
+    """Closed-form Chernoff distance with one log_gamma call per term."""
+    m = tau * a + (1.0 - tau) * b
+    return (
+        log_gamma(m.sum(axis=-1))
+        - log_gamma(m).sum(axis=-1)
+        + tau * (log_gamma(a).sum(axis=-1) - log_gamma(a.sum(axis=-1)))
+        + (1.0 - tau) * (log_gamma(b).sum(axis=-1) - log_gamma(b.sum(axis=-1)))
+    )
+
+
+def _chernoff_grad_raw(a, b, tau):
+    """Gradient of the closed form w.r.t. a, one digamma call per term."""
+    m = tau * a + (1.0 - tau) * b
+    psi_sm = np.asarray(_digamma_oracle(m.sum(axis=-1)))
+    psi_sa = np.asarray(_digamma_oracle(a.sum(axis=-1)))
+    return tau * (psi_sm[..., None] - _digamma_oracle(m) + _digamma_oracle(a) - psi_sa[..., None])
+
+
+# arguments on both sides of digamma's 8.5 cut-off and of its shifted copies,
+# where the shift loop takes one step more or fewer
+_NEAR_CUTOFF = [v for c in np.arange(0.5, 9.0) for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 9.0))]
+
+
+@st.composite
+def _component_arrays(draw, shape):
+    """Log-uniform components in [1e-6, 1e6], some set to _NEAR_CUTOFF values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=shape))
+    flat = x.reshape(-1)
+    for pos, value in draw(st.lists(st.tuples(st.integers(0, flat.size - 1),
+                                              st.sampled_from(_NEAR_CUTOFF)), max_size=8)):
+        flat[pos] = value
+    return x
+
+
+@st.composite
+def _kernel_cases(draw):
+    shape = (draw(st.integers(1, 300)), draw(st.integers(2, 6)))
+    tau = draw(st.sampled_from([0.5, 0.25, 0.9]) | st.floats(0.01, 0.99))
+    return draw(_component_arrays(shape)), draw(_component_arrays(shape)), tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_fused_kernel_equals_separate_calls_bitwise(case):
+    a, b, tau = case
+    J, G = _chernoff(a, b, tau, grad=True)
+    assert np.array_equal(J, _chernoff_raw(a, b, tau))
+    assert np.array_equal(G, _chernoff_grad_raw(a, b, tau))
+    assert np.array_equal(_chernoff(a, b, tau), J)
+
+
+def test_fused_kernel_equals_separate_calls_on_one_vector():
+    a, b = np.array([0.3, 8.5, 7.5, 2e5]), np.array([1.0, 9.0, 1e-6, 4.0])
+    J, G = _chernoff(a, b, 0.4, grad=True)
+    assert J.shape == () and G.shape == (4,)
+    assert J == _chernoff_raw(a, b, 0.4)
+    assert np.array_equal(G, _chernoff_grad_raw(a, b, 0.4))
+    assert chernoff(DirichletParams(a), DirichletParams(b), 0.4) == _chernoff_raw(a, b, 0.4)
+    assert np.array_equal(chernoff_grad(DirichletParams(a), DirichletParams(b), 0.4), G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400).flatmap(lambda size: _component_arrays((size,))))
+def test_digamma_equals_masked_shift_bitwise(x):
+    assert np.array_equal(digamma(x), _digamma_oracle(x))
+    assert digamma(float(x[0])) == _digamma_oracle(float(x[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: _component_arrays((200, k))),
+       st.integers(0, 2**32 - 1), st.floats(0.01, 0.99))
+def test_target_term_gathered_by_index_equals_per_batch_value(T, seed, tau):
+    idx = np.random.default_rng(seed).permutation(T.shape[0])[:64]
+    batch = T[idx]
+    per_batch = (1.0 - tau) * (log_gamma(batch).sum(axis=-1) - log_gamma(batch.sum(axis=-1)))
+    assert np.array_equal(_target_term(T, tau)[idx], per_batch)
+    assert np.array_equal(_chernoff(batch[::-1], batch, tau, _target_term(T, tau)[idx]),
+                          _chernoff_raw(batch[::-1], batch, tau))
+
 
 # ---------------------------------------------------------------------------
 # special functions (scipy is the reference oracle only; the package itself
@@ -269,6 +379,13 @@ def test_train_config_validation():
         TrainConfig(select="median")
     with pytest.raises(ValueError):
         TrainConfig(tau=1.0)
+    for bad in (dict(learning_rate=math.nan), dict(learning_rate=math.inf),
+                dict(learning_rate=-1.0), dict(beta1=1.5), dict(beta1=-0.1),
+                dict(beta2=1.0), dict(beta2=math.nan), dict(epochs=0), dict(epochs=-3),
+                dict(batch_size=0), dict(warmup_iters=-1)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    assert TrainConfig(beta1=0.0, beta2=0.0, warmup_iters=0, epochs=1, batch_size=1)
 
 
 def test_non_finite_loss_aborts_with_example_id():
