@@ -270,7 +270,8 @@ def test_alpha_record_of_wrong_length_exit_2(pipeline, tmp_path, capsys):
     for argv in (("eval", "--split", "all"), ("curve", "--split", "all", "--bootstrap", "4"),
                  ("calibrate", "--bootstrap", "4")):
         assert run(tmp_path, *argv) == 2, argv
-        assert "predictions.jsonl:5: 4 alpha components for a scheme of 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "predictions.jsonl:5: 4 alpha components for a scheme of 3" in err
 
 
 def test_corrupt_model_exit_3(pipeline, tmp_path):

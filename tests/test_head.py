@@ -73,7 +73,8 @@ def _chernoff_grad_raw(a, b, tau):
 
 # arguments on both sides of digamma's 8.5 cut-off and of its shifted copies,
 # where the shift loop takes one step more or fewer
-_NEAR_CUTOFF = [v for c in np.arange(0.5, 9.0) for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 9.0))]
+_NEAR_CUTOFF = [v for c in np.arange(0.5, 9.0)
+                for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 9.0))]
 
 
 @st.composite
@@ -394,6 +395,26 @@ def test_non_finite_loss_aborts_with_example_id():
     cfg = TrainConfig(learning_rate=1e3, epochs=50, batch_size=1, seed=0)
     with pytest.raises(RuntimeError, match="iteration"):
         train_head(data, cfg)
+
+
+def test_non_finite_parameters_stop_training_at_that_step(monkeypatch):
+    from crowdinfer import head
+
+    step = head._Adam.step
+
+    def poisoned(self, params, grads):
+        out = step(self, params, grads)
+        if self.t == 3:
+            out[2] = out[2] * np.nan
+        return out
+
+    monkeypatch.setattr(head._Adam, "step", poisoned)
+    epochs = []
+    data = _toy_dataset(np.random.default_rng(9), n=32)
+    with pytest.raises(ValueError, match="non-finite entries in W"):
+        train_head(data, TrainConfig(epochs=2, batch_size=8),
+                   callback=lambda e, tl, vl: epochs.append(e))
+    assert epochs == []
 
 
 def test_training_is_deterministic():
