@@ -28,7 +28,7 @@ from crowdinfer.sim import SimConfig
 
 cfg = SimConfig(num_tasks=1200, num_proper=2, repeats=15, feature_noise=0.1, seed=0)
 scheme, tasks = simulate_dataset(cfg)
-split = split_dataset(tasks, (0.8, 0.1, 0.1), seed=0)
+split = split_dataset([t.task_id for t in tasks], (0.8, 0.1, 0.1), seed=0)
 prior = uniform_prior(scheme)
 by_id = {t.task_id: t for t in tasks}
 

@@ -37,16 +37,45 @@ def _grid(conf: np.ndarray) -> np.ndarray:
     return values
 
 
-def _accuracies_at(grid: np.ndarray, conf: np.ndarray, corr: np.ndarray):
-    """Retained counts and accuracies at each grid threshold (>= retention)."""
-    order = np.argsort(conf)
-    sorted_conf = conf[order]
-    hits = np.concatenate((np.cumsum(corr[order][::-1])[::-1], [0]))
-    pos = np.searchsorted(sorted_conf, grid, side="left")
-    retained = conf.size - pos
-    with np.errstate(invalid="ignore"):
-        acc = np.where(retained > 0, hits[pos] / np.maximum(retained, 1), np.nan)
-    return retained, acc
+# Elements per block of the bootstrap work arrays (resample draws, their
+# per-slot counts, quantile columns), so memory stays flat in B and n.
+_BLOCK = 1 << 16
+_QUANTILES = (0.025, 0.5, 0.975)
+
+
+def _suffix(x: np.ndarray) -> np.ndarray:
+    return np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
+
+
+def _slot_totals(slot: np.ndarray, corr: np.ndarray, draws: np.ndarray, size: int):
+    """Per row of ``draws`` (task indices, one resample per row): the draws'
+    counts per grid slot, and the retained and correct totals at every grid
+    threshold.  ``slot`` is each task's index in the grid; retention is
+    inclusive, so the totals are suffix sums of the integer counts."""
+    rows = draws.shape[0]
+    flat = (slot[draws] + size * np.arange(rows)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=rows * size).reshape(rows, size)
+    hits = np.bincount(flat[corr[draws].ravel()], minlength=rows * size).reshape(rows, size)
+    return counts, _suffix(counts), _suffix(hits)
+
+
+def _accuracy(retained: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """hits / retained, NaN where nothing is retained."""
+    return np.divide(hits, retained, out=np.full(retained.shape, np.nan), where=retained > 0)
+
+
+def _curve(conf: np.ndarray, corr: np.ndarray):
+    """The threshold grid, each task's slot in it, and the retained counts
+    and accuracies at each grid threshold."""
+    grid = _grid(conf)
+    slot = np.searchsorted(grid, conf)
+    _, retained, hits = _slot_totals(slot, corr, np.arange(conf.size)[None], grid.size)
+    return grid, slot, retained[0], _accuracy(retained[0], hits[0])
+
+
+def _check_target(target_accuracy: float) -> None:
+    if not 0.0 < target_accuracy <= 1.0:
+        raise ValueError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +88,7 @@ class CurvePoint:
 def curve(confidences, correct) -> List[CurvePoint]:
     """Automation-correctness curve over the observed confidence grid."""
     conf, corr = _as_curve_inputs(confidences, correct)
-    grid = _grid(conf)
-    retained, acc = _accuracies_at(grid, conf, corr)
+    grid, _, retained, acc = _curve(conf, corr)
     return [
         CurvePoint(float(c), r / conf.size, float(a) if r > 0 else None)
         for c, r, a in zip(grid, retained, acc)
@@ -83,6 +111,33 @@ def _realization_rngs(seed: int, B: int) -> List[np.random.Generator]:
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(B)]
 
 
+def _resamples(n: int, B: int, seed: int, width: int):
+    """Blocks of bootstrap draws as (first realization, draws): row b of a
+    block is realization b's ``rng.integers(0, n, size=n)``.  Blocks hold
+    about _BLOCK draws or grid slots per array."""
+    rngs = _realization_rngs(seed, B)
+    step = max(1, _BLOCK // max(n, width))
+    for b0 in range(0, B, step):
+        yield b0, np.stack([rng.integers(0, n, size=n) for rng in rngs[b0:b0 + step]])
+
+
+def _column_quantiles(acc: np.ndarray, has_nan: np.ndarray) -> np.ndarray:
+    """2.5/50/97.5% quantiles of each column of acc over its finite entries
+    (NaN where it has none).  Columns without NaN take np.quantile a block
+    at a time; the ``has_nan`` ones are filtered one at a time."""
+    out = np.full((len(_QUANTILES), acc.shape[1]), np.nan)
+    whole = np.flatnonzero(~has_nan)
+    step = max(1, _BLOCK // acc.shape[0])
+    for c0 in range(0, whole.size, step):
+        cols = whole[c0:c0 + step]
+        out[:, cols] = np.quantile(acc[:, cols], _QUANTILES, axis=0)
+    for j in np.flatnonzero(has_nan):
+        finite = acc[np.isfinite(acc[:, j]), j]
+        if finite.size:
+            out[:, j] = np.quantile(finite, _QUANTILES)
+    return out
+
+
 def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBands:
     """Task-level bootstrap of the curve: 2.5/50/97.5% accuracy quantiles
     per threshold.  Thresholds where a resample retains nothing are skipped
@@ -90,24 +145,17 @@ def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBa
     conf, corr = _as_curve_inputs(confidences, correct)
     if B < 1:
         raise ValueError("B must be at least 1")
-    grid = _grid(conf)
-    retained, _ = _accuracies_at(grid, conf, corr)
-    n = conf.size
-
-    acc_rows = np.empty((B, grid.size))
-    for b, rng in enumerate(_realization_rngs(seed, B)):
-        idx = rng.integers(0, n, size=n)
-        _, acc_rows[b] = _accuracies_at(grid, conf[idx], corr[idx])
-
-    quantiles = np.full((3, grid.size), np.nan)
-    for j in range(grid.size):
-        col = acc_rows[:, j]
-        finite = col[np.isfinite(col)]
-        if finite.size:
-            quantiles[:, j] = np.quantile(finite, (0.025, 0.5, 0.975))
+    grid, slot, retained, _ = _curve(conf, corr)
+    acc = np.empty((B, grid.size))
+    has_nan = np.zeros(grid.size, dtype=bool)
+    for b0, draws in _resamples(conf.size, B, seed, grid.size):
+        _, kept, hits = _slot_totals(slot, corr, draws, grid.size)
+        acc[b0:b0 + draws.shape[0]] = _accuracy(kept, hits)
+        has_nan |= (kept == 0).any(axis=0)
+    quantiles = _column_quantiles(acc, has_nan)
     return BootstrapBands(
         thresholds=grid,
-        automation=retained / n,
+        automation=retained / conf.size,
         acc_q025=quantiles[0],
         acc_q50=quantiles[1],
         acc_q975=quantiles[2],
@@ -118,12 +166,28 @@ def select_threshold_on_curve(confidences, correct, target_accuracy: float) -> f
     """Smallest grid threshold whose retained accuracy meets the target;
     math.inf (abstain on everything) when none does."""
     conf, corr = _as_curve_inputs(confidences, correct)
-    if not 0.0 < target_accuracy <= 1.0:
-        raise ValueError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
-    grid = _grid(conf)
-    retained, acc = _accuracies_at(grid, conf, corr)
+    _check_target(target_accuracy)
+    grid, _, retained, acc = _curve(conf, corr)
     ok = np.flatnonzero((retained > 0) & (acc >= target_accuracy))
     return float(grid[ok[0]]) if ok.size else math.inf
+
+
+def _first_thresholds(grid, counts, retained, hits, target_accuracy: float) -> list:
+    """select_threshold_on_curve of each resample (row), read off the full grid.
+
+    A resample's own grid holds its drawn values, plus 0.0 when they are all
+    positive.  At a full-grid threshold it did not draw, its totals are those
+    of the next drawn value up.  So the first full-grid threshold meeting the
+    target leads to the first drawn value at or above it, or to 0.0 when it
+    is the first grid threshold, which retains every draw.
+    """
+    ok = (retained > 0) & (_accuracy(retained, hits) >= target_accuracy)
+    first = ok.argmax(axis=1)
+    drawn = (counts > 0) & (np.arange(grid.size) >= first[:, None])
+    out = grid[drawn.argmax(axis=1)]
+    out[(first == 0) & (out > 0.0)] = 0.0
+    out[~ok.any(axis=1)] = math.inf
+    return out.tolist()
 
 
 def select_threshold(val_confidences, val_correct, target_accuracy: float,
@@ -132,11 +196,13 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
     conf, corr = _as_curve_inputs(val_confidences, val_correct)
     if B < 1:
         raise ValueError("B must be at least 1")
-    n = conf.size
-    out = []
-    for rng in _realization_rngs(seed, B):
-        idx = rng.integers(0, n, size=n)
-        out.append(select_threshold_on_curve(conf[idx], corr[idx], target_accuracy))
+    _check_target(target_accuracy)
+    grid = _grid(conf)
+    slot = np.searchsorted(grid, conf)
+    out: List[float] = []
+    for _, draws in _resamples(conf.size, B, seed, grid.size):
+        out += _first_thresholds(grid, *_slot_totals(slot, corr, draws, grid.size),
+                                 target_accuracy)
     return out
 
 

@@ -32,6 +32,7 @@ from .autothresh import (
 )
 from .bayes import point_estimates, posterior, posterior_mode, uniform_prior
 from .core import (
+    AlphaRecords,
     DirichletParams,
     InputError,
     SoftLabel,
@@ -42,6 +43,7 @@ from .core import (
     read_alpha_records,
     read_responses,
     read_scheme,
+    read_task_table,
     read_tasks,
     split_dataset,
     tally,
@@ -127,10 +129,43 @@ _PATH_KEYS = frozenset(
 # Option resolution
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text) -> tuple:
-    if isinstance(text, str):
-        return tuple(float(x) for x in text.split(","))
-    return tuple(float(x) for x in text)
+# Option type for the options whose default is None; the others take the
+# type of their default.
+_NULLABLE_TYPES = {"alpha0": tuple, "warmup_iters": int, "max_repeats": int,
+                   "inference_n": int, "deployment_threshold": float}
+_TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers",
+               str: "a string"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_config_value(key: str, value) -> None:
+    """A config-file value must have its option's type; null only stands for
+    a default of None.  Lists of numbers may also be comma-separated strings."""
+    kind = _NULLABLE_TYPES.get(key, type(DEFAULTS[key]))
+    if value is None:
+        ok = DEFAULTS[key] is None
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind is float:
+        ok = _is_number(value)
+    elif kind is tuple:
+        ok = isinstance(value, str) or (isinstance(value, list) and all(map(_is_number, value)))
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise InputError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _parse_floats(key: str, text) -> tuple:
+    try:
+        if isinstance(text, str):
+            return tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text)
+    except ValueError as exc:
+        raise InputError(f"{key}: {exc}") from exc
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -142,16 +177,20 @@ def resolve_options(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{raw['config']}: invalid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise InputError(f"{raw['config']}: expected a JSON object of options")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_value(key, value)
         cfg.update(file_cfg)
     for key, value in raw.items():
         if key in cfg and value is not None:
             cfg[key] = value
     for key in ("alpha0", "ratios"):
         if cfg[key] is not None:
-            cfg[key] = _parse_floats(cfg[key])
+            cfg[key] = _parse_floats(key, cfg[key])
     outdir = raw.get("outdir") or os.environ.get("CROWDINFER_OUTDIR") or "."
     cfg["_outdir"] = outdir
     return cfg
@@ -188,13 +227,18 @@ def _load_dataset(cfg: dict, with_responses: bool = True):
     return scheme, tasks
 
 
-def _split_ids(cfg: dict, tasks: List[TaskRecord]) -> frozenset:
+def _load_task_ids(cfg: dict):
+    """The scheme and the task ids, all the score stages read of the dataset."""
+    return read_scheme(_path(cfg, "scheme")), read_task_table(_path(cfg, "tasks")).task_ids
+
+
+def _split_ids(cfg: dict, task_ids: List[str]) -> frozenset:
     name = cfg["split"]
     if name == "all":
-        return frozenset(t.task_id for t in tasks)
+        return frozenset(task_ids)
     if name not in ("train", "val", "test"):
         raise InputError(f"unknown split {name!r}")
-    return split_dataset(tasks, cfg["ratios"], seed=cfg["seed"]).of(name)
+    return split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"]).of(name)
 
 
 def _read_pair(cfg: dict, scheme):
@@ -203,9 +247,13 @@ def _read_pair(cfg: dict, scheme):
     return preds, posts
 
 
-def _point_estimates(cfg: dict, preds: dict, posts: dict, ids):
+def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     """The ids, sorted and verified present in both record files, with the
-    predictions' point estimates (per cfg) and the reference modes as rows."""
+    predictions' point estimates (per cfg) and the reference modes as rows.
+
+    A reference posterior of a task without responses (n = 0) is only its
+    prior, so it exits 2 with its file line.
+    """
     missing = sorted(tid for tid in ids if tid not in preds or tid not in posts)
     if missing:
         raise InputError(
@@ -214,13 +262,20 @@ def _point_estimates(cfg: dict, preds: dict, posts: dict, ids):
     if not ids:
         raise InputError("no tasks to score in the requested split")
     ordered = sorted(ids)
-    q_hat = point_estimates(np.stack([preds[tid][0].alpha for tid in ordered]),
-                            cfg["point_estimate"])
-    q_ref = point_estimates(np.stack([posts[tid][0].alpha for tid in ordered]))
+    ref_rows = posts.rows(ordered)
+    unanswered = ref_rows[posts.n[ref_rows] == 0]
+    if unanswered.size:
+        row = unanswered.min()
+        raise InputError(
+            f"{posts.path}:{posts.lines[row]}: task {posts.task_ids[row]!r} has no "
+            f"responses (n = 0), so it cannot be a scoring reference"
+        )
+    q_hat = point_estimates(preds.alpha[preds.rows(ordered)], cfg["point_estimate"])
+    q_ref = point_estimates(posts.alpha[ref_rows])
     return ordered, q_hat, q_ref
 
 
-def _conf_correct(cfg: dict, preds: dict, posts: dict, ids):
+def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     """Row-wise metrics.confidence of each prediction, and whether its
     majority category matches the reference's."""
     _, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
@@ -319,7 +374,7 @@ def _train_examples(scheme, tasks, split) -> List[List[TrainExample]]:
 
 def cmd_train(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg)
-    split = split_dataset(tasks, cfg["ratios"], seed=cfg["seed"])
+    split = split_dataset([t.task_id for t in tasks], cfg["ratios"], seed=cfg["seed"])
     if not split.train:
         ratios = ",".join(str(r) for r in cfg["ratios"])
         raise InputError(f"ratios {ratios} leave no training tasks among {len(tasks)}")
@@ -371,8 +426,8 @@ def cmd_predict(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    scheme, tasks = _load_dataset(cfg, with_responses=False)
-    ids = _split_ids(cfg, tasks)
+    scheme, task_ids = _load_task_ids(cfg)
+    ids = _split_ids(cfg, task_ids)
     preds, posts = _read_pair(cfg, scheme)
     ordered, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     predictions = {tid: SoftLabel(q) for tid, q in zip(ordered, q_hat)}
@@ -401,8 +456,8 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_curve(cfg: dict) -> int:
-    scheme, tasks = _load_dataset(cfg, with_responses=False)
-    ids = _split_ids(cfg, tasks)
+    scheme, task_ids = _load_task_ids(cfg)
+    ids = _split_ids(cfg, task_ids)
     preds, posts = _read_pair(cfg, scheme)
     conf, correct = _conf_correct(cfg, preds, posts, ids)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
@@ -415,8 +470,8 @@ def cmd_curve(cfg: dict) -> int:
 
 
 def cmd_calibrate(cfg: dict) -> int:
-    scheme, tasks = _load_dataset(cfg, with_responses=False)
-    split = split_dataset(tasks, cfg["ratios"], seed=cfg["seed"])
+    scheme, task_ids = _load_task_ids(cfg)
+    split = split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"])
     preds, posts = _read_pair(cfg, scheme)
     val_conf, val_corr = _conf_correct(cfg, preds, posts, split.val)
     test_conf, test_corr = _conf_correct(cfg, preds, posts, split.test)
@@ -438,7 +493,7 @@ def cmd_calibrate(cfg: dict) -> int:
 
 def cmd_repeats(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg)
-    ids = _split_ids(cfg, tasks)
+    ids = _split_ids(cfg, [t.task_id for t in tasks])
     model = load_model(_path(cfg, "model"))
 
     threshold = cfg["deployment_threshold"]

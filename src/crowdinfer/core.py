@@ -248,12 +248,12 @@ def _quota(n_groups: int, ratios: Sequence[float]) -> list:
 
 
 def split_dataset(
-    tasks: Sequence[TaskRecord],
+    task_ids: Sequence[str],
     ratios: Sequence[float] = (0.8, 0.1, 0.1),
-    group_key: Optional[Callable[[TaskRecord], str]] = None,
+    group_key: Optional[Callable[[str], str]] = None,
     seed: int = 0,
 ) -> DatasetSplit:
-    """Partition tasks into train/val/test by whole groups.
+    """Partition task ids into train/val/test by whole groups.
 
     Groups (e.g. image frames) are shuffled deterministically and assigned
     greedily until each split's group quota is met, so no group straddles
@@ -265,9 +265,8 @@ def split_dataset(
         raise InputError(f"ratios must be positive and sum to 1, got {ratios}")
 
     groups: dict = {}
-    for t in tasks:
-        key = group_key(t) if group_key is not None else t.task_id
-        groups.setdefault(key, []).append(t.task_id)
+    for tid in task_ids:
+        groups.setdefault(group_key(tid) if group_key is not None else tid, []).append(tid)
     group_names = sorted(groups)
     if len(group_names) < 3:
         raise InputError(f"need at least 3 groups to split, got {len(group_names)}")
@@ -362,36 +361,196 @@ def write_tasks(path, tasks: Iterable[TaskRecord]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_tasks(path) -> list:
-    tasks = []
-    feature_dim = None
-    seen = set()
+_ABSENT = object()   # marks an optional key missing from a record
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _scan(path, required: tuple, optional: tuple, what: str):
+    """Line numbers and per-key value lists of a JSONL file's records, its
+    non-blank lines, in file order; a missing optional key reads as _ABSENT.
+
+    Reading stops at the first line that is not JSON or lacks a required key.
+    Its (line, message) comes back as ``stop``, so a fault on an earlier
+    record can still be reported first.
+    """
+    records: list = []
+    lines: list = []
+    stop = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                task = TaskRecord(
-                    task_id=str(rec["task_id"]),
-                    features=rec.get("features"),
-                    true_q=SoftLabel(np.asarray(rec["true_q"])) if "true_q" in rec else None,
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: bad task record: {exc}") from exc
-            if task.task_id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate task_id {task.task_id!r}")
-            seen.add(task.task_id)
-            if task.features is not None:
-                if feature_dim is None:
-                    feature_dim = task.features.size
-                elif task.features.size != feature_dim:
-                    raise InputError(
-                        f"{path}:{lineno}: feature dimension {task.features.size} "
-                        f"differs from earlier records ({feature_dim})"
-                    )
-            tasks.append(task)
-    return tasks
+                records.append(json.loads(line))
+            except ValueError as exc:
+                stop = (lineno, f"bad {what}: {exc}")
+                break
+            lines.append(lineno)
+    try:
+        columns = [[rec[key] for rec in records] for key in required]
+    except (KeyError, TypeError):
+        for i, rec in enumerate(records):
+            try:
+                for key in required:
+                    rec[key]
+            except (KeyError, TypeError) as exc:
+                stop = (lines[i], f"bad {what}: {exc}")
+                del records[i:], lines[i:]
+                break
+        columns = [[rec[key] for rec in records] for key in required]
+    columns += [[rec.get(key, _ABSENT) for rec in records] for key in optional]
+    return lines, columns, stop
+
+
+class _Column:
+    """The present values of one record field as float vectors.
+
+    They are rows of one matrix (zero rows where a value is absent) when they
+    stack into one.  Otherwise ``matrix`` is None and each value is converted
+    on its own; the file then has a fault to report.  ``sizes`` holds each
+    vector's length (-1 where absent or faulty) and ``faults`` the reason each
+    faulty value, one that is not a flat array of numbers, was refused.
+    """
+
+    def __init__(self, values: list, present: np.ndarray, shape_fault: str):
+        self.present = present
+        self.faults: dict = {}
+        rows = np.flatnonzero(present)
+        try:
+            stacked = np.array([values[i] for i in rows], dtype=float)
+        except (ValueError, TypeError):
+            stacked = None
+        if stacked is not None and (stacked.ndim == 2 or not rows.size):
+            width = stacked.shape[1] if rows.size else 0
+            self.matrix = np.zeros((len(values), width))
+            self.matrix[rows] = stacked
+            self.sizes = np.where(present, width, -1)
+        else:
+            self.matrix, self.vectors = None, {}
+            self.sizes = np.full(len(values), -1)
+            for i in rows:
+                try:
+                    vector = np.asarray(values[i], dtype=float)
+                except (ValueError, TypeError) as exc:
+                    self.faults[i] = str(exc)
+                    continue
+                if vector.ndim != 1:
+                    self.faults[i] = shape_fault
+                else:
+                    self.vectors[i], self.sizes[i] = vector, vector.size
+        self.faulty = np.zeros(len(values), dtype=bool)
+        self.faulty[list(self.faults)] = True
+
+    def row(self, i: int) -> np.ndarray:
+        return self.matrix[i] if self.matrix is not None else self.vectors[i]
+
+    def failing(self, check) -> np.ndarray:
+        """Rows whose vector fails ``check``, a row-wise test over the last axis."""
+        if self.matrix is not None:
+            return check(self.matrix) & self.present
+        out = np.zeros(self.present.size, dtype=bool)
+        for i, vector in self.vectors.items():
+            out[i] = check(vector)
+        return out
+
+    @property
+    def first_size(self) -> int:
+        sized = self.sizes[self.sizes >= 0]
+        return int(sized[0]) if sized.size else -1
+
+    def mismatched(self) -> np.ndarray:
+        """Rows whose vector differs in length from the first vector."""
+        return (self.sizes >= 0) & (self.sizes != self.first_size)
+
+
+def _repeated(ids: list) -> np.ndarray:
+    """Rows whose id already appeared on an earlier row."""
+    rows = np.zeros(len(ids), dtype=bool)
+    if len(set(ids)) < len(ids):
+        seen: set = set()
+        for i, tid in enumerate(ids):
+            rows[i] = tid in seen
+            seen.add(tid)
+    return rows
+
+
+def _raise_first(path, lines: list, stop, checks: list) -> None:
+    """Raise InputError with ``file:line`` for the first failing record.
+
+    ``checks`` holds (failing rows, message for row i) pairs in the order a
+    record is checked, so a record reports its first failing check.  A
+    failing record comes before the ``stop`` line of _scan, which is
+    reported when no record fails.
+    """
+    failing = np.zeros(len(lines), dtype=bool)
+    for rows, _ in checks:
+        failing |= rows
+    if failing.any():
+        i = int(failing.argmax())
+        message = next(message for rows, message in checks if rows[i])
+        raise InputError(f"{path}:{lines[i]}: {message(i)}")
+    if stop is not None:
+        raise InputError(f"{path}:{stop[0]}: {stop[1]}")
+
+
+@dataclass(frozen=True, eq=False)
+class TaskTable:
+    """A tasks file as columns in file order.  ``features`` and ``true_q``
+    hold one row per task; rows where ``has_features``/``has_true_q`` is
+    False are zero."""
+
+    task_ids: list
+    features: np.ndarray
+    has_features: np.ndarray
+    true_q: np.ndarray
+    has_true_q: np.ndarray
+
+
+def read_task_table(path) -> TaskTable:
+    """Read a tasks file as columns, checking features and true_q as matrices.
+
+    The first failing record exits as ``file:line``: a bad JSON line or a
+    missing task_id, a true_q that is not a soft label, non-finite features,
+    a repeated task_id, or a features or true_q length that differs from the
+    first record's.
+    """
+    lines, (ids, features, true_q), stop = _scan(
+        path, ("task_id",), ("features", "true_q"), "task record"
+    )
+    ids = [str(tid) for tid in ids]
+    q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool),
+                "true_q must be a vector")
+    f = _Column(features, np.array([v is not _ABSENT and v is not None for v in features],
+                                   dtype=bool), "features must be a vector")
+    _raise_first(path, lines, stop, [
+        (q.faulty, lambda i: f"bad task record: {q.faults[i]}"),
+        (q.failing(lambda a: ~(a >= 0).all(axis=-1)),
+         lambda i: f"bad task record: soft label has negative or NaN components: {q.row(i)}"),
+        (q.failing(lambda a: np.abs(a.sum(axis=-1) - 1.0) > SIMPLEX_ATOL),
+         lambda i: f"bad task record: soft label does not sum to 1: {q.row(i)} "
+                   f"(sum {q.row(i).sum()!r})"),
+        (f.faulty, lambda i: f"bad task record: {f.faults[i]}"),
+        (f.failing(lambda a: ~np.isfinite(a).all(axis=-1)),
+         lambda i: f"bad task record: non-finite feature values in task {ids[i]!r}"),
+        (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
+        (f.mismatched(), lambda i: f"feature dimension {f.sizes[i]} differs from earlier "
+                                   f"records ({f.first_size})"),
+        (q.mismatched(), lambda i: f"true_q dimension {q.sizes[i]} differs from earlier "
+                                   f"records ({q.first_size})"),
+    ])
+    return TaskTable(ids, f.matrix, f.present, q.matrix, q.present)
+
+
+def read_tasks(path) -> list:
+    """Read a tasks file as TaskRecords, from the columns of read_task_table."""
+    table = read_task_table(path)
+    return [
+        TaskRecord(tid, x if has_x else None, SoftLabel(q) if has_q else None)
+        for tid, x, has_x, q, has_q in zip(
+            table.task_ids, table.features, table.has_features.tolist(),
+            table.true_q, table.has_true_q.tolist(),
+        )
+    ]
 
 
 def write_responses(path, responses: Iterable[ResponseRecord], scheme: CategoryScheme) -> None:
@@ -447,28 +606,57 @@ def write_alpha_records(path, records: Iterable[tuple]) -> None:
             )
 
 
-def read_alpha_records(path, num_categories: int) -> dict:
-    """Read a posterior/prediction file back as {task_id: (params, n)}.
+@dataclass(frozen=True, eq=False)
+class AlphaRecords:
+    """A posterior or prediction file as columns in file order: task ids,
+    their file lines, the (N, K) concentration matrix and response counts."""
 
-    Every record must carry num_categories components, the scheme's K.
+    path: object
+    task_ids: list
+    lines: np.ndarray
+    alpha: np.ndarray
+    n: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "_row", {tid: i for i, tid in enumerate(self.task_ids)})
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def __contains__(self, task_id) -> bool:
+        return task_id in self._row
+
+    def rows(self, task_ids) -> np.ndarray:
+        """Row index of each of the task ids."""
+        return np.array([self._row[tid] for tid in task_ids], dtype=np.intp)
+
+
+def read_alpha_records(path, num_categories: int) -> AlphaRecords:
+    """Read a posterior/prediction file as columns, checked as a whole.
+
+    The first failing record exits as ``file:line``: a bad JSON line or a
+    missing task_id or alpha, an alpha that is not a non-empty vector of
+    positive finite numbers, an ``n`` that is missing or not a non-negative
+    integer, a repeated task_id, or an alpha whose length is not
+    num_categories, the scheme's K.
     """
-    out: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                task_id = str(rec["task_id"])
-                record = (DirichletParams(np.asarray(rec["alpha"], dtype=float)), rec["n"])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if task_id in out:
-                raise InputError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
-            if len(record[0]) != num_categories:
-                raise InputError(
-                    f"{path}:{lineno}: {len(record[0])} alpha components for a scheme "
-                    f"of {num_categories} categories"
-                )
-            out[task_id] = record
-    return out
+    lines, (ids, alphas, ns), stop = _scan(path, ("task_id", "alpha"), ("n",), "record")
+    ids = [str(tid) for tid in ids]
+    shape_fault = "alpha must be a non-empty vector"
+    alpha = _Column(alphas, np.ones(len(ids), dtype=bool), shape_fault)
+    bad_n = np.array([not (type(v) is int and 0 <= v <= _INT64_MAX) for v in ns], dtype=bool)
+    _raise_first(path, lines, stop, [
+        (alpha.faulty | (alpha.sizes == 0),
+         lambda i: f"bad record: {alpha.faults.get(i, shape_fault)}"),
+        (alpha.failing(lambda a: ~(np.isfinite(a) & (a > 0)).all(axis=-1)),
+         lambda i: f"bad record: alpha components must be positive and finite, "
+                   f"got {alpha.row(i)}"),
+        (bad_n, lambda i: "bad record: 'n'" if ns[i] is _ABSENT
+         else f"bad record: n must be a non-negative integer, got {ns[i]!r}"),
+        (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
+        (alpha.sizes != num_categories,
+         lambda i: f"{alpha.sizes[i]} alpha components for a scheme of "
+                   f"{num_categories} categories"),
+    ])
+    return AlphaRecords(path, ids, np.array(lines, dtype=np.int64), alpha.matrix,
+                        np.array(ns, dtype=np.int64))

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crowdinfer import autothresh
 from crowdinfer.autothresh import (
     ThresholdCalibration,
     ambiguity_calibration,
@@ -278,3 +282,124 @@ def test_csv_write_is_byte_stable(tmp_path):
     write_curve_csv(p1, bands, provenance={"seed": 1})
     write_curve_csv(p2, bands, provenance={"seed": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The one-sort bootstrap against the per-resample loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _grid_oracle(conf):
+    values = np.unique(conf)
+    if values[0] > 0.0:
+        values = np.concatenate(([0.0], values))
+    return values
+
+
+def _accuracies_at_oracle(grid, conf, corr):
+    order = np.argsort(conf)
+    sorted_conf = conf[order]
+    hits = np.concatenate((np.cumsum(corr[order][::-1])[::-1], [0]))
+    pos = np.searchsorted(sorted_conf, grid, side="left")
+    retained = conf.size - pos
+    with np.errstate(invalid="ignore"):
+        acc = np.where(retained > 0, hits[pos] / np.maximum(retained, 1), np.nan)
+    return retained, acc
+
+
+def _rngs(seed, B):
+    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(B)]
+
+
+def _bootstrap_oracle(conf, corr, B, seed):
+    """One argsort per resample, then np.quantile once per grid column."""
+    grid = _grid_oracle(conf)
+    retained, _ = _accuracies_at_oracle(grid, conf, corr)
+    n = conf.size
+    acc_rows = np.empty((B, grid.size))
+    for b, rng in enumerate(_rngs(seed, B)):
+        idx = rng.integers(0, n, size=n)
+        _, acc_rows[b] = _accuracies_at_oracle(grid, conf[idx], corr[idx])
+    quantiles = np.full((3, grid.size), np.nan)
+    for j in range(grid.size):
+        col = acc_rows[:, j]
+        finite = col[np.isfinite(col)]
+        if finite.size:
+            quantiles[:, j] = np.quantile(finite, (0.025, 0.5, 0.975))
+    return grid, retained / n, quantiles
+
+
+def _select_threshold_oracle(conf, corr, target, B, seed):
+    """The threshold of each resample on its own grid."""
+    out = []
+    for rng in _rngs(seed, B):
+        idx = rng.integers(0, conf.size, size=conf.size)
+        grid = _grid_oracle(conf[idx])
+        retained, acc = _accuracies_at_oracle(grid, conf[idx], corr[idx])
+        ok = np.flatnonzero((retained > 0) & (acc >= target))
+        out.append(float(grid[ok[0]]) if ok.size else math.inf)
+    return out
+
+
+@st.composite
+def _scored_sets(draw):
+    n = draw(st.integers(1, 300))
+    # a small pool makes ties; 0.0 is a value some sets hold and others lack
+    pool = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12))
+    conf = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["random", "all correct", "all wrong", "confident right"]))
+    if kind == "random":
+        corr = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif kind == "confident right":
+        corr = conf >= draw(st.floats(0.0, 1.0))
+    else:
+        corr = np.full(n, kind == "all correct")
+    B = draw(st.integers(1, 40))
+    block = draw(st.sampled_from([1, 64, 700, 5000, autothresh._BLOCK]))
+    return conf, corr, B, draw(st.integers(0, 2**32 - 1)), block
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_sets())
+def test_bootstrap_curves_equal_per_resample_oracle_bitwise(case):
+    conf, corr, B, seed, block = case
+    with mock.patch.object(autothresh, "_BLOCK", block):
+        bands = bootstrap_curves(conf, corr, B, seed)
+    grid, automation, quantiles = _bootstrap_oracle(conf, corr, B, seed)
+    assert bands.thresholds.tobytes() == grid.tobytes()
+    assert bands.automation.tobytes() == automation.tobytes()
+    got = np.stack([bands.acc_q025, bands.acc_q50, bands.acc_q975])
+    assert got.tobytes() == quantiles.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_sets(), st.sampled_from([1.0, 0.99, 0.9, 0.75, 0.5, 1e-9]) | st.floats(1e-9, 1.0))
+def test_select_threshold_equals_per_resample_oracle(case, target):
+    conf, corr, B, seed, block = case
+    with mock.patch.object(autothresh, "_BLOCK", block):
+        got = select_threshold(conf, corr, target, B, seed)
+    assert got == _select_threshold_oracle(conf, corr, target, B, seed)
+
+
+def test_select_threshold_oracle_cases_cover_every_branch():
+    # all wrong: no threshold reaches the target; all right: 0.0 everywhere
+    conf = np.array([0.0, 0.2, 0.2, 0.7])
+    assert select_threshold(conf, np.zeros(4, bool), 0.5, 20, 1) == [math.inf] * 20
+    assert select_threshold(conf, np.ones(4, bool), 1.0, 20, 1) == [0.0] * 20
+    # the more confident of two tasks is right: a resample that draws only
+    # it retains everything at 0.0, whether or not the set holds a 0.0
+    for low in (0.2, 0.0):
+        conf, corr = np.array([low, 0.7]), np.array([False, True])
+        got = select_threshold(conf, corr, 1.0, 64, 2)
+        assert got == _select_threshold_oracle(conf, corr, 1.0, 64, 2)
+        assert set(got) == {0.0, 0.7, math.inf}
+
+
+def test_bootstrap_blocks_stay_bounded():
+    # blocks of resamples hold at most _BLOCK draws (or one resample)
+    for n, width, B in ((2000, 1500, 1024), (10, 11, 100), (70000, 3, 5)):
+        blocks = list(autothresh._resamples(n, B, 0, width))
+        assert sum(draws.shape[0] for _, draws in blocks) == B
+        assert [b0 for b0, _ in blocks] == list(range(0, B, blocks[0][1].shape[0]))
+        for _, draws in blocks:
+            assert draws.shape[0] == 1 or draws.size <= autothresh._BLOCK

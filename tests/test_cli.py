@@ -291,3 +291,73 @@ def test_missing_command_is_parser_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"epochs": "5"}, {"epochs": 5.0}, {"epochs": True}, {"learning_rate": "fast"},
+    {"tau": None}, {"select": 1}, {"ratios": [0.8, "x", 0.1]}, {"ratios": "0.8,x,0.1"},
+    {"warmup_iters": 2.5},
+])
+def test_config_values_of_the_wrong_type_exit_2(pipeline, tmp_path, capsys, entry):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(entry))
+    assert run(tmp_path, "train", "--config", str(cfgfile)) == 2
+    assert next(iter(entry)) in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_config_values_of_the_right_type_are_taken(pipeline, tmp_path):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"epochs": 2, "learning_rate": 1, "warmup_iters": None,
+                                   "ratios": [0.8, 0.1, 0.1], "select": "last"}))
+    assert run(tmp_path, "train", "--config", str(cfgfile)) == 0
+    cfgfile.write_text(json.dumps([["epochs", 2]]))
+    assert run(tmp_path, "train", "--config", str(cfgfile)) == 2
+
+
+def test_bad_ratios_flag_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "posteriors.jsonl",
+                 "predictions.jsonl")
+    assert run(tmp_path, "eval", "--ratios", "0.8,ten,0.1") == 2
+    assert "ratios" in capsys.readouterr().err
+
+
+def test_alpha_record_with_bad_n_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "predictions.jsonl")
+    records = read_jsonl(pipeline / "posteriors.jsonl")
+    for bad in ("ten", -1, True):
+        records[6]["n"] = bad
+        (tmp_path / "posteriors.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+        assert run(tmp_path, "eval", "--split", "all") == 2
+        err = capsys.readouterr().err
+        assert f"posteriors.jsonl:7: bad record: n must be a non-negative integer, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--split", "test"), ("curve", "--split", "test", "--bootstrap", "4"),
+    ("calibrate", "--bootstrap", "4"),
+])
+def test_reference_without_responses_exit_2(pipeline, tmp_path, capsys, argv):
+    from crowdinfer.core import split_dataset
+
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "predictions.jsonl")
+    records = read_jsonl(pipeline / "posteriors.jsonl")[::-1]
+    test_ids = split_dataset([r["task_id"] for r in records], seed=0).test
+    # two unanswered tasks: the one on the earlier line is reported
+    (line, rec), _ = [(i + 1, r) for i, r in enumerate(records) if r["task_id"] in test_ids][:2]
+    for r in records:
+        if r["task_id"] in test_ids and (r is rec or r["task_id"] < rec["task_id"]):
+            r["alpha"], r["n"] = [1.0, 1.0, 1.0], 0
+    (tmp_path / "posteriors.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"posteriors.jsonl:{line}: task {rec['task_id']!r} has no responses (n = 0)" in err
+    # a prediction priced at zero responses is fine; only references need them
+    _copy_inputs(pipeline, tmp_path, "posteriors.jsonl")
+    records = read_jsonl(pipeline / "predictions.jsonl")
+    records[0]["n"] = 0
+    (tmp_path / "predictions.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, *argv) == 0

@@ -1,8 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdinfer.core import (
     CategoryScheme,
@@ -19,6 +22,7 @@ from crowdinfer.core import (
     read_alpha_records,
     read_responses,
     read_scheme,
+    read_task_table,
     read_tasks,
     round_sig,
     split_dataset,
@@ -119,38 +123,37 @@ def test_task_rng_deterministic_and_decorrelated():
 
 
 def test_split_partitions_all_tasks():
-    tasks = [TaskRecord(f"t{i}") for i in range(100)]
-    split = split_dataset(tasks, (0.8, 0.1, 0.1), seed=0)
-    ids = {t.task_id for t in tasks}
-    assert split.train | split.val | split.test == ids
+    ids = [f"t{i}" for i in range(100)]
+    split = split_dataset(ids, (0.8, 0.1, 0.1), seed=0)
+    assert split.train | split.val | split.test == set(ids)
     assert len(split.train) == 80 and len(split.val) == 10 and len(split.test) == 10
 
 
 def test_split_deterministic_but_seed_sensitive():
-    tasks = [TaskRecord(f"t{i}") for i in range(50)]
-    s1 = split_dataset(tasks, seed=3)
-    s2 = split_dataset(tasks, seed=3)
-    s3 = split_dataset(tasks, seed=4)
+    ids = [f"t{i}" for i in range(50)]
+    s1 = split_dataset(ids, seed=3)
+    s2 = split_dataset(ids, seed=3)
+    s3 = split_dataset(ids, seed=4)
     assert s1 == s2
     assert s1 != s3
 
 
 def test_split_keeps_groups_whole():
-    tasks = [TaskRecord(f"g{i % 7}/t{i}") for i in range(70)]
-    split = split_dataset(tasks, group_key=lambda t: t.task_id.split("/")[0], seed=1)
+    ids = [f"g{i % 7}/t{i}" for i in range(70)]
+    split = split_dataset(ids, group_key=lambda tid: tid.split("/")[0], seed=1)
     for part in (split.train, split.val, split.test):
         groups = {tid.split("/")[0] for tid in part}
         for g in groups:
-            members = {t.task_id for t in tasks if t.task_id.startswith(g + "/")}
+            members = {tid for tid in ids if tid.startswith(g + "/")}
             assert members <= part
 
 
 def test_split_rejects_bad_ratios():
-    tasks = [TaskRecord(f"t{i}") for i in range(10)]
+    ids = [f"t{i}" for i in range(10)]
     with pytest.raises(InputError):
-        split_dataset(tasks, (0.5, 0.5, 0.5))
+        split_dataset(ids, (0.5, 0.5, 0.5))
     with pytest.raises(InputError):
-        split_dataset(tasks[:2])
+        split_dataset(ids[:2])
 
 
 def test_round_sig_and_json_ready():
@@ -232,9 +235,9 @@ def test_alpha_records_round_trip(tmp_path):
     path = tmp_path / "posteriors.jsonl"
     write_alpha_records(path, [("t1", DirichletParams([1.0, 21.0, 1.0]), 20)])
     back = read_alpha_records(path, 3)
-    assert set(back) == {"t1"}
-    assert np.allclose(back["t1"][0].alpha, [1, 21, 1])
-    assert back["t1"][1] == 20
+    assert back.task_ids == ["t1"] and len(back) == 1 and "t1" in back
+    assert back.alpha.tolist() == [[1.0, 21.0, 1.0]]
+    assert back.n.tolist() == [20]
 
 
 def test_alpha_records_bad_line(tmp_path):
@@ -246,3 +249,219 @@ def test_alpha_records_bad_line(tmp_path):
                     '{"task_id": "t2", "alpha": [1.0, 1.0, 1.0], "n": 0}\n')
     with pytest.raises(InputError, match=":2: 3 alpha components for a scheme of 2"):
         read_alpha_records(path, 2)
+
+
+def test_alpha_records_reject_bad_n(tmp_path):
+    path = tmp_path / "posteriors.jsonl"
+    good = '{"task_id": "t1", "alpha": [2.0, 1.0], "n": 1}\n'
+    for bad in ('"ten"', "-1", "true", "2.5", "null", "[3]"):
+        path.write_text(good + f'{{"task_id": "t2", "alpha": [1.0, 1.0], "n": {bad}}}\n')
+        want = f":2: bad record: n must be a non-negative integer, got {json.loads(bad)!r}"
+        with pytest.raises(InputError, match=re.escape(want)):
+            read_alpha_records(path, 2)
+    path.write_text(good + '{"task_id": "t2", "alpha": [1.0, 1.0]}\n')
+    with pytest.raises(InputError, match=":2: bad record: 'n'"):
+        read_alpha_records(path, 2)
+    path.write_text(good + '{"task_id": "t2", "alpha": [1.0, 1.0], "n": 0}\n')
+    assert read_alpha_records(path, 2).n.tolist() == [1, 0]
+
+
+# ---------------------------------------------------------------------------
+# The columnar alpha reader against the per-record reader it replaced
+# ---------------------------------------------------------------------------
+
+def _read_alpha_records_oracle(path, num_categories):
+    """Per-record reader: {task_id: (alpha, n)}, raising at the first bad line.
+
+    It validates each record as a DirichletParams, then checks n, the id and
+    the length, in that order."""
+    out = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                task_id = str(rec["task_id"])
+                record = (DirichletParams(np.asarray(rec["alpha"], dtype=float)), rec["n"])
+            except (KeyError, ValueError, TypeError) as exc:
+                raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
+            n = record[1]
+            if type(n) is not int or n < 0:
+                raise InputError(
+                    f"{path}:{lineno}: bad record: n must be a non-negative integer, got {n!r}"
+                )
+            if task_id in out:
+                raise InputError(f"{path}:{lineno}: duplicate task_id {task_id!r}")
+            if len(record[0]) != num_categories:
+                raise InputError(
+                    f"{path}:{lineno}: {len(record[0])} alpha components for a scheme "
+                    f"of {num_categories} categories"
+                )
+            out[task_id] = (record[0].alpha, n)
+    return out
+
+
+def _outcome(read, path, k):
+    """The reader's error message, or its ids, alpha bytes and n values."""
+    try:
+        got = read(path, k)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    if isinstance(got, dict):
+        return list(got), [a.tobytes() for a, _ in got.values()], [n for _, n in got.values()]
+    return got.task_ids, [a.tobytes() for a in got.alpha], got.n.tolist()
+
+
+_alpha_values = st.floats(1e-6, 1e6) | st.sampled_from([1.0, 0.5, 2.0, 1e-300])
+
+
+@st.composite
+def _alpha_files(draw):
+    k = draw(st.integers(2, 6))
+    n_rec = draw(st.integers(0, 30))
+    records = [
+        {"task_id": f"t{i}", "alpha": draw(st.lists(_alpha_values, min_size=k, max_size=k)),
+         "n": draw(st.integers(0, 300))}
+        for i in range(n_rec)
+    ]
+    blanks = draw(st.sets(st.integers(0, n_rec)))
+    return k, records, blanks
+
+
+def _write_records(path, records, blanks=()):
+    lines = [r if isinstance(r, str) else json.dumps(r) for r in records]
+    for i in sorted(blanks, reverse=True):
+        lines.insert(i, "  ")
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_alpha_files())
+def test_alpha_reader_equals_per_record_oracle(tmp_path_factory, case):
+    k, records, blanks = case
+    path = tmp_path_factory.mktemp("alpha") / "posteriors.jsonl"
+    _write_records(path, records, blanks)
+    got = read_alpha_records(path, k)
+    want = _read_alpha_records_oracle(path, k)
+    assert got.task_ids == list(want) and len(got) == len(want)
+    if want:
+        expected = np.stack([alpha for alpha, _ in want.values()])
+        assert got.alpha.dtype == expected.dtype and got.alpha.tobytes() == expected.tobytes()
+    assert got.n.tolist() == [n for _, n in want.values()]
+    blank_lines = {i + j + 1 for j, i in enumerate(sorted(blanks))}
+    assert got.lines.tolist() == [i for i in range(1, len(records) + len(blanks) + 1)
+                                  if i not in blank_lines]
+
+
+def _mutate(record, kind, records, i):
+    """Record i of records with one fault of the given kind."""
+    rec = json.loads(json.dumps(record))
+    if kind == "value":
+        rec["alpha"][0] = -1.0
+    elif kind in ("nan", "inf"):
+        rec["alpha"][0] = {"nan": math.nan, "inf": math.inf}[kind]
+    elif kind == "string":
+        rec["alpha"][-1] = "x"
+    elif kind == "length":
+        rec["alpha"].append(1.0)
+    elif kind == "short":
+        rec["alpha"] = rec["alpha"][:1]
+    elif kind == "empty":
+        rec["alpha"] = []
+    elif kind == "duplicate":
+        rec["task_id"] = records[max(i - 1, 0)]["task_id"] if i else records[1]["task_id"]
+    elif kind == "n":
+        rec["n"] = "ten"
+    elif kind == "bool_n":
+        rec["n"] = True
+    elif kind == "no_n":
+        del rec["n"]
+    elif kind == "scalar":
+        rec["alpha"] = 3.0
+    elif kind == "nested":
+        rec["alpha"] = [rec["alpha"]]
+    elif kind == "no_alpha":
+        del rec["alpha"]
+    elif kind == "json":
+        return "{not json"
+    return rec
+
+
+_FAULTS = ["value", "nan", "inf", "string", "length", "short", "empty", "duplicate", "n",
+           "bool_n", "no_n", "scalar", "nested", "no_alpha", "json"]
+
+
+@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n"])
+@pytest.mark.parametrize("second", [None, "value", "length", "duplicate", "n"])
+def test_alpha_reader_error_parity(tmp_path, first, second):
+    records = [{"task_id": f"t{i}", "alpha": [1.0 + i, 2.0, 0.5], "n": i} for i in range(8)]
+    faults = [(first, 5)] + ([(second, 3)] if second else [])
+    for where in ([faults] if second is None else [faults, [(first, 5), (second, 5)]]):
+        bad = list(records)
+        for kind, i in where:
+            bad[i] = _mutate(bad[i] if isinstance(bad[i], dict) else json.loads(bad[i]),
+                             kind, records, i)
+        path = tmp_path / "predictions.jsonl"
+        _write_records(path, bad)
+        message = _outcome(_read_alpha_records_oracle, path, 3)
+        assert isinstance(message, str) and message == _outcome(read_alpha_records, path, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda size: st.tuples(
+    st.just(size),
+    st.lists(st.tuples(st.sampled_from(_FAULTS), st.integers(0, size - 1)),
+             min_size=1, max_size=3))))
+def test_alpha_reader_error_parity_on_random_faults(tmp_path_factory, case):
+    size, faults = case
+    records = [{"task_id": f"t{i}", "alpha": [1.0 + i, 2.0, 0.5], "n": i} for i in range(size)]
+    bad = list(records)
+    for i, kind in {i: kind for kind, i in faults}.items():
+        bad[i] = _mutate(records[i], kind, records, i)
+    path = tmp_path_factory.mktemp("faults") / "predictions.jsonl"
+    _write_records(path, bad)
+    assert _outcome(_read_alpha_records_oracle, path, 3) == _outcome(read_alpha_records, path, 3)
+
+
+def test_task_table_columns(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text(
+        '{"task_id": "a", "features": [1.0, 2.0], "true_q": [0.25, 0.75]}\n\n'
+        '{"task_id": "b"}\n'
+        '{"task_id": 7, "features": [3.0, -4.0], "true_q": [1, 0]}\n'
+    )
+    table = read_task_table(path)
+    assert table.task_ids == ["a", "b", "7"]
+    assert table.features.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, -4.0]]
+    assert table.has_features.tolist() == [True, False, True]
+    assert table.true_q.tolist() == [[0.25, 0.75], [0.0, 0.0], [1.0, 0.0]]
+    assert table.has_true_q.tolist() == [True, False, True]
+    tasks = read_tasks(path)
+    assert tasks[1].features is None and tasks[1].true_q is None
+    assert tasks[2].features.tolist() == [3.0, -4.0] and tasks[2].true_q.q.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"task_id": "a", "true_q": [0.5, 0.5]}', '{"task_id": "b", "true_q": [0.2, 0.3, 0.5]}'],
+     ":2: true_q dimension 3 differs from earlier records (2)"),
+    (['{"task_id": "a", "features": 1.5}'], ":1: bad task record: features must be a vector"),
+    (['{"task_id": "a", "true_q": [[0.5, 0.5]]}'], ":1: bad task record: true_q must be a vector"),
+    (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b", "features": ["x"]}'],
+     ":2: bad task record: could not convert string to float: 'x'"),
+    (['{"task_id": "a", "true_q": [0.5, 0.6]}'], ":1: bad task record: soft label does not sum"),
+    (['{"task_id": "a", "features": [1.0]}', '{"task_id": "a", "features": [1.0, 2.0]}'],
+     ":2: duplicate task_id 'a'"),
+    (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b", "features": [1.0, 2.0]}',
+      '{"task_id": "c", "features": [NaN]}'],
+     ":2: feature dimension 2 differs from earlier records (1)"),
+    (['{"task_id": "a", "true_q": [-0.5, 1.5]}', "{oops"],
+     ":1: bad task record: soft label has negative"),
+    (['{"task_id": "a", "features": [1.0]}', '{"features": [1.0]}', '{"task_id": "c", "true_q": []}'],
+     ":2: bad task record: 'task_id'"),
+])
+def test_task_table_reports_first_failing_line(tmp_path, lines, message):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(InputError, match=re.escape(message)):
+        read_task_table(path)
