@@ -39,7 +39,7 @@ def _grid(conf: np.ndarray) -> np.ndarray:
 
 # Elements per block of the bootstrap work arrays (resample draws, their
 # per-slot counts, quantile columns), so memory stays flat in B and n.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 _QUANTILES = (0.025, 0.5, 0.975)
 
 
