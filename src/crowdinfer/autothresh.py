@@ -197,8 +197,7 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
     if B < 1:
         raise ValueError("B must be at least 1")
     _check_target(target_accuracy)
-    grid = _grid(conf)
-    slot = np.searchsorted(grid, conf)
+    grid, slot, _, _ = _curve(conf, corr)
     out: List[float] = []
     for _, draws in _resamples(conf.size, B, seed, grid.size):
         out += _first_thresholds(grid, *_slot_totals(slot, corr, draws, grid.size),

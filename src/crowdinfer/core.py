@@ -388,7 +388,7 @@ def _scan(path, required: tuple, optional: tuple, what: str):
             lines.append(lineno)
     try:
         columns = [[rec[key] for rec in records] for key in required]
-    except (KeyError, TypeError):
+    except (KeyError, TypeError):   # cut the file at the first record lacking one
         for i, rec in enumerate(records):
             try:
                 for key in required:
