@@ -370,7 +370,7 @@ def _mutate(record, kind, records, i):
     elif kind == "empty":
         rec["alpha"] = []
     elif kind == "duplicate":
-        rec["task_id"] = records[max(i - 1, 0)]["task_id"] if i else records[1]["task_id"]
+        rec["task_id"] = records[i - 1 if i else 1]["task_id"]
     elif kind == "n":
         rec["n"] = "ten"
     elif kind == "bool_n":
@@ -395,13 +395,14 @@ _FAULTS = ["value", "nan", "inf", "string", "length", "short", "empty", "duplica
 @pytest.mark.parametrize("first", ["value", "length", "duplicate", "n"])
 @pytest.mark.parametrize("second", [None, "value", "length", "duplicate", "n"])
 def test_alpha_reader_error_parity(tmp_path, first, second):
+    """Each fault alone, and with a second one on an earlier line or on the same line."""
     records = [{"task_id": f"t{i}", "alpha": [1.0 + i, 2.0, 0.5], "n": i} for i in range(8)]
-    faults = [(first, 5)] + ([(second, 3)] if second else [])
-    for where in ([faults] if second is None else [faults, [(first, 5), (second, 5)]]):
+    layouts = ([[(first, 5)]] if second is None
+               else [[(first, 5), (second, 3)], [(first, 5), (second, 5)]])
+    for faults in layouts:
         bad = list(records)
-        for kind, i in where:
-            bad[i] = _mutate(bad[i] if isinstance(bad[i], dict) else json.loads(bad[i]),
-                             kind, records, i)
+        for kind, i in faults:
+            bad[i] = _mutate(bad[i], kind, records, i)
         path = tmp_path / "predictions.jsonl"
         _write_records(path, bad)
         message = _outcome(_read_alpha_records_oracle, path, 3)
