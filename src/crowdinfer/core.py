@@ -365,15 +365,16 @@ _ABSENT = object()   # marks an optional key missing from a record
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _scan(path, required: tuple, optional: tuple, what: str):
-    """Line numbers and per-key value lists of a JSONL file's records, its
-    non-blank lines, in file order; a missing optional key reads as _ABSENT.
+def _scan(path, pick, what: str):
+    """Line numbers and value columns of a JSONL file's records (its
+    non-blank lines) in file order; ``pick`` maps a record to its values.
 
-    Reading stops at the first line that is not JSON or lacks a required key.
-    Its (line, message) comes back as ``stop``, so a fault on an earlier
-    record can still be reported first.
+    Reading stops at the first line that is not JSON or that ``pick``
+    refuses (KeyError, TypeError: a missing key, a record that is not an
+    object).  Its (line, message) comes back as ``stop``, so a fault on an
+    earlier record can still be reported first.
     """
-    records: list = []
+    rows: list = []
     lines: list = []
     stop = None
     with open(path) as fh:
@@ -381,25 +382,12 @@ def _scan(path, required: tuple, optional: tuple, what: str):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
-            except ValueError as exc:
+                rows.append(pick(json.loads(line)))
+            except (KeyError, ValueError, TypeError) as exc:
                 stop = (lineno, f"bad {what}: {exc}")
                 break
             lines.append(lineno)
-    try:
-        columns = [[rec[key] for rec in records] for key in required]
-    except (KeyError, TypeError):   # cut the file at the first record lacking one
-        for i, rec in enumerate(records):
-            try:
-                for key in required:
-                    rec[key]
-            except (KeyError, TypeError) as exc:
-                stop = (lines[i], f"bad {what}: {exc}")
-                del records[i:], lines[i:]
-                break
-        columns = [[rec[key] for rec in records] for key in required]
-    columns += [[rec.get(key, _ABSENT) for rec in records] for key in optional]
-    return lines, columns, stop
+    return lines, [list(column) for column in zip(*rows)], stop
 
 
 class _Column:
@@ -514,14 +502,16 @@ def read_task_table(path) -> TaskTable:
     a repeated task_id, or a features or true_q length that differs from the
     first record's.
     """
-    lines, (ids, features, true_q), stop = _scan(
-        path, ("task_id",), ("features", "true_q"), "task record"
+    lines, columns, stop = _scan(
+        path,
+        lambda rec: (str(rec["task_id"]), rec.get("features"), rec.get("true_q", _ABSENT)),
+        "task record",
     )
-    ids = [str(tid) for tid in ids]
+    ids, features, true_q = columns or ([], [], [])
     q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool),
                 "true_q must be a vector")
-    f = _Column(features, np.array([v is not _ABSENT and v is not None for v in features],
-                                   dtype=bool), "features must be a vector")
+    f = _Column(features, np.array([v is not None for v in features], dtype=bool),
+                "features must be a vector")
     _raise_first(path, lines, stop, [
         (q.faulty, lambda i: f"bad task record: {q.faults[i]}"),
         (q.failing(lambda a: ~(a >= 0).all(axis=-1)),
@@ -640,8 +630,10 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     integer, a repeated task_id, or an alpha whose length is not
     num_categories, the scheme's K.
     """
-    lines, (ids, alphas, ns), stop = _scan(path, ("task_id", "alpha"), ("n",), "record")
-    ids = [str(tid) for tid in ids]
+    lines, columns, stop = _scan(
+        path, lambda rec: (str(rec["task_id"]), rec["alpha"], rec.get("n", _ABSENT)), "record"
+    )
+    ids, alphas, ns = columns or ([], [], [])
     shape_fault = "alpha must be a non-empty vector"
     alpha = _Column(alphas, np.ones(len(ids), dtype=bool), shape_fault)
     bad_n = np.array([not (type(v) is int and 0 <= v <= _INT64_MAX) for v in ns], dtype=bool)
