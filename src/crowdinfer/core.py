@@ -531,11 +531,24 @@ def read_task_table(path) -> TaskTable:
     return TaskTable(ids, f.matrix, f.present, q.matrix, q.present)
 
 
+def _checked(cls, **fields):
+    """An instance of dataclass ``cls`` from values that already passed its
+    checks, without running them again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def read_tasks(path) -> list:
-    """Read a tasks file as TaskRecords, from the columns of read_task_table."""
+    """Read a tasks file as TaskRecords, from the columns of read_task_table.
+
+    The columns were checked as matrices, so the records and soft labels
+    skip their per-row checks.
+    """
     table = read_task_table(path)
     return [
-        TaskRecord(tid, x if has_x else None, SoftLabel(q) if has_q else None)
+        _checked(TaskRecord, task_id=tid, features=x if has_x else None,
+                 true_q=_checked(SoftLabel, q=q) if has_q else None, responses=[])
         for tid, x, has_x, q, has_q in zip(
             table.task_ids, table.features, table.has_features.tolist(),
             table.true_q, table.has_true_q.tolist(),

@@ -441,6 +441,9 @@ def test_task_table_columns(tmp_path):
     tasks = read_tasks(path)
     assert tasks[1].features is None and tasks[1].true_q is None
     assert tasks[2].features.tolist() == [3.0, -4.0] and tasks[2].true_q.q.tolist() == [1.0, 0.0]
+    assert isinstance(tasks[0].true_q, SoftLabel) and tasks[0].true_q.solvability == 0.25
+    tasks[0].responses.append(ResponseRecord("a", 1))
+    assert [t.n_responses for t in tasks] == [1, 0, 0]
 
 
 @pytest.mark.parametrize("lines, message", [
