@@ -535,7 +535,8 @@ def _checked(cls, **fields):
     """An instance of dataclass ``cls`` from values that already passed its
     checks, without running them again."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
     return obj
 
 
