@@ -11,7 +11,6 @@ import numpy as np
 
 from crowdinfer import (
     CategoryScheme,
-    ResponseRecord,
     empirical_soft_label,
     marginal_conditional,
     marginal_solvability,
@@ -28,8 +27,7 @@ print("categories:", scheme.names)
 
 # twelve annotators: 3 * no, 8 * yes, 1 * can't solve
 answers = ["no"] * 3 + ["yes"] * 8 + ["cs"]
-responses = [ResponseRecord("task-1", scheme.index_of(a)) for a in answers]
-counts = tally(responses, scheme)
+counts = tally([scheme.index_of(a) for a in answers], scheme)
 print("counts:", dict(zip(scheme.names, counts.counts.tolist())))
 
 # conjugate update: posterior parameters are prior + counts
@@ -52,6 +50,6 @@ print("conditional answer distribution:", np.round(posterior_mean(cond).q, 4))
 
 # a single extra "yes" moves the posterior a little; twenty move it a lot
 for extra in (1, 20):
-    more = [ResponseRecord("task-1", scheme.index_of("yes"))] * extra
+    more = [scheme.index_of("yes")] * extra
     updated = posterior(post, tally(more, scheme))
     print(f"+{extra:2d} yes -> mode {np.round(posterior_mode(updated).q, 4)}")

@@ -22,7 +22,6 @@ from .core import (
     CountVector,
     DirichletParams,
     InputError,
-    ResponseRecord,
     SoftLabel,
     TaskRecord,
     empirical_soft_label,
@@ -63,7 +62,6 @@ __all__ = [
     "DirichletParams",
     "HeadModel",
     "InputError",
-    "ResponseRecord",
     "SimConfig",
     "SoftLabel",
     "TaskRecord",

@@ -222,8 +222,7 @@ def _load_dataset(cfg: dict, with_responses: bool = True):
     scheme = read_scheme(_path(cfg, "scheme"))
     tasks = read_tasks(_path(cfg, "tasks"))
     if with_responses:
-        responses = read_responses(_path(cfg, "responses"), scheme)
-        attach_responses(tasks, responses)
+        attach_responses(tasks, read_responses(_path(cfg, "responses"), scheme))
     return scheme, tasks
 
 
@@ -305,10 +304,9 @@ def cmd_simulate(cfg: dict) -> int:
     scheme, tasks = simulate_dataset(sim)
     write_scheme(_path(cfg, "scheme"), scheme)
     write_tasks(_path(cfg, "tasks"), tasks)
-    all_responses = [r for t in tasks for r in t.responses]
-    write_responses(_path(cfg, "responses"), all_responses, scheme)
+    write_responses(_path(cfg, "responses"), tasks, scheme)
     print(
-        f"simulated {len(tasks)} tasks, {len(all_responses)} responses "
+        f"simulated {len(tasks)} tasks, {sum(t.n_responses for t in tasks)} responses "
         f"({scheme.num_proper}+1 categories, seed {cfg['seed']})"
     )
     return 0

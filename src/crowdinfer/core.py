@@ -7,9 +7,11 @@ vectors over the answer space follow the ordering (proper..., cs).
 
 from __future__ import annotations
 
+import array
 import csv
 import hashlib
 import json
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -17,6 +19,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 SIMPLEX_ATOL = 1e-9
+
+_NO_ANSWERS = np.zeros(0, dtype=np.int64)   # responses of a task that has none
+_NO_ANSWERS.flags.writeable = False
 
 
 class InputError(ValueError):
@@ -61,26 +66,19 @@ class CategoryScheme:
         return self.proper_names + (self.cs_name,)
 
     def index_of(self, answer) -> int:
-        """Resolve an answer given by name or by integer index."""
+        """Resolve an answer given by name or by integer index; a bool, a
+        float or any other value is refused."""
         if isinstance(answer, str):
             try:
                 return self.names.index(answer)
             except ValueError:
                 raise InputError(f"unknown category name {answer!r}") from None
+        if not isinstance(answer, (int, np.integer)) or isinstance(answer, bool):
+            raise InputError(f"answer must be a category name or an integer index, got {answer!r}")
         idx = int(answer)
         if not 0 <= idx < self.num_categories:
             raise InputError(f"category index {idx} out of range [0, {self.num_categories})")
         return idx
-
-
-@dataclass(frozen=True)
-class ResponseRecord:
-    """One discrete answer to one task; annotator identity is carried but
-    never used by inference."""
-
-    task_id: str
-    answer: int
-    annotator_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -161,12 +159,13 @@ class SoftLabel:
 @dataclass
 class TaskRecord:
     """A task together with its surrogate features, optional simulator
-    ground truth, and observed responses."""
+    ground truth, and observed responses: its answers as category indices,
+    a 1-D int64 array in response order."""
 
     task_id: str
     features: Optional[np.ndarray] = None
     true_q: Optional[SoftLabel] = None
-    responses: list = field(default_factory=list)
+    responses: np.ndarray = field(default_factory=lambda: _NO_ANSWERS)
 
     def __post_init__(self):
         if self.features is not None:
@@ -202,17 +201,17 @@ class DatasetSplit:
 # Operations
 # ---------------------------------------------------------------------------
 
-def tally(responses: Iterable[ResponseRecord], scheme: CategoryScheme) -> CountVector:
-    """Count responses per category."""
-    counts = np.zeros(scheme.num_categories, dtype=np.int64)
-    for rec in responses:
-        if not 0 <= rec.answer < scheme.num_categories:
-            raise InputError(
-                f"response for task {rec.task_id!r} has invalid category index "
-                f"{rec.answer} (expected < {scheme.num_categories})"
-            )
-        counts[rec.answer] += 1
-    return CountVector(counts)
+def tally(answers, scheme: CategoryScheme) -> CountVector:
+    """Count answer indices (an integer array or sequence) per category."""
+    answers = np.asarray(answers)
+    k = scheme.num_categories
+    if answers.size and answers.dtype.kind not in "iu":
+        raise InputError(f"answers must be integer category indices, got {answers.dtype}")
+    invalid = (answers < 0) | (answers >= k)
+    if invalid.any():
+        raise InputError(f"invalid category index {answers[invalid][0]} (expected < {k})")
+    counts = np.bincount(answers.astype(np.int64, copy=False), minlength=k)
+    return _checked(CountVector, counts=counts)
 
 
 def empirical_soft_label(counts: CountVector) -> SoftLabel:
@@ -363,31 +362,44 @@ def write_tasks(path, tasks: Iterable[TaskRecord]) -> None:
 
 _ABSENT = object()   # marks an optional key missing from a record
 _INT64_MAX = np.iinfo(np.int64).max
+_scan_once = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"   # str.strip() would also take \x0b, \xa0, ...
 
 
-def _scan(path, pick, what: str):
-    """Line numbers and value columns of a JSONL file's records (its
-    non-blank lines) in file order; ``pick`` maps a record to its values.
+def _scan(path, pick, width: int, what: str):
+    """Line numbers (an int64 array) and value columns of a JSONL file's
+    records (its non-blank lines) in file order; ``pick`` maps a record to
+    its ``width`` values.
 
+    A line is decoded by the json scanner when it consumes the line whole
+    (JSON whitespace aside); any other line goes to json.loads, so a line
+    is refused exactly as json.loads refuses it, with its message.
     Reading stops at the first line that is not JSON or that ``pick``
     refuses (KeyError, TypeError: a missing key, a record that is not an
     object).  Its (line, message) comes back as ``stop``, so a fault on an
     earlier record can still be reported first.
     """
-    rows: list = []
-    lines: list = []
+    values: list = []   # the records' values laid end to end
+    lines = array.array("q")
     stop = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            text = line.strip(_JSON_SPACE)
             try:
-                rows.append(pick(json.loads(line)))
+                value, end = _scan_once(text, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            try:
+                if end != len(text):
+                    if not line.strip():
+                        continue
+                    value = json.loads(line)
+                values.extend(pick(value))
             except (KeyError, ValueError, TypeError) as exc:
                 stop = (lineno, f"bad {what}: {exc}")
                 break
             lines.append(lineno)
-    return lines, [list(column) for column in zip(*rows)], stop
+    return np.array(lines, dtype=np.int64), [values[j::width] for j in range(width)], stop
 
 
 class _Column:
@@ -502,12 +514,11 @@ def read_task_table(path) -> TaskTable:
     a repeated task_id, or a features or true_q length that differs from the
     first record's.
     """
-    lines, columns, stop = _scan(
+    lines, (ids, features, true_q), stop = _scan(
         path,
         lambda rec: (str(rec["task_id"]), rec.get("features"), rec.get("true_q", _ABSENT)),
-        "task record",
+        3, "task record",
     )
-    ids, features, true_q = columns or ([], [], [])
     q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool),
                 "true_q must be a vector")
     f = _Column(features, np.array([v is not None for v in features], dtype=bool),
@@ -549,7 +560,7 @@ def read_tasks(path) -> list:
     table = read_task_table(path)
     return [
         _checked(TaskRecord, task_id=tid, features=x if has_x else None,
-                 true_q=_checked(SoftLabel, q=q) if has_q else None, responses=[])
+                 true_q=_checked(SoftLabel, q=q) if has_q else None, responses=_NO_ANSWERS)
         for tid, x, has_x, q, has_q in zip(
             table.task_ids, table.features, table.has_features.tolist(),
             table.true_q, table.has_true_q.tolist(),
@@ -557,44 +568,84 @@ def read_tasks(path) -> list:
     ]
 
 
-def write_responses(path, responses: Iterable[ResponseRecord], scheme: CategoryScheme) -> None:
-    names = scheme.names
+def write_responses(path, tasks: Iterable[TaskRecord], scheme: CategoryScheme) -> None:
+    """Write each task's responses in order, one JSON line per answer, from
+    a per-task prefix and a per-category suffix."""
+    suffixes = [json.dumps(name) + "}\n" for name in scheme.names]
     with open(path, "w") as fh:
-        for r in responses:
-            rec: dict = {"task_id": r.task_id, "answer": names[r.answer]}
-            if r.annotator_id is not None:
-                rec["annotator_id"] = r.annotator_id
-            fh.write(json.dumps(rec) + "\n")
+        for task in tasks:
+            prefix = '{"task_id": ' + json.dumps(task.task_id) + ', "answer": '
+            lines = [prefix + suffix for suffix in suffixes]
+            fh.write("".join([lines[a] for a in np.asarray(task.responses).tolist()]))
 
 
-def read_responses(path, scheme: CategoryScheme) -> list:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    ResponseRecord(
-                        task_id=str(rec["task_id"]),
-                        answer=scheme.index_of(rec["answer"]),
-                        annotator_id=rec.get("annotator_id"),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: bad response record: {exc}") from exc
-    return out
+@dataclass(frozen=True, eq=False)
+class Responses:
+    """A responses file as columns in file order: task ids, their file
+    lines and the answers as category indices."""
+
+    path: object
+    task_ids: list
+    lines: np.ndarray
+    answers: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
 
 
-def attach_responses(tasks: Sequence[TaskRecord], responses: Iterable[ResponseRecord]) -> None:
-    """Group responses onto their tasks, rejecting orphans."""
-    by_id = {t.task_id: t for t in tasks}
-    for r in responses:
-        task = by_id.get(r.task_id)
-        if task is None:
-            raise InputError(f"response references unknown task {r.task_id!r}")
-        task.responses.append(r)
+def read_responses(path, scheme: CategoryScheme) -> Responses:
+    """Read a responses file as columns.
+
+    An answer is a category name or an integer index; an ``annotator_id``
+    is accepted and ignored.  The first failing record exits as
+    ``file:line``: a bad JSON line, a missing task_id or answer, or an
+    answer the scheme does not resolve (an unknown name, an index out of
+    range, a bool, a float or any other value).
+    """
+    index = {name: i for i, name in enumerate(scheme.names)}
+    known: dict = {}
+
+    def pick(rec):
+        # one string object per task id, and a known name's index in place
+        # of its string: the file's per-response strings do not pile up
+        tid = str(rec["task_id"])
+        answer = rec["answer"]
+        if answer.__class__ is str:
+            answer = index.get(answer, answer)
+        return known.setdefault(tid, tid), answer
+
+    lines, (ids, values), stop = _scan(path, pick, 2, "response record")
+    k = scheme.num_categories
+    answers = np.fromiter((v if type(v) is int and 0 <= v < k else -1 for v in values),
+                          dtype=np.int64, count=len(values))
+    faults: dict = {}
+    for i in np.flatnonzero(answers < 0).tolist():
+        try:
+            answers[i] = scheme.index_of(values[i])
+        except InputError as exc:
+            faults[i] = str(exc)
+    faulty = np.zeros(len(values), dtype=bool)
+    faulty[list(faults)] = True
+    _raise_first(path, lines, stop, [(faulty, lambda i: f"bad response record: {faults[i]}")])
+    return Responses(path, ids, lines, answers)
+
+
+def attach_responses(tasks: Sequence[TaskRecord], responses: Responses) -> None:
+    """Set each task's responses to its answers in file order, grouped with
+    one stable sort; the first response of an unknown task exits as
+    ``file:line``."""
+    row = {t.task_id: i for i, t in enumerate(tasks)}
+    owner = np.fromiter(map(row.get, responses.task_ids, itertools.repeat(-1)),
+                        dtype=np.int64, count=len(responses))
+    orphans = np.flatnonzero(owner < 0)
+    if orphans.size:
+        i = orphans[0]
+        raise InputError(f"{responses.path}:{responses.lines[i]}: response references "
+                         f"unknown task {responses.task_ids[i]!r}")
+    grouped = responses.answers[np.argsort(owner, kind="stable")]
+    ends = np.cumsum(np.bincount(owner, minlength=len(tasks))).tolist()
+    for task, start, end in zip(tasks, [0] + ends, ends):
+        task.responses = grouped[start:end]
 
 
 def write_alpha_records(path, records: Iterable[tuple]) -> None:
@@ -644,10 +695,9 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     integer, a repeated task_id, or an alpha whose length is not
     num_categories, the scheme's K.
     """
-    lines, columns, stop = _scan(
-        path, lambda rec: (str(rec["task_id"]), rec["alpha"], rec.get("n", _ABSENT)), "record"
+    lines, (ids, alphas, ns), stop = _scan(
+        path, lambda rec: (str(rec["task_id"]), rec["alpha"], rec.get("n", _ABSENT)), 3, "record"
     )
-    ids, alphas, ns = columns or ([], [], [])
     shape_fault = "alpha must be a non-empty vector"
     alpha = _Column(alphas, np.ones(len(ids), dtype=bool), shape_fault)
     bad_n = np.array([not (type(v) is int and 0 <= v <= _INT64_MAX) for v in ns], dtype=bool)
@@ -664,5 +714,5 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
          lambda i: f"{alpha.sizes[i]} alpha components for a scheme of "
                    f"{num_categories} categories"),
     ])
-    return AlphaRecords(path, ids, np.array(lines, dtype=np.int64), alpha.matrix,
+    return AlphaRecords(path, ids, lines, alpha.matrix,
                         np.array(ns, dtype=np.int64))

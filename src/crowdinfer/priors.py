@@ -45,7 +45,7 @@ def repeats_run(task: TaskRecord, prior: DirichletParams, permutations: int,
     if permutations < 1:
         raise ValueError("permutations must be at least 1")
     k = len(prior)
-    answers = np.array([r.answer for r in task.responses])
+    answers = np.asarray(task.responses)
     if (answers < 0).any() or (answers >= k).any():
         raise ValueError(f"task {task.task_id} has answers outside the prior's categories")
     empirical = np.bincount(answers, minlength=k) / n

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     CategoryScheme,
     DirichletParams,
-    ResponseRecord,
     SoftLabel,
     TaskRecord,
     task_rng,
@@ -91,14 +90,14 @@ def gen_features(task: TaskRecord, config: SimConfig, rng: np.random.Generator,
     return x
 
 
-def gen_responses(task: TaskRecord, repeats: int,
-                  rng: np.random.Generator) -> List[ResponseRecord]:
+def gen_responses(task: TaskRecord, repeats: int, rng: np.random.Generator) -> np.ndarray:
+    """``repeats`` answers drawn i.i.d. from the task's latent distribution,
+    as category indices."""
     if task.true_q is None:
         raise ValueError(f"task {task.task_id} lacks a latent answer distribution")
     if repeats < 0:
         raise ValueError("repeats must be non-negative")
-    answers = rng.choice(len(task.true_q.q), size=repeats, p=task.true_q.q)
-    return [ResponseRecord(task.task_id, int(a)) for a in answers]
+    return rng.choice(len(task.true_q.q), size=repeats, p=task.true_q.q)
 
 
 def _task_stream(config: SimConfig, index: int) -> Tuple[str, np.random.Generator]:
@@ -114,7 +113,7 @@ def _gen_task(config: SimConfig, index: int, prior: DirichletParams,
     """
     tid, rng = _task_stream(config, index)
     q = SoftLabel(rng.dirichlet(prior.alpha))
-    task = TaskRecord(tid, None, q, [])
+    task = TaskRecord(tid, None, q)
     task.features = gen_features(task, config, rng, fmap)
     return task, rng
 

@@ -196,13 +196,41 @@ def test_unknown_config_key_exit_2(tmp_path):
     assert run(tmp_path, "simulate", "--config", str(cfgfile)) == 2
 
 
-def test_orphan_responses_exit_2(tmp_path):
+def test_orphan_responses_exit_2(tmp_path, capsys):
     (tmp_path / "scheme.json").write_text(json.dumps({"proper": ["a", "b"], "cs": "cs"}))
     (tmp_path / "tasks.jsonl").write_text(json.dumps({"task_id": "t0"}) + "\n")
     (tmp_path / "responses.jsonl").write_text(
         json.dumps({"task_id": "ghost", "answer": "a"}) + "\n"
     )
     assert run(tmp_path, "infer") == 2
+    assert "responses.jsonl:1: response references unknown task 'ghost'" in capsys.readouterr().err
+    # the first orphan is reported, after a known task's response and a blank line
+    (tmp_path / "responses.jsonl").write_text(
+        json.dumps({"task_id": "t0", "answer": "b"}) + "\n\n"
+        + json.dumps({"task_id": "ghost", "answer": "a"}) + "\n"
+        + json.dumps({"task_id": "ghost2", "answer": "a"}) + "\n"
+    )
+    assert run(tmp_path, "infer") == 2
+    assert "responses.jsonl:3: response references unknown task 'ghost'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("answer", [True, False, 1.9, 1.0])
+def test_bool_and_float_answers_exit_2(tmp_path, capsys, answer):
+    (tmp_path / "scheme.json").write_text(json.dumps({"proper": ["a", "b"], "cs": "cs"}))
+    (tmp_path / "tasks.jsonl").write_text(json.dumps({"task_id": "t0"}) + "\n")
+    (tmp_path / "responses.jsonl").write_text(
+        json.dumps({"task_id": "t0", "answer": 1}) + "\n"
+        + json.dumps({"task_id": "t0", "answer": "cs"}) + "\n"
+    )
+    assert run(tmp_path, "infer") == 0
+    assert read_jsonl(tmp_path / "posteriors.jsonl")[0]["alpha"] == [1.0, 2.0, 2.0]
+    (tmp_path / "responses.jsonl").write_text(
+        json.dumps({"task_id": "t0", "answer": 1}) + "\n"
+        + json.dumps({"task_id": "t0", "answer": answer}) + "\n"
+    )
+    assert run(tmp_path, "infer") == 2
+    assert (f"responses.jsonl:2: bad response record: answer must be a category name or an "
+            f"integer index, got {answer!r}") in capsys.readouterr().err
 
 
 def _copy_inputs(pipeline, tmp_path, *names):

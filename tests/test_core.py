@@ -12,7 +12,7 @@ from crowdinfer.core import (
     CountVector,
     DirichletParams,
     InputError,
-    ResponseRecord,
+    Responses,
     SoftLabel,
     TaskRecord,
     attach_responses,
@@ -93,16 +93,15 @@ def test_dirichlet_params_positive():
 
 def test_tally_counts_per_category():
     s = CategoryScheme(("no", "yes"))
-    responses = [ResponseRecord("t1", a) for a in (1, 1, 0, 2, 1)]
-    c = tally(responses, s)
+    c = tally([1, 1, 0, 2, 1], s)
     assert c.counts.tolist() == [1, 3, 1]
     assert c.total == 5
 
 
 def test_tally_rejects_out_of_range():
     s = CategoryScheme(("no", "yes"))
-    with pytest.raises(InputError, match="t9"):
-        tally([ResponseRecord("t9", 5)], s)
+    with pytest.raises(InputError, match="invalid category index 5"):
+        tally(np.array([0, 5]), s)
 
 
 def test_empirical_soft_label():
@@ -212,23 +211,262 @@ def test_read_tasks_rejects_ragged_features(tmp_path):
 def test_responses_round_trip_by_name_and_index(tmp_path):
     s = CategoryScheme(("no", "yes"))
     path = tmp_path / "responses.jsonl"
-    write_responses(path, [ResponseRecord("t1", 1, "ann7"), ResponseRecord("t1", 2)], s)
+    write_responses(path, [TaskRecord("t1", responses=np.array([1, 2]))], s)
     lines = path.read_text().splitlines()
     assert json.loads(lines[0])["answer"] == "yes"
     back = read_responses(path, s)
-    assert [r.answer for r in back] == [1, 2]
-    assert back[0].annotator_id == "ann7"
+    assert back.answers.tolist() == [1, 2]
+    # a record carrying an annotator_id is accepted (and the id ignored)
+    path.write_text('{"task_id": "t1", "answer": "no", "annotator_id": "ann7"}\n')
+    assert read_responses(path, s).answers.tolist() == [0]
     # integer answers are accepted on read as well
     path.write_text('{"task_id": "t1", "answer": 0}\n')
-    assert read_responses(path, s)[0].answer == 0
+    assert read_responses(path, s).answers[0] == 0
+
+
+def _responses(pairs, path="responses.jsonl"):
+    """Responses columns of (task_id, answer) pairs on lines 1, 2, ..."""
+    return Responses(path, [tid for tid, _ in pairs], np.arange(1, len(pairs) + 1),
+                     np.array([a for _, a in pairs], dtype=np.int64))
 
 
 def test_attach_responses_rejects_orphans():
     tasks = [TaskRecord("t1")]
     with pytest.raises(InputError, match="t2"):
-        attach_responses(tasks, [ResponseRecord("t2", 0)])
-    attach_responses(tasks, [ResponseRecord("t1", 0)])
+        attach_responses(tasks, _responses([("t2", 0)]))
+    attach_responses(tasks, _responses([("t1", 0)]))
     assert tasks[0].n_responses == 1
+
+
+def test_scheme_rejects_bool_and_float_answers():
+    s = CategoryScheme(("no", "yes"))
+    for bad in (True, False, 1.9, 1.0, None, [1]):
+        with pytest.raises(InputError, match="must be a category name or an integer index"):
+            s.index_of(bad)
+    assert s.index_of(np.int64(2)) == 2
+
+
+@pytest.mark.parametrize("answer", ["true", "false", "1.9", "1.0", "null", "[1]", '{"a": 1}'])
+def test_read_responses_rejects_bool_and_float_answers(tmp_path, answer):
+    path = tmp_path / "responses.jsonl"
+    path.write_text('{"task_id": "t1", "answer": "yes"}\n'
+                    f'{{"task_id": "t1", "answer": {answer}}}\n')
+    want = (f":2: bad response record: answer must be a category name or an integer index, "
+            f"got {json.loads(answer)!r}")
+    with pytest.raises(InputError, match=re.escape(want)):
+        read_responses(path, CategoryScheme(("no", "yes")))
+
+
+def test_attach_responses_groups_in_file_order(tmp_path):
+    path = tmp_path / "responses.jsonl"
+    path.write_text('{"task_id": "b", "answer": 1}\n{"task_id": "a", "answer": "cs"}\n\n'
+                    '{"task_id": "b", "answer": 0}\n{"task_id": "a", "answer": "yes"}\n')
+    responses = read_responses(path, CategoryScheme(("no", "yes")))
+    assert len(responses) == 4 and responses.lines.tolist() == [1, 2, 4, 5]
+    tasks = [TaskRecord("a"), TaskRecord("b"), TaskRecord("c")]
+    attach_responses(tasks, responses)
+    assert [t.responses.tolist() for t in tasks] == [[2, 1], [1, 0], []]
+    path.write_text('{"task_id": "a", "answer": 1}\n\n{"task_id": "ghost", "answer": 1}\n'
+                    '{"task_id": "ghost2", "answer": 1}\n')
+    with pytest.raises(InputError, match=re.escape(
+            ":3: response references unknown task 'ghost'")):
+        attach_responses(tasks, read_responses(path, CategoryScheme(("no", "yes"))))
+
+
+def _attach_oracle(task_ids, pairs):
+    """Per-response grouping: each task's answers in the order they come."""
+    grouped = {tid: [] for tid in task_ids}
+    for tid, answer in pairs:
+        grouped[tid].append(answer)
+    return [grouped[tid] for tid in task_ids]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 4)), max_size=60))))
+def test_attach_responses_equals_per_response_grouping(case):
+    n, pairs = case
+    task_ids = [f"t{i}" for i in range(n)]
+    tasks = [TaskRecord(tid) for tid in task_ids]
+    attach_responses(tasks, _responses([(f"t{i}", a) for i, a in pairs]))
+    assert [t.responses.tolist() for t in tasks] == _attach_oracle(task_ids, [
+        (f"t{i}", a) for i, a in pairs])
+    assert all(t.responses.dtype == np.int64 for t in tasks)
+
+
+def _tally_oracle(answers, k):
+    counts = np.zeros(k, dtype=np.int64)
+    for a in answers:
+        if not 0 <= a < k:
+            raise InputError(f"invalid category index {a}")
+        counts[a] += 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(-2, k + 1), max_size=40))))
+def test_tally_equals_counting_loop(case):
+    k, answers = case
+    scheme = CategoryScheme(tuple(f"c{i}" for i in range(k - 1)))
+    try:
+        want = _tally_oracle(answers, k)
+    except InputError:
+        for given_answers in (answers, np.array(answers, dtype=np.int64)):
+            with pytest.raises(InputError, match="invalid category index"):
+                tally(given_answers, scheme)
+        return
+    for given_answers in (answers, np.array(answers, dtype=np.int64)):
+        got = tally(given_answers, scheme).counts
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_tally_rejects_non_integer_answers():
+    s = CategoryScheme(("no", "yes"))
+    for bad in (np.array([1.0]), np.array([True]), ["yes"]):
+        with pytest.raises(InputError, match="integer category indices"):
+            tally(bad, s)
+
+
+def _read_responses_oracle(path, scheme):
+    """The per-record responses reader, as (task_id, answer index) pairs."""
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                out.append((str(rec["task_id"]), scheme.index_of(rec["answer"])))
+            except (KeyError, ValueError, TypeError) as exc:
+                raise InputError(f"{path}:{lineno}: bad response record: {exc}") from exc
+    return out
+
+
+def _responses_outcome(read, path, scheme):
+    """The reader's error message, or its task ids and answers."""
+    try:
+        got = read(path, scheme)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    if isinstance(got, list):
+        return [tid for tid, _ in got], [a for _, a in got]
+    assert got.answers.dtype == np.int64 and len(got) == len(got.lines)
+    return got.task_ids, got.answers.tolist()
+
+
+def _response_line(kind, tid, answer, names):
+    """One responses-file line of the given kind (no newline)."""
+    good = json.dumps({"task_id": tid, "answer": names[answer]})
+    return {
+        "name": good,
+        "index": json.dumps({"task_id": tid, "answer": answer}),
+        "annotated": json.dumps({"task_id": tid, "answer": names[answer], "annotator_id": "a1"}),
+        "int_id": json.dumps({"task_id": answer, "answer": answer}),
+        "compact": json.dumps({"answer": names[answer], "task_id": tid}, separators=(",", ":")),
+        "json_space": f" \t{good}\t \r",
+        "blank": "",
+        "spaces": "  \t ",
+        "vt_blank": "\x0b \x0c",
+        "nbsp_blank": "\xa0",
+        "vt_pad": f"\x0b{good}",
+        "vt_tail": f"{good}\x0b",
+        "nbsp_pad": f"\xa0{good}",
+        "bom": f"\ufeff{good}",
+        "extra": good + ' {"x": 1}',
+        "trailing_comma": good + ",",
+        "bad_json": "{oops",
+        "truncated": good[:-3],
+        "array": json.dumps([tid, answer]),
+        "scalar": "7",
+        "null_record": "null",
+        "no_task": json.dumps({"answer": names[answer]}),
+        "no_answer": json.dumps({"task_id": tid}),
+        "unknown": json.dumps({"task_id": tid, "answer": "maybe?"}),
+        "range": json.dumps({"task_id": tid, "answer": len(names) + answer}),
+        "negative": json.dumps({"task_id": tid, "answer": -1 - answer}),
+        "bool": json.dumps({"task_id": tid, "answer": answer % 2 == 1}),
+        "float": json.dumps({"task_id": tid, "answer": answer + 0.5}),
+        "integral_float": json.dumps({"task_id": tid, "answer": float(answer)}),
+        "nan": '{"task_id": "t", "answer": NaN}',
+        "list_answer": json.dumps({"task_id": tid, "answer": [answer]}),
+        "null_answer": json.dumps({"task_id": tid, "answer": None}),
+    }[kind]
+
+
+_GOOD_LINES = ["name", "index", "annotated", "int_id", "compact", "json_space", "blank",
+               "spaces", "vt_blank", "nbsp_blank"]
+_BAD_LINES = ["vt_pad", "vt_tail", "nbsp_pad", "bom", "extra", "trailing_comma", "bad_json",
+              "truncated", "array", "scalar", "null_record", "no_task", "no_answer", "unknown",
+              "range", "negative", "bool", "float", "integral_float", "nan", "list_answer",
+              "null_answer"]
+
+
+@st.composite
+def _response_files(draw):
+    k = draw(st.integers(2, 5))
+    names = tuple(f"c{i}" for i in range(k - 1)) + ("cs",)
+    kinds = st.sampled_from(_GOOD_LINES) | st.sampled_from(_BAD_LINES)
+    good_only = draw(st.booleans())
+    lines = draw(st.lists(
+        st.tuples(st.sampled_from(_GOOD_LINES) if good_only else kinds,
+                  st.sampled_from(["t0", "t1", "t2", 'q"\\ü']), st.integers(0, k - 1)),
+        max_size=25))
+    return names, [_response_line(kind, tid, a, names) for kind, tid, a in lines]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_response_files())
+def test_responses_reader_equals_per_record_oracle(tmp_path_factory, case):
+    names, lines = case
+    scheme = CategoryScheme(names[:-1], names[-1])
+    path = tmp_path_factory.mktemp("responses") / "responses.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    want = _responses_outcome(_read_responses_oracle, path, scheme)
+    assert _responses_outcome(read_responses, path, scheme) == want
+
+
+def test_responses_reader_reports_each_fault_like_the_oracle(tmp_path):
+    names = ("no", "yes", "cs")
+    scheme = CategoryScheme(names[:-1])
+    path = tmp_path / "responses.jsonl"
+    for kind in _BAD_LINES:
+        lines = [_response_line("name", "t0", 1, names), _response_line(kind, "t1", 1, names),
+                 _response_line("bad_json", "t2", 0, names)]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        message = _responses_outcome(_read_responses_oracle, path, scheme)
+        assert isinstance(message, str) and "responses.jsonl:2: bad response record" in message
+        assert _responses_outcome(read_responses, path, scheme) == message, kind
+
+
+def _write_responses_oracle(path, tasks, scheme):
+    """The per-record responses writer: json.dumps of each record."""
+    names = scheme.names
+    with open(path, "w") as fh:
+        for t in tasks:
+            for a in t.responses:
+                fh.write(json.dumps({"task_id": t.task_id, "answer": names[a]}) + "\n")
+
+
+_awkward_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x7fé€😀 ,:{}'), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_awkward_text, min_size=2, max_size=5, unique=True).flatmap(
+    lambda names: st.tuples(st.just(names), st.lists(st.tuples(
+        _awkward_text, st.lists(st.integers(0, len(names) - 1), max_size=8)), max_size=6))))
+def test_templated_writer_equals_per_record_writer(tmp_path_factory, case):
+    names, task_answers = case
+    scheme = CategoryScheme(tuple(names[:-1]), names[-1])
+    tasks = [TaskRecord(tid, responses=np.array(answers, dtype=np.int64))
+             for tid, answers in task_answers]
+    folder = tmp_path_factory.mktemp("writer")
+    write_responses(folder / "got.jsonl", tasks, scheme)
+    _write_responses_oracle(folder / "want.jsonl", tasks, scheme)
+    assert (folder / "got.jsonl").read_bytes() == (folder / "want.jsonl").read_bytes()
+    back = read_responses(folder / "got.jsonl", scheme)
+    assert back.task_ids == [t.task_id for t in tasks for _ in t.responses]
+    assert back.answers.tolist() == [a for _, answers in task_answers for a in answers]
 
 
 def test_alpha_records_round_trip(tmp_path):
@@ -442,7 +680,8 @@ def test_task_table_columns(tmp_path):
     assert tasks[1].features is None and tasks[1].true_q is None
     assert tasks[2].features.tolist() == [3.0, -4.0] and tasks[2].true_q.q.tolist() == [1.0, 0.0]
     assert isinstance(tasks[0].true_q, SoftLabel) and tasks[0].true_q.solvability == 0.25
-    tasks[0].responses.append(ResponseRecord("a", 1))
+    assert all(t.responses.dtype == np.int64 and t.n_responses == 0 for t in tasks)
+    tasks[0].responses = np.array([1])
     assert [t.n_responses for t in tasks] == [1, 0, 0]
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdinfer.bayes import posterior_mode
-from crowdinfer.core import DirichletParams, ResponseRecord, SoftLabel, TaskRecord
+from crowdinfer.core import DirichletParams, SoftLabel, TaskRecord
 from crowdinfer.metrics import soft_distance
 from crowdinfer.priors import (
     RepeatsSummary,
@@ -17,7 +17,7 @@ from crowdinfer.priors import (
 
 
 def _task(tid, answers):
-    return TaskRecord(tid, None, None, [ResponseRecord(tid, a) for a in answers])
+    return TaskRecord(tid, None, None, np.array(answers, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def _replay_oracle(task, prior, permutations, rng):
     """Scalar reference for repeats_run: replays one draw at a time, one
     posterior_mode and one soft_distance per step."""
     n = task.n_responses
-    answers = np.array([r.answer for r in task.responses])
+    answers = task.responses
     empirical = SoftLabel(np.bincount(answers, minlength=len(prior)) / n)
     totals = np.zeros(n)
     for _ in range(permutations):
