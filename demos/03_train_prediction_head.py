@@ -12,7 +12,6 @@ import numpy as np
 
 from crowdinfer import (
     TrainConfig,
-    TrainExample,
     chernoff,
     evaluate,
     head_forward,
@@ -33,17 +32,18 @@ prior = uniform_prior(scheme)
 by_id = {t.task_id: t for t in tasks}
 
 
-def examples(ids):
-    out = []
-    for tid in sorted(ids):
-        t = by_id[tid]
-        target = posterior(prior, tally(t.responses, scheme))
-        out.append(TrainExample(t.features, target.alpha, t.n_responses, 1.0, tid))
-    return out
+def arrays(ids):
+    """The training set as arrays: features X, target concentrations T (each
+    task's posterior under the uniform prior), response counts n and example
+    weights w, one row per task."""
+    rows = [by_id[tid] for tid in sorted(ids)]
+    counts = np.stack([tally(t.responses, scheme).counts for t in rows])
+    X = np.stack([t.features for t in rows])
+    return X, prior.alpha + counts, counts.sum(axis=1).astype(float), np.ones(len(rows))
 
 
-train_set, val_set = examples(split.train), examples(split.val)
-print(f"{len(train_set)} train / {len(val_set)} val examples, "
+train_set, val_set = arrays(split.train), arrays(split.val)
+print(f"{len(train_set[0])} train / {len(val_set[0])} val examples, "
       f"{cfg.feature_dim} features, {scheme.num_categories} categories")
 
 # keep the best epoch as measured on the validation set

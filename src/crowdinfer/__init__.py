@@ -32,7 +32,6 @@ from .core import (
 from .head import (
     HeadModel,
     TrainConfig,
-    TrainExample,
     chernoff,
     chernoff_grad,
     head_forward,
@@ -66,7 +65,6 @@ __all__ = [
     "SoftLabel",
     "TaskRecord",
     "TrainConfig",
-    "TrainExample",
     "ambiguity",
     "blend_prior",
     "chernoff",

@@ -63,27 +63,19 @@ def marginal_conditional(alpha: DirichletParams) -> DirichletParams:
 
 def posterior_mean(alpha: DirichletParams) -> SoftLabel:
     """Expected soft label, the posterior predictive probability vector."""
-    return SoftLabel(alpha.alpha / alpha.alpha_sum)
+    return SoftLabel(point_estimates(alpha.alpha, "mean"))
 
 
 def posterior_mode(alpha: DirichletParams) -> SoftLabel:
-    """Mode (alpha - 1) / sum(alpha - 1), made total.
-
-    The exact formula only applies when every component is >= 1 and the
-    sums exceed zero.  Blended machine-informed priors can dip below 1,
-    so components are clamped at zero before normalizing; if nothing
-    remains (e.g. the all-ones vector) the mean is returned instead.
-    """
-    shifted = np.maximum(alpha.alpha - 1.0, 0.0)
-    total = shifted.sum()
-    if total > 0.0:
-        return SoftLabel(shifted / total)
-    return posterior_mean(alpha)
+    """Mode (alpha - 1) / sum(alpha - 1), made total: components are clamped
+    at zero first, since blended machine-informed priors can dip below 1, and
+    if nothing remains (e.g. the all-ones vector) the mean is returned."""
+    return SoftLabel(point_estimates(alpha.alpha))
 
 
 def point_estimates(alpha: np.ndarray, how: str = "mode") -> np.ndarray:
-    """posterior_mode or posterior_mean (how="mode"/"mean") of each row of
-    stacked concentration vectors, bitwise equal to the scalar functions."""
+    """The posterior mode or mean (how="mode"/"mean") of each row of stacked
+    concentration vectors, as posterior_mode and posterior_mean describe."""
     mean = alpha / alpha.sum(axis=-1, keepdims=True)
     if how == "mean":
         return mean

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 bad input (files, schema, option values),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from .core import (
     TaskRecord,
     attach_responses,
     config_hash,
+    count_matrix,
     json_ready,
     read_alpha_records,
     read_responses,
@@ -52,7 +54,7 @@ from .core import (
     write_scheme,
     write_tasks,
 )
-from .head import TrainConfig, TrainExample, head_forward, load_model, save_model, train_head
+from .head import TrainConfig, head_forward, load_model, save_model, train_head
 from .metrics import (
     AmbiguityConfig,
     ambiguity,
@@ -60,7 +62,6 @@ from .metrics import (
     evaluate,
     hard_weights,
     soft_distance,
-    soft_weight,
 )
 from .priors import blend_prior, repeats_summary, uniform_provider, write_repeats_csv
 from .sim import SimConfig, simulate_dataset
@@ -340,70 +341,54 @@ def cmd_infer(cfg: dict) -> int:
     return 0
 
 
-def _train_examples(scheme, tasks, split) -> List[List[TrainExample]]:
-    """Train and val examples from one tally per task, weighted by train label rarity."""
-    uni = uniform_prior(scheme)
-    targets = {}
-    for task in tasks:
-        if task.task_id in split.train or task.task_id in split.val:
-            if task.features is None:
-                raise InputError(f"task {task.task_id} has no features; cannot train on it")
-            targets[task.task_id] = posterior(uni, tally(task.responses, scheme))
-    refs = {tid: posterior_mode(target) for tid, target in targets.items()}
-    class_counts = np.zeros(scheme.num_categories)
-    for tid in split.train:
-        class_counts[refs[tid].argmax()] += 1
-    weights = hard_weights(class_counts)
-    return [
-        [
-            TrainExample(
-                features=task.features,
-                target_alpha=targets[task.task_id].alpha,
-                n=task.n_responses,
-                weight=soft_weight(refs[task.task_id], weights),
-                task_id=task.task_id,
-            )
-            for task in tasks
-            if task.task_id in ids
-        ]
-        for ids in (split.train, split.val)
-    ]
+def _training_set(scheme, table, counts: np.ndarray, split) -> list:
+    """(X, T, n, w) arrays and task ids of the train and of the val tasks in
+    file order: uniform-prior posteriors T, weighted by train label rarity."""
+    ids = table.task_ids
+    sets = [np.fromiter((tid in part for tid in ids), dtype=bool, count=len(ids))
+            for part in (split.train, split.val)]
+    featureless = (sets[0] | sets[1]) & ~table.has_features
+    if featureless.any():
+        raise InputError(f"task {ids[featureless.argmax()]} has no features; cannot train on it")
+    T = uniform_prior(scheme).alpha + counts
+    refs = point_estimates(T)
+    weights = hard_weights(np.bincount(refs[sets[0]].argmax(axis=1),
+                                       minlength=scheme.num_categories))
+    # the stacked product keeps each row's soft_weight bits; refs @ weights does not
+    w = np.matmul(refs[:, None, :], weights[:, None])[:, 0, 0]
+    n = counts.sum(axis=1).astype(float)
+    return [((table.features[rows], T[rows], n[rows], w[rows]), [ids[i] for i in rows])
+            for rows in map(np.flatnonzero, sets)]
 
 
 def cmd_train(cfg: dict) -> int:
-    scheme, tasks = _load_dataset(cfg)
-    split = split_dataset([t.task_id for t in tasks], cfg["ratios"], seed=cfg["seed"])
+    scheme = read_scheme(_path(cfg, "scheme"))
+    table = read_task_table(_path(cfg, "tasks"))
+    responses = read_responses(_path(cfg, "responses"), scheme)
+    counts = count_matrix(table.task_ids, responses, scheme.num_categories)
+    split = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
     if not split.train:
         ratios = ",".join(str(r) for r in cfg["ratios"])
-        raise InputError(f"ratios {ratios} leave no training tasks among {len(tasks)}")
-    train_ex, val_ex = _train_examples(scheme, tasks, split)
-    try:
-        tc = TrainConfig(
-            learning_rate=cfg["learning_rate"],
-            beta1=cfg["beta1"],
-            beta2=cfg["beta2"],
-            warmup_iters=cfg["warmup_iters"],
-            batch_size=cfg["batch_size"],
-            epochs=cfg["epochs"],
-            tau=cfg["tau"],
-            seed=cfg["seed"],
-            select=cfg["select"],
-        )
+        raise InputError(f"ratios {ratios} leave no training tasks among {len(table.task_ids)}")
+    (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, split)
+    try:   # every TrainConfig field is the option of the same name
+        tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     history = []
     model = train_head(
-        train_ex,
+        train_set,
         tc,
-        val_dataset=val_ex,
+        val_dataset=val_set,
         alpha0_sum=float(scheme.num_categories),
         callback=lambda e, tl, vl: history.append((e, tl, vl)),
+        task_ids=train_ids,
     )
     save_model(_path(cfg, "model"), model)
     epoch, train_loss, val_loss = history[-1]
     val_note = f", val loss {val_loss:.6f}" if val_loss is not None else ""
     print(
-        f"trained on {len(train_ex)} tasks for {epoch} epochs "
+        f"trained on {len(train_ids)} tasks for {epoch} epochs "
         f"(final train loss {train_loss:.6f}{val_note})"
     )
     return 0

@@ -570,13 +570,20 @@ def read_tasks(path) -> list:
 
 def write_responses(path, tasks: Iterable[TaskRecord], scheme: CategoryScheme) -> None:
     """Write each task's responses in order, one JSON line per answer, from
-    a per-task prefix and a per-category suffix."""
+    a per-task prefix and per-category suffixes keyed by index, so that an
+    answer outside [0, K), a negative one too, exits naming its task."""
     suffixes = [json.dumps(name) + "}\n" for name in scheme.names]
     with open(path, "w") as fh:
         for task in tasks:
+            answers = np.asarray(task.responses)
+            if answers.size and answers.dtype.kind not in "iu":
+                raise InputError(f"task {task.task_id!r}: answers are {answers.dtype}, not integers")
             prefix = '{"task_id": ' + json.dumps(task.task_id) + ', "answer": '
-            lines = [prefix + suffix for suffix in suffixes]
-            fh.write("".join([lines[a] for a in np.asarray(task.responses).tolist()]))
+            lines = {i: prefix + suffix for i, suffix in enumerate(suffixes)}
+            try:
+                fh.write("".join([lines[a] for a in answers.tolist()]))
+            except KeyError as exc:
+                raise InputError(f"task {task.task_id!r}: invalid category index {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -630,11 +637,10 @@ def read_responses(path, scheme: CategoryScheme) -> Responses:
     return Responses(path, ids, lines, answers)
 
 
-def attach_responses(tasks: Sequence[TaskRecord], responses: Responses) -> None:
-    """Set each task's responses to its answers in file order, grouped with
-    one stable sort; the first response of an unknown task exits as
-    ``file:line``."""
-    row = {t.task_id: i for i, t in enumerate(tasks)}
+def _response_rows(task_ids: Sequence[str], responses: Responses) -> np.ndarray:
+    """Row in task_ids of each response's task; the first response of an
+    unknown task exits as ``file:line``."""
+    row = {tid: i for i, tid in enumerate(task_ids)}
     owner = np.fromiter(map(row.get, responses.task_ids, itertools.repeat(-1)),
                         dtype=np.int64, count=len(responses))
     orphans = np.flatnonzero(owner < 0)
@@ -642,6 +648,25 @@ def attach_responses(tasks: Sequence[TaskRecord], responses: Responses) -> None:
         i = orphans[0]
         raise InputError(f"{responses.path}:{responses.lines[i]}: response references "
                          f"unknown task {responses.task_ids[i]!r}")
+    return owner
+
+
+def count_matrix(task_ids: Sequence[str], responses: Responses, num_categories: int) -> np.ndarray:
+    """(N, K) int64 response counts per category, one row per task id, from
+    one bincount; the first response of an unknown task exits as ``file:line``."""
+    k = num_categories
+    owner = _response_rows(task_ids, responses)
+    answers = responses.answers
+    if answers.size and not 0 <= answers.min() <= answers.max() < k:
+        raise InputError(f"{responses.path}: category index out of range [0, {k})")
+    return np.bincount(owner * k + answers, minlength=len(task_ids) * k).reshape(-1, k)
+
+
+def attach_responses(tasks: Sequence[TaskRecord], responses: Responses) -> None:
+    """Set each task's responses to its answers in file order, grouped with
+    one stable sort; the first response of an unknown task exits as
+    ``file:line``."""
+    owner = _response_rows([t.task_id for t in tasks], responses)
     grouped = responses.answers[np.argsort(owner, kind="stable")]
     ends = np.cumsum(np.bincount(owner, minlength=len(tasks))).tolist()
     for task, start, end in zip(tasks, [0] + ends, ends):

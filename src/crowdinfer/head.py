@@ -247,15 +247,6 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
 # Training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainExample:
-    features: np.ndarray
-    target_alpha: np.ndarray
-    n: float
-    weight: float = 1.0
-    task_id: Optional[str] = None
-
-
 @dataclass
 class TrainConfig:
     learning_rate: float = 2e-4
@@ -307,11 +298,12 @@ class _Adam:
         return out
 
 
-def _stack(dataset: Sequence[TrainExample]):
-    X = np.stack([np.asarray(ex.features, dtype=float) for ex in dataset])
-    T = np.stack([np.asarray(ex.target_alpha, dtype=float) for ex in dataset])
-    n = np.array([float(ex.n) for ex in dataset])
-    w = np.array([float(ex.weight) for ex in dataset])
+def _arrays(data, name: str):
+    """data as float arrays X (N, d), T (N, K), n (N,) and w (N,), checked for shape."""
+    X, T, n, w = (np.asarray(a, dtype=float) for a in data)
+    if X.ndim != 2 or T.ndim != 2 or not X.shape[:1] == T.shape[:1] == n.shape == w.shape:
+        raise ValueError(f"{name} must be arrays X (N, d), T (N, K), n (N,), w (N,); got "
+                         f"shapes {X.shape}, {T.shape}, {n.shape}, {w.shape}")
     return X, T, n, w
 
 
@@ -350,10 +342,6 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     return float(J @ wn), J, (dA, dbias, dW)
 
 
-def _mean_loss(model: HeadModel, X, T, n, w, tau) -> float:
-    return _loss_grads(model.params, model.alpha0_sum, X, T, n, w, tau)[0]
-
-
 def init_model(feature_dim: int, num_categories: int, alpha0_sum: float,
                rng: np.random.Generator) -> HeadModel:
     A = rng.normal(0.0, 0.1 / math.sqrt(feature_dim), size=(feature_dim, num_categories))
@@ -366,29 +354,43 @@ def init_model(feature_dim: int, num_categories: int, alpha0_sum: float,
 
 
 def train_head(
-    dataset: Sequence[TrainExample],
+    data: tuple,
     cfg: TrainConfig,
-    val_dataset: Optional[Sequence[TrainExample]] = None,
+    val_dataset: Optional[tuple] = None,
     alpha0_sum: Optional[float] = None,
     callback: Optional[Callable[[int, float, Optional[float]], None]] = None,
+    task_ids: Optional[Sequence[str]] = None,
 ) -> HeadModel:
     """Fit the head by Adam on the weighted mean Bhattacharyya/Chernoff loss.
+
+    data and val_dataset are (X, T, n, w): features (N, d), target
+    concentrations (N, K), response counts and example weights (N,); an empty
+    val_dataset counts as none.  task_ids, one per row of data, name the
+    example whose loss turns non-finite.
 
     Model selection keeps the epoch with the lowest monitored loss
     (validation loss when a validation set is given, else training loss);
     cfg.select="last" disables the snapshotting.  The optional callback
     receives (epoch, train_loss, val_loss) after every epoch.
     """
-    if not dataset:
+    X, T, n, w = _arrays(data, "data")
+    N, k = T.shape
+    if not N:
         raise ValueError("empty training dataset")
-    X, T, n, w = _stack(dataset)
+    if task_ids is None:
+        task_ids = [f"row {i}" for i in range(N)]
+    elif len(task_ids) != N:
+        raise ValueError(f"{len(task_ids)} task ids for {N} training examples")
     target = _target_term(T, cfg.tau)
-    k = T.shape[1]
     if alpha0_sum is None:
         alpha0_sum = float(k)
-    if val_dataset:
-        Xv, Tv, nv, wv = _stack(val_dataset)
+    if val_dataset is not None and len(val_dataset[0]):
+        Xv, Tv, nv, wv = _arrays(val_dataset, "val_dataset")
+        if (Xv.shape[1], Tv.shape[1]) != (X.shape[1], k):
+            raise ValueError(f"val_dataset's (d, K) {Xv.shape[1], Tv.shape[1]} differ from data's")
         target_v = _target_term(Tv, cfg.tau)
+    else:
+        val_dataset = None
 
     rng = np.random.default_rng(cfg.seed)
     params = init_model(X.shape[1], k, alpha0_sum, rng).params
@@ -396,7 +398,6 @@ def train_head(
 
     best_loss = math.inf
     best_params = [p.copy() for p in params]
-    N = X.shape[0]
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(N)
         for start in range(0, N, cfg.batch_size):
@@ -405,7 +406,7 @@ def train_head(
                                          cfg.tau, target[idx], grad=True)
             if not math.isfinite(loss):
                 bad = idx[~np.isfinite(J)]
-                bad_id = dataset[bad[0]].task_id if bad.size else "unknown"
+                bad_id = task_ids[bad[0]] if bad.size else "unknown"
                 raise RuntimeError(
                     f"non-finite training loss at iteration {adam.t + 1}, example {bad_id}"
                 )
@@ -414,8 +415,8 @@ def train_head(
 
         train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
         val_loss = (_loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
-                    if val_dataset else None)
-        monitored = val_loss if val_dataset else train_loss
+                    if val_dataset is not None else None)
+        monitored = train_loss if val_loss is None else val_loss
         if monitored < best_loss:
             best_loss = monitored
             best_params = [p.copy() for p in params]

@@ -101,7 +101,7 @@ def cross_entropy(q_ref: SoftLabel, q_hat: SoftLabel) -> float:
     return float(-(q_ref.q[support] * np.log(q_hat.q[support])).sum())
 
 
-def hard_weights(class_counts: np.ndarray, total: Optional[int] = None) -> np.ndarray:
+def hard_weights(class_counts: np.ndarray) -> np.ndarray:
     """Inverse-frequency class weights with add-one smoothing.
 
     A category holding its uniform share of the labels gets weight about 1;
@@ -113,8 +113,6 @@ def hard_weights(class_counts: np.ndarray, total: Optional[int] = None) -> np.nd
     if (counts < 0).any():
         raise ValueError("negative class counts")
     t = counts.sum()
-    if total is not None and total != t:
-        raise ValueError(f"total {total} does not match counts sum {t:g}")
     k = counts.size
     return (t + k) / (k * (counts + 1.0))
 

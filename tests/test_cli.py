@@ -1,8 +1,26 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdinfer.cli import main
+from crowdinfer.bayes import posterior, uniform_prior
+from crowdinfer.cli import _training_set, main
+from crowdinfer.core import (
+    CategoryScheme,
+    DatasetSplit,
+    InputError,
+    Responses,
+    SoftLabel,
+    TaskRecord,
+    TaskTable,
+    attach_responses,
+    count_matrix,
+    split_dataset,
+    tally,
+)
+from crowdinfer.metrics import hard_weights, soft_weight
 
 
 def run(tmp_path, *argv):
@@ -389,3 +407,105 @@ def test_reference_without_responses_exit_2(pipeline, tmp_path, capsys, argv):
     records[0]["n"] = 0
     (tmp_path / "predictions.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
     assert run(tmp_path, *argv) == 0
+
+
+def test_val_task_without_features_exit_2(pipeline, tmp_path, capsys):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl")
+    records = read_jsonl(pipeline / "tasks.jsonl")
+    split = split_dataset([r["task_id"] for r in records], seed=0)
+    # two featureless val tasks: the one on the earlier line is reported
+    first, second = [r for r in records if r["task_id"] in split.val][:2]
+    del first["features"], second["features"]
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, "train", "--epochs", "1") == 2
+    err = capsys.readouterr().err
+    assert f"task {first['task_id']} has no features; cannot train on it" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the training set: column arrays against the per-task builder
+# ---------------------------------------------------------------------------
+
+
+def _mode_oracle(alpha):
+    """The posterior mode of one concentration vector, computed on its own."""
+    shifted = np.maximum(alpha - 1.0, 0.0)
+    total = shifted.sum()
+    return SoftLabel(shifted / total if total > 0.0 else alpha / alpha.sum())
+
+
+def _training_set_oracle(scheme, tasks, split):
+    """The per-task builder: one tally, posterior, mode and soft_weight per
+    train/val task, stacked into (X, T, n, w) arrays and ids in file order."""
+    uni = uniform_prior(scheme)
+    targets = {}
+    for task in tasks:
+        if task.task_id in split.train or task.task_id in split.val:
+            if task.features is None:
+                raise InputError(f"task {task.task_id} has no features; cannot train on it")
+            targets[task.task_id] = posterior(uni, tally(task.responses, scheme))
+    refs = {tid: _mode_oracle(target.alpha) for tid, target in targets.items()}
+    class_counts = np.zeros(scheme.num_categories)
+    for tid in split.train:
+        class_counts[refs[tid].argmax()] += 1
+    weights = hard_weights(class_counts)
+    out = []
+    for ids in (split.train, split.val):
+        rows = [t for t in tasks if t.task_id in ids]
+        out.append(((
+            np.stack([t.features for t in rows]) if rows else None,
+            np.stack([targets[t.task_id].alpha for t in rows]) if rows else None,
+            np.array([float(t.n_responses) for t in rows]),
+            np.array([soft_weight(refs[t.task_id], weights) for t in rows]),
+        ), [t.task_id for t in rows]))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 600), k=st.integers(2, 8), d=st.integers(1, 16),
+       most=st.sampled_from([0, 1, 2, 3, 5, 30]), unanswered=st.sampled_from([0.0, 0.2, 1.0]),
+       featureless=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered, featureless,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    scheme = CategoryScheme(tuple(f"c{i}" for i in range(k - 1)))
+    ids = [f"t{i:04d}" for i in rng.permutation(n)]
+    counts = rng.integers(0, most + 1, size=(n, k))
+    counts[rng.random(n) < unanswered] = 0
+    tied = rng.random(n) < 0.3   # ties between the top category and another
+    counts[tied, rng.integers(0, k, tied.sum())] = counts[tied].max(axis=1)
+    owner = np.repeat(np.arange(n), counts.sum(axis=1))
+    answers = np.concatenate([np.repeat(np.arange(k), row) for row in counts])
+    order = rng.permutation(owner.size)
+    responses = Responses("responses.jsonl", [ids[i] for i in owner[order]],
+                          np.arange(1, owner.size + 1), answers[order])
+
+    part = rng.choice(3, size=n, p=[0.7, 0.15, 0.15])
+    part[rng.integers(n)] = 0
+    has_features = np.ones(n, dtype=bool)
+    has_features[(part == 2) & (rng.random(n) < 0.5)] = False
+    if featureless:
+        has_features[rng.integers(n)] = False
+    features = np.where(has_features[:, None], rng.normal(0.0, 3.0, size=(n, d)), 0.0)
+    table = TaskTable(ids, features, has_features, np.zeros((n, 0)), np.zeros(n, dtype=bool))
+    split = DatasetSplit(*({ids[i] for i in np.flatnonzero(part == j)} for j in range(3)))
+
+    tasks = [TaskRecord(tid, features=x if has else None)
+             for tid, x, has in zip(ids, features, has_features)]
+    attach_responses(tasks, responses)
+    try:
+        want = _training_set_oracle(scheme, tasks, split)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            _training_set(scheme, table, count_matrix(ids, responses, k), split)
+        assert str(got.value) == str(exc)
+        return
+    got = _training_set(scheme, table, count_matrix(ids, responses, k), split)
+    for (arrays, got_ids), (want_arrays, want_ids) in zip(got, want):
+        assert got_ids == want_ids
+        for a, b in zip(arrays, want_arrays):
+            if b is None:   # no rows: the per-task builder had nothing to stack
+                assert a.shape[0] == 0
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -17,6 +17,7 @@ from crowdinfer.core import (
     TaskRecord,
     attach_responses,
     config_hash,
+    count_matrix,
     empirical_soft_label,
     json_ready,
     read_alpha_records,
@@ -294,6 +295,38 @@ def test_attach_responses_equals_per_response_grouping(case):
     assert all(t.responses.dtype == np.int64 for t in tasks)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                                       st.integers(0, k - 1)),
+                                             max_size=60 if n else 0))))))
+def test_count_matrix_equals_per_task_tally(case):
+    k, (n, pairs) = case
+    scheme = CategoryScheme(tuple(f"c{i}" for i in range(k - 1)))
+    task_ids = [f"t{i}" for i in range(n)]
+    responses = _responses([(f"t{i}", a) for i, a in pairs])
+    got = count_matrix(task_ids, responses, k)
+    tasks = [TaskRecord(tid) for tid in task_ids]
+    attach_responses(tasks, responses)
+    want = np.array([tally(t.responses, scheme).counts for t in tasks],
+                    dtype=np.int64).reshape(n, k)
+    assert got.dtype == np.int64 and got.shape == (n, k)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_count_matrix_reports_orphans_like_attach_responses():
+    for pairs in ([("ghost", 0)], [("t1", 1), ("t0", 0), ("ghost", 2), ("ghost2", 1)]):
+        responses = _responses(pairs)
+        with pytest.raises(InputError) as want:
+            attach_responses([TaskRecord("t0"), TaskRecord("t1")], responses)
+        with pytest.raises(InputError) as got:
+            count_matrix(["t0", "t1"], responses, 3)
+        assert str(got.value) == str(want.value)
+        assert "response references unknown task 'ghost'" in str(got.value)
+    with pytest.raises(InputError, match="category index out of range"):
+        count_matrix(["t0"], _responses([("t0", 3)]), 3)
+
+
 def _tally_oracle(answers, k):
     counts = np.zeros(k, dtype=np.int64)
     for a in answers:
@@ -467,6 +500,21 @@ def test_templated_writer_equals_per_record_writer(tmp_path_factory, case):
     back = read_responses(folder / "got.jsonl", scheme)
     assert back.task_ids == [t.task_id for t in tasks for _ in t.responses]
     assert back.answers.tolist() == [a for _, answers in task_answers for a in answers]
+
+
+def test_writer_rejects_answers_outside_the_scheme(tmp_path):
+    s = CategoryScheme(("no", "yes"))
+    path = tmp_path / "responses.jsonl"
+    for bad in (-1, 3, 7):
+        tasks = [TaskRecord("t0", responses=np.array([0, 2])),
+                 TaskRecord("t1", responses=np.array([1, bad, 0]))]
+        with pytest.raises(InputError, match=f"task 't1': invalid category index {bad}$"):
+            write_responses(path, tasks, s)
+    for bad in (np.array([1.0]), np.array([True])):
+        with pytest.raises(InputError, match="task 't0': answers are (float64|bool), not integers"):
+            write_responses(path, [TaskRecord("t0", responses=bad)], s)
+    write_responses(path, [TaskRecord("t0", responses=[])], s)
+    assert path.read_text() == ""
 
 
 def test_alpha_records_round_trip(tmp_path):

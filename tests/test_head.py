@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from crowdinfer.core import DirichletParams
 from crowdinfer.head import (
     HeadModel,
     TrainConfig,
-    TrainExample,
     _chernoff,
+    _loss_grads,
     _target_term,
     chernoff,
     chernoff_grad,
@@ -326,9 +327,7 @@ def _toy_dataset(rng, n=64, d=6, k=3):
     A = rng.normal(size=(d, k))
     logits = X @ A
     targets = (3.0 + 20.0) * softmax(logits)
-    return [
-        TrainExample(X[i], targets[i], 20.0, 1.0, f"t{i}") for i in range(n)
-    ]
+    return X, targets, np.full(n, 20.0), np.ones(n)
 
 
 def test_training_decreases_loss():
@@ -344,7 +343,7 @@ def test_training_can_overfit_single_example():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4)
     target = np.array([0.4, 18.0, 4.6])  # sums to 23 = 3 + 20
-    data = [TrainExample(x, target, 20.0, 1.0, "only")]
+    data = (x[None, :], target[None, :], np.array([20.0]), np.array([1.0]))
     cfg = TrainConfig(learning_rate=3e-2, epochs=400, batch_size=1, seed=1)
     model = train_head(data, cfg)
     got = head_forward(model, x, 20)
@@ -360,9 +359,7 @@ def test_best_selection_beats_or_matches_last():
     def final_val_loss(select):
         cfg = TrainConfig(learning_rate=2e-2, epochs=40, batch_size=8, seed=2, select=select)
         model = train_head(data, cfg, val_dataset=val)
-        from crowdinfer.head import _mean_loss, _stack
-
-        return _mean_loss(model, *_stack(val), cfg.tau)
+        return _loss_grads(model.params, model.alpha0_sum, *val, cfg.tau)[0]
 
     assert final_val_loss("best") <= final_val_loss("last") + 1e-12
 
@@ -390,11 +387,33 @@ def test_train_config_validation():
 
 
 def test_non_finite_loss_aborts_with_example_id():
-    x = np.array([1e30, 1e30])
-    data = [TrainExample(x, np.array([1.0, 1.0, 21.0]), 20.0, 1.0, "bad-task")]
-    cfg = TrainConfig(learning_rate=1e3, epochs=50, batch_size=1, seed=0)
-    with pytest.raises(RuntimeError, match="iteration"):
+    x = np.array([[0.0, 0.0], [1e30, 1e30]])
+    data = (x, np.array([[1.0, 1.0, 21.0]] * 2), np.full(2, 20.0), np.ones(2))
+    cfg = TrainConfig(learning_rate=1e3, epochs=50, batch_size=2, seed=0)
+    with pytest.raises(RuntimeError, match="iteration 1, example bad-task"):
+        train_head(data, cfg, task_ids=["good-task", "bad-task"])
+    with pytest.raises(RuntimeError, match="iteration 1, example row 1"):
         train_head(data, cfg)
+
+
+def test_train_head_checks_array_shapes():
+    X, T, n, w = _toy_dataset(np.random.default_rng(10), n=8)
+    cfg = TrainConfig(epochs=1)
+    for bad in ((X[0], T, n, w), (X, T[:7], n, w), (X, T, n[:, None], w), (X, T, n, w[:7]),
+                (X, T[:, 0], n, w)):
+        with pytest.raises(ValueError, match="data must be arrays"):
+            train_head(bad, cfg)
+    with pytest.raises(ValueError, match="empty training dataset"):
+        train_head((X[:0], T[:0], n[:0], w[:0]), cfg)
+    with pytest.raises(ValueError, match=re.escape("val_dataset's (d, K) (5, 3) differ")):
+        train_head((X, T, n, w), cfg, val_dataset=(X[:, :5], T, n, w))
+    with pytest.raises(ValueError, match="7 task ids"):
+        train_head((X, T, n, w), cfg, task_ids=[f"t{i}" for i in range(7)])
+    # an empty validation set counts as none: the training loss is monitored
+    losses = []
+    train_head((X, T, n, w), cfg, val_dataset=(X[:0], T[:0], n[:0], w[:0]),
+               callback=lambda e, tl, vl: losses.append(vl))
+    assert losses == [None]
 
 
 def test_non_finite_parameters_stop_training_at_that_step(monkeypatch):

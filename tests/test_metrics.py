@@ -161,12 +161,6 @@ def test_hard_weights_uniform_counts_near_one():
     assert np.allclose(w, (30 + 3) / (3 * 11))
 
 
-def test_hard_weights_validates_total():
-    hard_weights(np.array([4, 1, 0]), total=5)
-    with pytest.raises(ValueError):
-        hard_weights(np.array([4, 1, 0]), total=6)
-
-
 def test_soft_weight_expected_value():
     w = np.array([2.0, 4.0, 1.0])
     assert soft_weight(SoftLabel([0.5, 0.5, 0.0]), w) == pytest.approx(3.0)
