@@ -17,7 +17,13 @@ import pytest
 from scipy import integrate, special
 
 from crowdinfer.autothresh import ambiguity_calibration, write_bins_csv
-from crowdinfer.bayes import posterior, posterior_mean, posterior_mode, uniform_prior
+from crowdinfer.bayes import (
+    point_estimates,
+    posterior,
+    posterior_mean,
+    posterior_mode,
+    uniform_prior,
+)
 from crowdinfer import cli
 from crowdinfer.cli import main
 from crowdinfer.core import (
@@ -25,6 +31,7 @@ from crowdinfer.core import (
     CountVector,
     DirichletParams,
     SoftLabel,
+    read_alpha_records,
     task_rng,
 )
 from crowdinfer.head import _chernoff, chernoff, chernoff_grad, head_forward, init_model
@@ -443,3 +450,37 @@ def test_wide_model_digest_frozen(tmp_path, monkeypatch):
     losses = hashlib.sha256("\n".join(history).encode()).hexdigest()
     assert model == "140c4f4b1f958681f25cc88aff367e447f60e3c59eea3903697fa4e7917e2980"
     assert losses == "3d0feaf18ab80c34ba45ca3ad2f47259fa6c757b1e490a326249183cd4036e4c"
+
+
+def test_wide_eval_digest_frozen(tmp_path):
+    """report.json and bins.csv of a K = 12 eval keep their bytes.
+
+    The digests above pin eval's artifacts at K = 3 only.  Here most reference
+    rows have eight or more supported components, where a row-wise cross
+    entropy can add its terms in another order than a per-task sum, and the
+    mode estimates leave some reference-supported components at zero (infinite
+    cross entropy).  Both point estimates are scored.  Same build caveat as
+    above.
+    """
+    out = str(tmp_path)
+    for argv in (["simulate", "--num-tasks", "400", "--categories", "11",
+                  "--repeats", "30", "--seed", "5"],
+                 ["infer"],
+                 ["train", "--epochs", "10", "--batch-size", "64", "--learning-rate", "0.01",
+                  "--seed", "5"],
+                 ["predict"],
+                 ["eval", "--split", "all"],
+                 ["eval", "--split", "all", "--point-estimate", "mean",
+                  "--report", "report_mean.json", "--bins-csv", "bins_mean.csv"]):
+        assert main([argv[0], "--outdir", out, *argv[1:]]) == 0, argv
+    posts = read_alpha_records(tmp_path / "posteriors.jsonl", 12)
+    supported = (point_estimates(posts.alpha) > 0.0).sum(axis=1)
+    assert (supported >= 8).sum() > 100
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("report.json", "bins.csv", "report_mean.json", "bins_mean.csv")}
+    assert got == {
+        "report.json": "c16c57f63217b9c9e624fe577e69457dbf7c051a4d22da8f88a2a4d7e9835f8e",
+        "bins.csv": "b9da3fbe9eda74736bb6cf30857d1564c93fea6fa782033e15e7bf735af01cd1",
+        "report_mean.json": "5640d78821d34b16f3fb7709ce2d8b5a678934974f6f48b41e06217209a2f448",
+        "bins_mean.csv": "ca1cdfa3159380db2040c19602df8ee3f6c1243d756e7302db70fa24861dd9f7",
+    }
