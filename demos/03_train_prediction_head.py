@@ -16,13 +16,13 @@ from crowdinfer import (
     evaluate,
     head_forward,
     posterior,
-    posterior_mode,
     simulate_dataset,
     split_dataset,
     tally,
     train_head,
     uniform_prior,
 )
+from crowdinfer.bayes import point_estimates
 from crowdinfer.sim import SimConfig
 
 cfg = SimConfig(num_tasks=1200, num_proper=2, repeats=15, feature_noise=0.1, seed=0)
@@ -60,17 +60,15 @@ for n in (0, 5, 15):
     alpha = head_forward(model, t.features, n)
     print(f"n={n:2d} -> alpha {np.round(alpha.alpha, 3)} (sum {alpha.alpha_sum:.1f})")
 
-# score mode-vs-mode on the held-out split
-predictions, references = {}, {}
-for tid in sorted(split.test):
-    t = by_id[tid]
-    predictions[tid] = posterior_mode(head_forward(model, t.features, t.n_responses))
-    references[tid] = posterior_mode(posterior(prior, tally(t.responses, scheme)))
-report = evaluate(predictions, references)
+# score mode-vs-mode on the held-out split, one row per task
+X, T, n, _ = arrays(split.test)
+predictions = point_estimates(np.stack([head_forward(model, x, k).alpha for x, k in zip(X, n)]))
+report = evaluate(predictions, point_estimates(T))
 print(f"\ntest accuracy {report.acc:.3f}, mean distance {report.mean_D:.3f} "
       f"over {report.n_tasks} tasks")
 
 # the loss being minimized is a proper distance between Dirichlet posteriors
+t = by_id[max(split.test)]
 a = head_forward(model, t.features, t.n_responses)
 b = posterior(prior, tally(t.responses, scheme))
 print(f"chernoff(prediction, crowd posterior) on one task: {chernoff(a, b):.4f}")

@@ -22,7 +22,7 @@ rng = np.random.default_rng(0)
 conf, correct = [], []
 for t in tasks:
     pred = posterior_mode(synthetic_predictor(t, 20, cfg, rng))
-    conf.append(confidence(pred))
+    conf.append(confidence(pred.q))
     correct.append(int(pred.argmax() == t.true_q.argmax()))
 conf, correct = np.array(conf), np.array(correct)
 val, test = slice(0, 1500), slice(1500, None)

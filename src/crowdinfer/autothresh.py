@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import json_ready, write_csv
+from .core import InputError, json_ready, write_csv
 
 
 def _as_curve_inputs(confidences, correct):
@@ -75,7 +75,7 @@ def _curve(conf: np.ndarray, corr: np.ndarray):
 
 def _check_target(target_accuracy: float) -> None:
     if not 0.0 < target_accuracy <= 1.0:
-        raise ValueError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
+        raise InputError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBa
     in that realization's quantiles."""
     conf, corr = _as_curve_inputs(confidences, correct)
     if B < 1:
-        raise ValueError("B must be at least 1")
+        raise InputError("B must be at least 1")
     grid, slot, retained, _ = _curve(conf, corr)
     acc = np.empty((B, grid.size))
     has_nan = np.zeros(grid.size, dtype=bool)
@@ -195,7 +195,7 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
     """One realized threshold per bootstrap resample of the validation set."""
     conf, corr = _as_curve_inputs(val_confidences, val_correct)
     if B < 1:
-        raise ValueError("B must be at least 1")
+        raise InputError("B must be at least 1")
     _check_target(target_accuracy)
     grid, slot, _, _ = _curve(conf, corr)
     out: List[float] = []
@@ -303,7 +303,7 @@ def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
     """Distribute tasks over equidistant bins of predicted ambiguity and
     report per-bin means; empty bins carry count 0 and None means."""
     if bins < 2:
-        raise ValueError("need at least 2 bins")
+        raise InputError("need at least 2 bins")
     pred = np.asarray(predicted_amb, dtype=float)
     act = np.asarray(actual_amb, dtype=float)
     if pred.shape != act.shape or pred.ndim != 1:

@@ -36,7 +36,6 @@ from .core import (
     AlphaRecords,
     DirichletParams,
     InputError,
-    SoftLabel,
     TaskRecord,
     attach_responses,
     config_hash,
@@ -62,6 +61,7 @@ from .metrics import (
     evaluate,
     hard_weights,
     soft_distance,
+    soft_weight,
 )
 from .priors import blend_prior, repeats_summary, uniform_provider, write_repeats_csv
 from .sim import SimConfig, simulate_dataset
@@ -276,11 +276,10 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
 
 
 def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
-    """Row-wise metrics.confidence of each prediction, and whether its
-    majority category matches the reference's."""
+    """The confidence of each prediction, and whether its majority category
+    matches the reference's."""
     _, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
-    k = q_hat.shape[1]
-    return (k * q_hat.max(axis=1) - 1.0) / (k - 1), q_hat.argmax(axis=1) == q_ref.argmax(axis=1)
+    return confidence(q_hat), q_hat.argmax(axis=1) == q_ref.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +287,17 @@ def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict) -> int:
-    try:
-        sim = SimConfig(
-            num_tasks=cfg["num_tasks"],
-            num_proper=cfg["categories"],
-            repeats=cfg["repeats"],
-            alpha0=cfg["alpha0"],
-            feature_dim=cfg["feature_dim"],
-            feature_noise=cfg["feature_noise"],
-            predictor_temperature=cfg["predictor_temperature"],
-            predictor_noise=cfg["predictor_noise"],
-            seed=cfg["seed"],
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    sim = SimConfig(
+        num_tasks=cfg["num_tasks"],
+        num_proper=cfg["categories"],
+        repeats=cfg["repeats"],
+        alpha0=cfg["alpha0"],
+        feature_dim=cfg["feature_dim"],
+        feature_noise=cfg["feature_noise"],
+        predictor_temperature=cfg["predictor_temperature"],
+        predictor_noise=cfg["predictor_noise"],
+        seed=cfg["seed"],
+    )
     scheme, tasks = simulate_dataset(sim)
     write_scheme(_path(cfg, "scheme"), scheme)
     write_tasks(_path(cfg, "tasks"), tasks)
@@ -354,8 +350,7 @@ def _training_set(scheme, table, counts: np.ndarray, split) -> list:
     refs = point_estimates(T)
     weights = hard_weights(np.bincount(refs[sets[0]].argmax(axis=1),
                                        minlength=scheme.num_categories))
-    # the stacked product keeps each row's soft_weight bits; refs @ weights does not
-    w = np.matmul(refs[:, None, :], weights[:, None])[:, 0, 0]
+    w = soft_weight(refs, weights)
     n = counts.sum(axis=1).astype(float)
     return [((table.features[rows], T[rows], n[rows], w[rows]), [ids[i] for i in rows])
             for rows in map(np.flatnonzero, sets)]
@@ -371,10 +366,8 @@ def cmd_train(cfg: dict) -> int:
         ratios = ",".join(str(r) for r in cfg["ratios"])
         raise InputError(f"ratios {ratios} leave no training tasks among {len(table.task_ids)}")
     (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, split)
-    try:   # every TrainConfig field is the option of the same name
-        tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    # every TrainConfig field is the option of the same name
+    tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
     history = []
     model = train_head(
         train_set,
@@ -409,21 +402,18 @@ def cmd_predict(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
+    amb_cfg = AmbiguityConfig(cfg["eta0"], cfg["pi0"])
     scheme, task_ids = _load_task_ids(cfg)
+    if scheme.num_proper < 2:
+        raise InputError(f"{_path(cfg, 'scheme')}: eval scores ambiguity, which needs at "
+                         f"least two proper categories; the scheme has {scheme.num_proper}")
     ids = _split_ids(cfg, task_ids)
     preds, posts = _read_pair(cfg, scheme)
-    ordered, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
-    predictions = {tid: SoftLabel(q) for tid, q in zip(ordered, q_hat)}
-    references = {tid: SoftLabel(q) for tid, q in zip(ordered, q_ref)}
-
+    _, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
-    report = evaluate(predictions, references, weights)
-
-    amb_cfg = AmbiguityConfig(cfg["eta0"], cfg["pi0"])
-    amb_pred = [ambiguity(predictions[tid], amb_cfg) for tid in ordered]
-    amb_act = [ambiguity(references[tid], amb_cfg) for tid in ordered]
-    dists = [soft_distance(predictions[tid], references[tid]) for tid in ordered]
-    bins_ = ambiguity_calibration(amb_pred, amb_act, cfg["bins"], dists)
+    report = evaluate(q_hat, q_ref, weights)
+    bins_ = ambiguity_calibration(ambiguity(q_hat, amb_cfg), ambiguity(q_ref, amb_cfg),
+                                  cfg["bins"], soft_distance(q_hat, q_ref))
 
     prov = provenance(cfg)
     payload = {"provenance": prov, "split": cfg["split"], **report.to_dict()}
@@ -486,16 +476,15 @@ def cmd_repeats(cfg: dict) -> int:
         if threshold is None:   # serialized +inf: nothing is automated
             threshold = math.inf
 
-    kept = []
-    for task in tasks:
-        if task.task_id not in ids or task.n_responses == 0:
-            continue
+    scored = [t for t in tasks if t.task_id in ids and t.n_responses > 0]
+    modes = []
+    for task in scored:
         if task.features is None:
             raise InputError(f"task {task.task_id} has no features")
         n = cfg["inference_n"] if cfg["inference_n"] is not None else task.n_responses
-        conf = confidence(posterior_mode(head_forward(model, task.features, n)))
-        if conf < threshold:
-            kept.append(task)
+        modes.append(posterior_mode(head_forward(model, task.features, n)).q)
+    conf = confidence(np.reshape(modes, (len(scored), scheme.num_categories)))
+    kept = [t for t, c in zip(scored, conf) if c < threshold]
     if not kept:
         raise InputError("no non-automated tasks left for the repeats analysis")
     kept.sort(key=lambda t: t.task_id)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DirichletParams
+from .core import DirichletParams, InputError
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -102,7 +102,7 @@ def digamma(x):
 
 def _check_tau(tau: float) -> None:
     if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+        raise InputError(f"tau must lie in (0, 1), got {tau}")
 
 
 def _target_term(b: np.ndarray, tau: float) -> np.ndarray:
@@ -237,7 +237,7 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
     if not np.isfinite(features).all():
         raise ValueError("non-finite feature values")
     if n < 0:
-        raise ValueError("response count n must be non-negative")
+        raise InputError("response count n must be non-negative")
     alpha, _, _, _ = _forward_batch(model.params, model.alpha0_sum, features[None, :],
                                     np.array([float(n)]))
     return DirichletParams(alpha[0])
@@ -261,18 +261,18 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+            raise InputError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+                raise InputError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.warmup_iters is not None and self.warmup_iters < 0:
-            raise ValueError(f"warmup_iters must be non-negative, got {self.warmup_iters}")
+            raise InputError(f"warmup_iters must be non-negative, got {self.warmup_iters}")
         _check_tau(self.tau)
         if self.select not in ("best", "last"):
-            raise ValueError(f"unknown model selection rule {self.select!r}")
+            raise InputError(f"unknown model selection rule {self.select!r}")
         if self.warmup_iters is None:
             self.warmup_iters = math.ceil(2.0 / (1.0 - self.beta2))
 

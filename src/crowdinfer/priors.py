@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .bayes import point_estimates
-from .core import DirichletParams, TaskRecord, task_rng, write_csv
+from .core import DirichletParams, InputError, TaskRecord, task_rng, write_csv
 
 _REPEATS_STREAM = "repeats"
 
@@ -27,7 +27,7 @@ def blend_prior(prediction_at_n0: DirichletParams, blend: float = 1.0 / 3.0) -> 
     is preserved whenever the prediction sums to the number of categories.
     """
     if not 0.0 <= blend <= 1.0:
-        raise ValueError(f"blend must lie in [0, 1], got {blend}")
+        raise InputError(f"blend must lie in [0, 1], got {blend}")
     return DirichletParams((1.0 - blend) + blend * prediction_at_n0.alpha)
 
 
@@ -43,7 +43,7 @@ def repeats_run(task: TaskRecord, prior: DirichletParams, permutations: int,
     if n == 0:
         raise ValueError(f"task {task.task_id} has no responses to replay")
     if permutations < 1:
-        raise ValueError("permutations must be at least 1")
+        raise InputError("permutations must be at least 1")
     k = len(prior)
     answers = np.asarray(task.responses)
     if (answers < 0).any() or (answers >= k).any():
@@ -94,6 +94,8 @@ def repeats_summary(
     see identical draw orders and are directly paired.  Tasks without
     responses are skipped.
     """
+    if max_repeats is not None and max_repeats < 1:
+        raise InputError(f"max_repeats must be at least 1, got {max_repeats}")
     per_task: List[np.ndarray] = []
     for task in tasks:
         if task.n_responses == 0:

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     CategoryScheme,
     DirichletParams,
+    InputError,
     SoftLabel,
     TaskRecord,
     task_rng,
@@ -40,23 +41,23 @@ class SimConfig:
 
     def __post_init__(self):
         if self.num_tasks < 1:
-            raise ValueError("num_tasks must be at least 1")
+            raise InputError("num_tasks must be at least 1")
         if self.num_proper < 1:
-            raise ValueError("need at least one proper category")
+            raise InputError("need at least one proper category")
         if self.repeats < 0:
-            raise ValueError("repeats must be non-negative")
+            raise InputError("repeats must be non-negative")
         if self.feature_dim < 1:
-            raise ValueError("feature_dim must be at least 1")
+            raise InputError("feature_dim must be at least 1")
         if self.feature_noise < 0 or self.predictor_noise < 0:
-            raise ValueError("noise scales must be non-negative")
+            raise InputError("noise scales must be non-negative")
         if self.predictor_temperature <= 0:
-            raise ValueError("predictor_temperature must be positive")
+            raise InputError("predictor_temperature must be positive")
         if self.alpha0 is not None:
             object.__setattr__(self, "alpha0", tuple(float(a) for a in self.alpha0))
             if len(self.alpha0) != self.num_proper + 1:
-                raise ValueError("alpha0 must have num_proper + 1 components")
+                raise InputError("alpha0 must have num_proper + 1 components")
             if any(a <= 0 for a in self.alpha0):
-                raise ValueError("alpha0 components must be positive")
+                raise InputError("alpha0 components must be positive")
 
     @property
     def num_categories(self) -> int:

@@ -30,7 +30,6 @@ from crowdinfer.core import (
     CategoryScheme,
     CountVector,
     DirichletParams,
-    SoftLabel,
     read_alpha_records,
     task_rng,
 )
@@ -202,14 +201,14 @@ def test_criterion_05_mode_identity(check):
 
 
 def test_criterion_06_metric_anchors(check):
-    d = soft_distance(SoftLabel([0.03, 0.9, 0.07]), SoftLabel([0.0, 1.0, 0.0]))
+    d = soft_distance([0.03, 0.9, 0.07], [0.0, 1.0, 0.0])
     cfg = AmbiguityConfig()
     checks = {
         "distance worked example": abs(d - 0.1) < 1e-15,
-        "confidence one-hot": confidence(SoftLabel([0.0, 1.0, 0.0])) == 1.0,
-        "confidence uniform": confidence(SoftLabel([1 / 3, 1 / 3, 1 / 3])) == 0.0,
-        "ambiguity all-cs": ambiguity(SoftLabel([0.0, 0.0, 1.0]), cfg) == 1.0,
-        "ambiguity unanimous": ambiguity(SoftLabel([0.0, 1.0, 0.0]), cfg) == 0.0,
+        "confidence one-hot": confidence([0.0, 1.0, 0.0]) == 1.0,
+        "confidence uniform": confidence([1 / 3, 1 / 3, 1 / 3]) == 0.0,
+        "ambiguity all-cs": ambiguity([0.0, 0.0, 1.0], cfg) == 1.0,
+        "ambiguity unanimous": ambiguity([0.0, 1.0, 0.0], cfg) == 0.0,
         "penalty anchor": abs(math.exp(0.2 * cfg.gamma) - 0.4) < 1e-12,
     }
     failed = [name for name, ok in checks.items() if not ok]
@@ -342,8 +341,8 @@ def synthetic_bins(tmp_path_factory):
     for task in tasks:
         rng = task_rng(cfg.seed, f"pred:{task.task_id}")
         alpha = synthetic_predictor(task, 20, cfg, rng)
-        pred.append(ambiguity(posterior_mode(alpha), amb_cfg))
-        act.append(ambiguity(task.true_q, amb_cfg))
+        pred.append(ambiguity(posterior_mode(alpha).q, amb_cfg))
+        act.append(ambiguity(task.true_q.q, amb_cfg))
     bins_ = ambiguity_calibration(pred, act, bins=10)
     xs = [b.mean_predicted for b in bins_ if b.count]
     ys = [b.mean_actual for b in bins_ if b.count]

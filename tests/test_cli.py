@@ -20,7 +20,7 @@ from crowdinfer.core import (
     split_dataset,
     tally,
 )
-from crowdinfer.metrics import hard_weights, soft_weight
+from crowdinfer.metrics import hard_weights
 
 
 def run(tmp_path, *argv):
@@ -436,7 +436,7 @@ def _mode_oracle(alpha):
 
 
 def _training_set_oracle(scheme, tasks, split):
-    """The per-task builder: one tally, posterior, mode and soft_weight per
+    """The per-task builder: one tally, posterior, mode and soft weight per
     train/val task, stacked into (X, T, n, w) arrays and ids in file order."""
     uni = uniform_prior(scheme)
     targets = {}
@@ -457,7 +457,7 @@ def _training_set_oracle(scheme, tasks, split):
             np.stack([t.features for t in rows]) if rows else None,
             np.stack([targets[t.task_id].alpha for t in rows]) if rows else None,
             np.array([float(t.n_responses) for t in rows]),
-            np.array([soft_weight(refs[t.task_id], weights) for t in rows]),
+            np.array([float(refs[t.task_id].q @ weights) for t in rows]),
         ), [t.task_id for t in rows]))
     return out
 
@@ -509,3 +509,42 @@ def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered,
                 assert a.shape[0] == 0
                 continue
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ALL_INPUTS = ("scheme.json", "tasks.jsonl", "responses.jsonl", "posteriors.jsonl",
+               "model.json", "predictions.jsonl", "calibration.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--bins", "1"), "need at least 2 bins"),
+    (("eval", "--eta0", "1.5"), "eta0 must lie in (0, 1), got 1.5"),
+    (("eval", "--pi0", "0"), "pi0 must lie in (0, 1), got 0.0"),
+    (("curve", "--bootstrap", "0"), "B must be at least 1"),
+    (("calibrate", "--bootstrap", "0"), "B must be at least 1"),
+    (("calibrate", "--target-accuracy", "1.5"), "target_accuracy must lie in (0, 1], got 1.5"),
+    (("calibrate", "--target-accuracy", "nan"), "target_accuracy must lie in (0, 1], got nan"),
+    (("repeats", "--permutations", "0"), "permutations must be at least 1"),
+    (("repeats", "--blend", "2"), "blend must lie in [0, 1], got 2.0"),
+    (("repeats", "--max-repeats", "0"), "max_repeats must be at least 1, got 0"),
+    (("repeats", "--max-repeats", "-2"), "max_repeats must be at least 1, got -2"),
+    (("repeats", "--inference-n", "-1"), "response count n must be non-negative"),
+    (("infer", "--prior", "model", "--blend", "-1"), "blend must lie in [0, 1], got -1.0"),
+    (("predict", "--inference-n", "-1"), "response count n must be non-negative"),
+])
+def test_invalid_option_values_exit_2(pipeline, tmp_path, capsys, argv, message):
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(tmp_path, *argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before   # nothing written
+
+
+def test_eval_on_one_proper_category_exit_2(tmp_path, capsys):
+    assert run(tmp_path, "simulate", "--num-tasks", "30", "--categories", "1",
+               "--repeats", "5") == 0
+    # the record files are not read: a scheme of one proper category is refused first
+    assert run(tmp_path, "eval", "--split", "all") == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'scheme.json'}: eval scores ambiguity" in err
+    assert "the scheme has 1" in err
+    assert not (tmp_path / "report.json").exists()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdinfer.bayes import posterior_mode
-from crowdinfer.core import DirichletParams, SoftLabel, TaskRecord
+from crowdinfer.core import DirichletParams, InputError, SoftLabel, TaskRecord
 from crowdinfer.metrics import soft_distance
 from crowdinfer.priors import (
     RepeatsSummary,
@@ -153,7 +153,7 @@ def _replay_oracle(task, prior, permutations, rng):
         for step, j in enumerate(order):
             alpha[answers[j]] += 1.0
             mode = posterior_mode(DirichletParams(alpha))
-            totals[step] += soft_distance(mode, empirical)
+            totals[step] += soft_distance(mode.q, empirical.q)
     return totals / permutations
 
 
@@ -223,6 +223,13 @@ def test_summary_max_repeats_truncates():
     tasks = _toy_tasks()
     out = repeats_summary(tasks, uniform_provider(3), max_repeats=2, permutations=4, seed=0)
     assert [s.step for s in out.steps] == [1, 2]
+
+
+@pytest.mark.parametrize("max_repeats", [0, -1])
+def test_summary_refuses_max_repeats_below_one(max_repeats):
+    # it returned no steps, so cli's repeats wrote a header-only CSV and failed after
+    with pytest.raises(InputError, match="max_repeats must be at least 1"):
+        repeats_summary(_toy_tasks(), uniform_provider(3), max_repeats=max_repeats)
 
 
 def test_summary_skips_empty_tasks():

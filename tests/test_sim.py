@@ -188,7 +188,7 @@ def test_predictor_noise_degrades_fidelity_monotonically():
         cfg = SimConfig(predictor_noise=noise, **base)
         tasks = gen_tasks(cfg)
         d = [
-            soft_distance(posterior_mode(synthetic_predictor(t, 20, cfg, rng)), t.true_q)
+            soft_distance(posterior_mode(synthetic_predictor(t, 20, cfg, rng)).q, t.true_q.q)
             for t in tasks
         ]
         mean_d.append(float(np.mean(d)))
