@@ -339,6 +339,141 @@ def test_missing_command_is_parser_error():
     assert exc.value.code == 2
 
 
+# Each subcommand's handler and its options in parser order, one per line:
+# option strings (joined by "/"), dest, type name, choices (joined by ","),
+# metavar; "-" stands for None.  Every subcommand starts with _COMMON_OPTIONS.
+_COMMON_OPTIONS = """
+    -h/--help help - - -
+    --config config - - -
+    --outdir outdir - - -
+    --seed seed int - -
+"""
+_SURFACE = {
+    "simulate": ("cmd_simulate", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --responses responses - - PATH
+        --num-tasks num_tasks int - -
+        --categories categories int - -
+        --repeats repeats int - -
+        --alpha0 alpha0 - - -
+        --feature-dim feature_dim int - -
+        --feature-noise feature_noise float - -
+        --predictor-temperature predictor_temperature float - -
+        --predictor-noise predictor_noise float - -
+    """),
+    "infer": ("cmd_infer", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --responses responses - - PATH
+        --posteriors posteriors - - PATH
+        --model model - - PATH
+        --prior prior - uniform,model -
+        --blend blend float - -
+    """),
+    "train": ("cmd_train", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --responses responses - - PATH
+        --model model - - PATH
+        --ratios ratios - - -
+        --learning-rate learning_rate float - -
+        --beta1 beta1 float - -
+        --beta2 beta2 float - -
+        --warmup-iters warmup_iters int - -
+        --batch-size batch_size int - -
+        --epochs epochs int - -
+        --select select - best,last -
+        --tau tau float - -
+    """),
+    "predict": ("cmd_predict", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --responses responses - - PATH
+        --model model - - PATH
+        --predictions predictions - - PATH
+        --inference-n inference_n int - -
+    """),
+    "eval": ("cmd_eval", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --predictions predictions - - PATH
+        --posteriors posteriors - - PATH
+        --report report - - PATH
+        --bins-csv bins_csv - - PATH
+        --split split - train,val,test,all -
+        --ratios ratios - - -
+        --point-estimate point_estimate - mode,mean -
+        --eta0 eta0 float - -
+        --pi0 pi0 float - -
+        --bins bins int - -
+    """),
+    "curve": ("cmd_curve", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --predictions predictions - - PATH
+        --posteriors posteriors - - PATH
+        --curve curve - - PATH
+        --split split - train,val,test,all -
+        --ratios ratios - - -
+        --bootstrap bootstrap int - B
+        --point-estimate point_estimate - mode,mean -
+    """),
+    "calibrate": ("cmd_calibrate", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --predictions predictions - - PATH
+        --posteriors posteriors - - PATH
+        --calibration calibration - - PATH
+        --ratios ratios - - -
+        --target-accuracy target_accuracy float - -
+        --bootstrap bootstrap int - B
+        --point-estimate point_estimate - mode,mean -
+    """),
+    "repeats": ("cmd_repeats", """
+        --scheme scheme - - PATH
+        --tasks tasks - - PATH
+        --responses responses - - PATH
+        --model model - - PATH
+        --calibration calibration - - PATH
+        --repeats-csv repeats_csv - - PATH
+        --split split - train,val,test,all -
+        --ratios ratios - - -
+        --blend blend float - -
+        --permutations permutations int - -
+        --max-repeats max_repeats int - -
+        --inference-n inference_n int - -
+        --deployment-threshold deployment_threshold float - -
+    """),
+}
+
+
+def test_cli_surface_frozen(capsys):
+    import argparse
+
+    from crowdinfer.cli import build_parser
+
+    def row(action):
+        fields = ("/".join(action.option_strings), action.dest,
+                  getattr(action.type, "__name__", None),
+                  ",".join(action.choices) if action.choices is not None else None,
+                  action.metavar)
+        return " ".join("-" if f is None else f for f in fields)
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_SURFACE)
+    for name, (handler, options) in _SURFACE.items():
+        p = sub.choices[name]
+        assert p.get_default("func").__name__ == handler
+        want = [line.strip() for line in (_COMMON_OPTIONS + options).splitlines() if line.strip()]
+        assert [row(a) for a in p._actions] == want, name
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: crowdinfer {name}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("entry", [
     {"epochs": "5"}, {"epochs": 5.0}, {"epochs": True}, {"learning_rate": "fast"},
     {"tau": None}, {"select": 1}, {"ratios": [0.8, "x", 0.1]}, {"ratios": "0.8,x,0.1"},
