@@ -63,12 +63,12 @@ from .metrics import (
     soft_distance,
     soft_weight,
 )
-from .priors import blend_prior, repeats_summary, uniform_provider, write_repeats_csv
+from .priors import blend_prior, check_blend, repeats_summary, uniform_provider, write_repeats_csv
 from .sim import SimConfig, simulate_dataset
 
-DEFAULTS: Dict[str, object] = {
-    "seed": 0,
-    # artifact paths, resolved against the output directory
+# Artifact paths, resolved against the output directory; provenance leaves
+# them out of the config hash.
+_PATHS = {
     "scheme": "scheme.json",
     "tasks": "tasks.jsonl",
     "responses": "responses.jsonl",
@@ -80,6 +80,11 @@ DEFAULTS: Dict[str, object] = {
     "calibration": "calibration.json",
     "bins_csv": "bins.csv",
     "repeats_csv": "repeats.csv",
+}
+
+DEFAULTS: Dict[str, object] = {
+    "seed": 0,
+    **_PATHS,
     # simulator
     "num_tasks": 1000,
     "categories": 2,
@@ -118,13 +123,6 @@ DEFAULTS: Dict[str, object] = {
     "split": "test",
 }
 
-_PATH_KEYS = frozenset(
-    [
-        "scheme", "tasks", "responses", "posteriors", "model", "predictions",
-        "report", "curve", "calibration", "bins_csv", "repeats_csv",
-    ]
-)
-
 
 # ---------------------------------------------------------------------------
 # Option resolution
@@ -136,6 +134,9 @@ _NULLABLE_TYPES = {"alpha0": tuple, "warmup_iters": int, "max_repeats": int,
                    "inference_n": int, "deployment_threshold": float}
 _TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers",
                str: "a string"}
+# The values a string option may take, from a flag or a config file alike.
+_CHOICES = {"prior": ("uniform", "model"), "select": ("best", "last"),
+            "split": ("train", "val", "test", "all"), "point_estimate": ("mode", "mean")}
 
 
 def _is_number(value) -> bool:
@@ -158,6 +159,9 @@ def _check_config_value(key: str, value) -> None:
         ok = isinstance(value, str)
     if not ok:
         raise InputError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise InputError(f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, "
+                         f"got {value!r}")
 
 
 def _parse_floats(key: str, text) -> tuple:
@@ -192,8 +196,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
     for key in ("alpha0", "ratios"):
         if cfg[key] is not None:
             cfg[key] = _parse_floats(key, cfg[key])
-    outdir = raw.get("outdir") or os.environ.get("CROWDINFER_OUTDIR") or "."
-    cfg["_outdir"] = outdir
+    cfg["_outdir"] = raw.get("outdir") or os.environ.get("CROWDINFER_OUTDIR") or "."
     return cfg
 
 
@@ -203,16 +206,8 @@ def _path(cfg: dict, key: str) -> str:
 
 
 def provenance(cfg: dict) -> dict:
-    hashable = {
-        k: cfg[k]
-        for k in sorted(DEFAULTS)
-        if k not in _PATH_KEYS
-    }
-    return {
-        "version": __version__,
-        "seed": cfg["seed"],
-        "config_hash": config_hash(hashable),
-    }
+    hashable = {k: cfg[k] for k in sorted(DEFAULTS) if k not in _PATHS}
+    return {"version": __version__, "seed": cfg["seed"], "config_hash": config_hash(hashable)}
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +228,9 @@ def _load_task_ids(cfg: dict):
 
 
 def _split_ids(cfg: dict, task_ids: List[str]) -> frozenset:
-    name = cfg["split"]
-    if name == "all":
+    if cfg["split"] == "all":
         return frozenset(task_ids)
-    if name not in ("train", "val", "test"):
-        raise InputError(f"unknown split {name!r}")
-    return split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"]).of(name)
+    return split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"]).of(cfg["split"])
 
 
 def _read_pair(cfg: dict, scheme):
@@ -248,8 +240,8 @@ def _read_pair(cfg: dict, scheme):
 
 
 def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
-    """The ids, sorted and verified present in both record files, with the
-    predictions' point estimates (per cfg) and the reference modes as rows.
+    """The predictions' point estimates (per cfg) and the reference modes of
+    the ids, verified present in both record files, as rows in sorted id order.
 
     A reference posterior of a task without responses (n = 0) is only its
     prior, so it exits 2 with its file line.
@@ -272,13 +264,20 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
         )
     q_hat = point_estimates(preds.alpha[preds.rows(ordered)], cfg["point_estimate"])
     q_ref = point_estimates(posts.alpha[ref_rows])
-    return ordered, q_hat, q_ref
+    return q_hat, q_ref
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """A report, indented with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(json_ready(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     """The confidence of each prediction, and whether its majority category
     matches the reference's."""
-    _, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
+    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     return confidence(q_hat), q_hat.argmax(axis=1) == q_ref.argmax(axis=1)
 
 
@@ -310,6 +309,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_infer(cfg: dict) -> int:
+    check_blend(cfg["blend"])   # refused with either prior, though only the model prior blends
     scheme, tasks = _load_dataset(cfg)
     if cfg["prior"] == "model":
         model = load_model(_path(cfg, "model"))
@@ -319,14 +319,11 @@ def cmd_infer(cfg: dict) -> int:
                 raise InputError(f"task {task.task_id} has no features for the model prior")
             return blend_prior(head_forward(model, task.features, 0), cfg["blend"])
 
-    elif cfg["prior"] == "uniform":
+    else:
         uni = uniform_prior(scheme)
 
         def prior_for(task: TaskRecord) -> DirichletParams:
             return uni
-
-    else:
-        raise InputError(f"unknown prior {cfg['prior']!r}")
 
     records = []
     for task in tasks:
@@ -409,17 +406,15 @@ def cmd_eval(cfg: dict) -> int:
                          f"least two proper categories; the scheme has {scheme.num_proper}")
     ids = _split_ids(cfg, task_ids)
     preds, posts = _read_pair(cfg, scheme)
-    _, q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
+    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
     report = evaluate(q_hat, q_ref, weights)
     bins_ = ambiguity_calibration(ambiguity(q_hat, amb_cfg), ambiguity(q_ref, amb_cfg),
                                   cfg["bins"], soft_distance(q_hat, q_ref))
 
     prov = provenance(cfg)
-    payload = {"provenance": prov, "split": cfg["split"], **report.to_dict()}
-    with open(_path(cfg, "report"), "w") as fh:
-        json.dump(json_ready(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_path(cfg, "report"), {"provenance": prov, "split": cfg["split"],
+                                       **report.to_dict()})
     write_bins_csv(_path(cfg, "bins_csv"), bins_, prov)
     print(
         f"evaluated {report.n_tasks} tasks on split {cfg['split']}: "
@@ -452,10 +447,7 @@ def cmd_calibrate(cfg: dict) -> int:
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
     )
-    payload = {"provenance": provenance(cfg), **result.to_dict()}
-    with open(_path(cfg, "calibration"), "w") as fh:
-        json.dump(json_ready(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(_path(cfg, "calibration"), {"provenance": provenance(cfg), **result.to_dict()})
     lo, hi = result.accuracy_ci
     print(
         f"calibrated threshold {result.deployment_threshold:.4f} "
@@ -514,114 +506,67 @@ def cmd_repeats(cfg: dict) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--outdir", help="output directory (env CROWDINFER_OUTDIR, default .)")
-    p.add_argument("--seed", type=int)
+_HELP = {
+    "categories": "number of proper categories",
+    "repeats": "responses per task",
+    "alpha0": "comma-separated generation prior, length C+1",
+    "ratios": "train,val,test fractions",
+    "inference_n": "response count to predict at (default: observed per task)",
+    "deployment_threshold": "override the calibrated threshold",
+}
 
-
-def _add_paths(p: argparse.ArgumentParser, *keys: str) -> None:
-    flags = {
-        "scheme": "--scheme", "tasks": "--tasks", "responses": "--responses",
-        "posteriors": "--posteriors", "model": "--model", "predictions": "--predictions",
-        "report": "--report", "curve": "--curve", "calibration": "--calibration",
-        "bins_csv": "--bins-csv", "repeats_csv": "--repeats-csv",
-    }
-    for key in keys:
-        p.add_argument(flags[key], dest=key, metavar="PATH")
+# Each subcommand: its handler, its help, and the options it takes beyond
+# --config, --outdir and --seed, in --help order.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "generate a synthetic crowd dataset", (
+        "scheme", "tasks", "responses", "num_tasks", "categories", "repeats", "alpha0",
+        "feature_dim", "feature_noise", "predictor_temperature", "predictor_noise")),
+    "infer": (cmd_infer, "conjugate posterior per task", (
+        "scheme", "tasks", "responses", "posteriors", "model", "prior", "blend")),
+    "train": (cmd_train, "fit the prediction head", (
+        "scheme", "tasks", "responses", "model", "ratios", "learning_rate", "beta1", "beta2",
+        "warmup_iters", "batch_size", "epochs", "select", "tau")),
+    "predict": (cmd_predict, "predict Dirichlet parameters per task", (
+        "scheme", "tasks", "responses", "model", "predictions", "inference_n")),
+    "eval": (cmd_eval, "score predictions against posteriors", (
+        "scheme", "tasks", "predictions", "posteriors", "report", "bins_csv", "split", "ratios",
+        "point_estimate", "eta0", "pi0", "bins")),
+    "curve": (cmd_curve, "automation-correctness curve with bootstrap bands", (
+        "scheme", "tasks", "predictions", "posteriors", "curve", "split", "ratios", "bootstrap",
+        "point_estimate")),
+    "calibrate": (cmd_calibrate, "select and evaluate the accuracy threshold", (
+        "scheme", "tasks", "predictions", "posteriors", "calibration", "ratios",
+        "target_accuracy", "bootstrap", "point_estimate")),
+    "repeats": (cmd_repeats, "prediction-as-prior convergence analysis", (
+        "scheme", "tasks", "responses", "model", "calibration", "repeats_csv", "split", "ratios",
+        "blend", "permutations", "max_repeats", "inference_n", "deployment_threshold")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _COMMANDS entry.  An option's flag, type, choices and
+    metavar follow from its key and the tables that check config-file values."""
     parser = argparse.ArgumentParser(
         prog="crowdinfer",
         description="Truth inference and annotation automation for crowd-labeled tasks.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic crowd dataset")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "responses")
-    p.add_argument("--num-tasks", type=int, dest="num_tasks")
-    p.add_argument("--categories", type=int, help="number of proper categories")
-    p.add_argument("--repeats", type=int, help="responses per task")
-    p.add_argument("--alpha0", help="comma-separated generation prior, length C+1")
-    p.add_argument("--feature-dim", type=int, dest="feature_dim")
-    p.add_argument("--feature-noise", type=float, dest="feature_noise")
-    p.add_argument("--predictor-temperature", type=float, dest="predictor_temperature")
-    p.add_argument("--predictor-noise", type=float, dest="predictor_noise")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("infer", help="conjugate posterior per task")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "responses", "posteriors", "model")
-    p.add_argument("--prior", choices=["uniform", "model"])
-    p.add_argument("--blend", type=float)
-    p.set_defaults(func=cmd_infer)
-
-    p = sub.add_parser("train", help="fit the prediction head")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "responses", "model")
-    p.add_argument("--ratios", help="train,val,test fractions")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--warmup-iters", type=int, dest="warmup_iters")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--select", choices=["best", "last"])
-    p.add_argument("--tau", type=float)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="predict Dirichlet parameters per task")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "responses", "model", "predictions")
-    p.add_argument("--inference-n", type=int, dest="inference_n",
-                   help="response count to predict at (default: observed per task)")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", help="score predictions against posteriors")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "predictions", "posteriors", "report", "bins_csv")
-    p.add_argument("--split", choices=["train", "val", "test", "all"])
-    p.add_argument("--ratios", help="train,val,test fractions")
-    p.add_argument("--point-estimate", choices=["mode", "mean"], dest="point_estimate")
-    p.add_argument("--eta0", type=float)
-    p.add_argument("--pi0", type=float)
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("curve", help="automation-correctness curve with bootstrap bands")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "predictions", "posteriors", "curve")
-    p.add_argument("--split", choices=["train", "val", "test", "all"])
-    p.add_argument("--ratios", help="train,val,test fractions")
-    p.add_argument("--bootstrap", type=int, metavar="B")
-    p.add_argument("--point-estimate", choices=["mode", "mean"], dest="point_estimate")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("calibrate", help="select and evaluate the accuracy threshold")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "predictions", "posteriors", "calibration")
-    p.add_argument("--ratios", help="train,val,test fractions")
-    p.add_argument("--target-accuracy", type=float, dest="target_accuracy")
-    p.add_argument("--bootstrap", type=int, metavar="B")
-    p.add_argument("--point-estimate", choices=["mode", "mean"], dest="point_estimate")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("repeats", help="prediction-as-prior convergence analysis")
-    _add_common(p)
-    _add_paths(p, "scheme", "tasks", "responses", "model", "calibration", "repeats_csv")
-    p.add_argument("--split", choices=["train", "val", "test", "all"])
-    p.add_argument("--ratios", help="train,val,test fractions")
-    p.add_argument("--blend", type=float)
-    p.add_argument("--permutations", type=int)
-    p.add_argument("--max-repeats", type=int, dest="max_repeats")
-    p.add_argument("--inference-n", type=int, dest="inference_n")
-    p.add_argument("--deployment-threshold", type=float, dest="deployment_threshold",
-                   help="override the calibrated threshold")
-    p.set_defaults(func=cmd_repeats)
-
+    for name, (func, text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file; flags override its entries")
+        p.add_argument("--outdir", help="output directory (env CROWDINFER_OUTDIR, default .)")
+        for key in ("seed", *keys):
+            # lists of numbers and strings stay text; resolve_options parses lists
+            kind = _NULLABLE_TYPES.get(key, type(DEFAULTS[key]))
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                type=kind if kind in (int, float) else None,
+                choices=_CHOICES.get(key),
+                metavar="PATH" if key in _PATHS else "B" if key == "bootstrap" else None,
+                help=_HELP.get(key),
+            )
     return parser
 
 

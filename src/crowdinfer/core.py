@@ -273,7 +273,7 @@ def split_dataset(
     """
     if len(ratios) != 3:
         raise InputError("expected three split ratios")
-    if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > SIMPLEX_ATOL:
+    if any(not r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > SIMPLEX_ATOL:
         raise InputError(f"ratios must be positive and sum to 1, got {ratios}")
 
     groups: dict = {}

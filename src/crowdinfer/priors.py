@@ -20,14 +20,19 @@ from .core import DirichletParams, InputError, TaskRecord, task_rng, write_csv
 _REPEATS_STREAM = "repeats"
 
 
+def check_blend(blend: float) -> None:
+    """Refuse a blend weight outside [0, 1], NaN included."""
+    if not 0.0 <= blend <= 1.0:
+        raise InputError(f"blend must lie in [0, 1], got {blend}")
+
+
 def blend_prior(prediction_at_n0: DirichletParams, blend: float = 1.0 / 3.0) -> DirichletParams:
     """Mix the uniform prior with predicted parameters at n=0.
 
     The default keeps a 2:1 uniform-to-prediction ratio; the parameter sum
     is preserved whenever the prediction sums to the number of categories.
     """
-    if not 0.0 <= blend <= 1.0:
-        raise InputError(f"blend must lie in [0, 1], got {blend}")
+    check_blend(blend)
     return DirichletParams((1.0 - blend) + blend * prediction_at_n0.alpha)
 
 

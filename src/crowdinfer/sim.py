@@ -8,6 +8,7 @@ knobs needed to exercise the downstream pipeline without training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -48,10 +49,13 @@ class SimConfig:
             raise InputError("repeats must be non-negative")
         if self.feature_dim < 1:
             raise InputError("feature_dim must be at least 1")
-        if self.feature_noise < 0 or self.predictor_noise < 0:
-            raise InputError("noise scales must be non-negative")
-        if self.predictor_temperature <= 0:
-            raise InputError("predictor_temperature must be positive")
+        for name, scale in (("feature_noise", self.feature_noise),
+                            ("predictor_noise", self.predictor_noise)):
+            if not 0 <= scale < math.inf:
+                raise InputError(f"{name} must be non-negative and finite, got {scale}")
+        if not 0 < self.predictor_temperature < math.inf:
+            raise InputError(f"predictor_temperature must be positive and finite, "
+                             f"got {self.predictor_temperature}")
         if self.alpha0 is not None:
             object.__setattr__(self, "alpha0", tuple(float(a) for a in self.alpha0))
             if len(self.alpha0) != self.num_proper + 1:

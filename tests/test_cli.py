@@ -203,6 +203,15 @@ def test_invalid_simulate_options_exit_2(tmp_path):
     assert run(tmp_path, "simulate", "--alpha0", "1.0,1.0") == 2
 
 
+@pytest.mark.parametrize("key", ["feature_noise", "predictor_noise", "predictor_temperature"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_simulate_options_exit_2(tmp_path, capsys, key, value):
+    assert run(tmp_path, "simulate", "--num-tasks", "40", "--" + key.replace("_", "-"),
+               value) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_inputs_exit_2(tmp_path):
     assert run(tmp_path, "infer") == 2
     assert run(tmp_path, "eval") == 2
@@ -665,13 +674,32 @@ _ALL_INPUTS = ("scheme.json", "tasks.jsonl", "responses.jsonl", "posteriors.json
     (("repeats", "--inference-n", "-1"), "response count n must be non-negative"),
     (("infer", "--prior", "model", "--blend", "-1"), "blend must lie in [0, 1], got -1.0"),
     (("predict", "--inference-n", "-1"), "response count n must be non-negative"),
+    (("infer", "--blend", "2"), "blend must lie in [0, 1], got 2.0"),
+    (("train", "--ratios", "nan,0.5,0.5"), "ratios must be positive and sum to 1, got (nan, "),
+    (("eval", "--ratios", "nan,0.5,0.5"), "ratios must be positive and sum to 1, got (nan, "),
 ])
 def test_invalid_option_values_exit_2(pipeline, tmp_path, capsys, argv, message):
     _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
-    before = sorted(p.name for p in tmp_path.iterdir())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert run(tmp_path, *argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == before   # nothing written
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (("infer",), {"prior": "bogus"}), (("train", "--epochs", "1"), {"select": "bogus"}),
+    (("eval",), {"split": "bogus"}), (("curve", "--bootstrap", "4"), {"split": "bogus"}),
+    (("calibrate", "--bootstrap", "4"), {"point_estimate": "bogus"}),
+])
+def test_config_values_outside_the_choices_exit_2(pipeline, tmp_path, capsys, argv, entry):
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(entry))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv, "--config", str(cfgfile)) == 2
+    (key,) = entry
+    assert f"error: config key {key!r} must be one of " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
 
 
 def test_eval_on_one_proper_category_exit_2(tmp_path, capsys):

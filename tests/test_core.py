@@ -152,6 +152,9 @@ def test_split_rejects_bad_ratios():
     ids = [f"t{i}" for i in range(10)]
     with pytest.raises(InputError):
         split_dataset(ids, (0.5, 0.5, 0.5))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="ratios must be positive"):
+            split_dataset(ids, (bad, 0.5, 0.5))
     with pytest.raises(InputError):
         split_dataset(ids[:2])
 

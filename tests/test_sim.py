@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from crowdinfer.bayes import posterior, posterior_mode, uniform_prior
-from crowdinfer.core import SoftLabel, TaskRecord, empirical_soft_label, tally
+from crowdinfer.core import InputError, SoftLabel, TaskRecord, empirical_soft_label, tally
 from crowdinfer.metrics import soft_distance
 from crowdinfer.sim import (
     SimConfig,
@@ -27,6 +29,10 @@ def test_config_validation():
         SimConfig(alpha0=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         SimConfig(predictor_temperature=0.0)
+    for value in (math.nan, math.inf, -1.0):
+        for key in ("feature_noise", "predictor_noise", "predictor_temperature"):
+            with pytest.raises(InputError, match=key):
+                SimConfig(**{key: value})
 
 
 def test_scheme_layout():
