@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import InputError, json_ready, write_csv
+from .core import InputError, check_seed, json_ready, write_csv
 
 
 def _as_curve_inputs(confidences, correct):
@@ -108,6 +108,7 @@ class BootstrapBands:
 
 
 def _realization_rngs(seed: int, B: int) -> List[np.random.Generator]:
+    check_seed(seed)
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(B)]
 
 

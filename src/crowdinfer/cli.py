@@ -457,11 +457,13 @@ def cmd_calibrate(cfg: dict) -> int:
 
 
 def cmd_repeats(cfg: dict) -> int:
+    threshold = cfg["deployment_threshold"]
+    if threshold is not None and math.isnan(threshold):
+        raise InputError(f"deployment_threshold must be a number or inf, got {threshold}")
     scheme, tasks = _load_dataset(cfg)
     ids = _split_ids(cfg, [t.task_id for t in tasks])
     model = load_model(_path(cfg, "model"))
 
-    threshold = cfg["deployment_threshold"]
     if threshold is None:
         with open(_path(cfg, "calibration")) as fh:
             threshold = json.load(fh)["deployment_threshold"]

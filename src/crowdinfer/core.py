@@ -8,7 +8,9 @@ vectors over the answer space follow the ordering (proper..., cs).
 from __future__ import annotations
 
 import array
+import contextlib
 import csv
+import gc
 import hashlib
 import json
 import itertools
@@ -259,6 +261,12 @@ def _quota(n_groups: int, ratios: Sequence[float]) -> list:
     return base
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that numpy's generators cannot take: a negative one."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+
+
 def split_dataset(
     task_ids: Sequence[str],
     ratios: Sequence[float] = (0.8, 0.1, 0.1),
@@ -275,6 +283,7 @@ def split_dataset(
         raise InputError("expected three split ratios")
     if any(not r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > SIMPLEX_ATOL:
         raise InputError(f"ratios must be positive and sum to 1, got {ratios}")
+    check_seed(seed)
 
     groups: dict = {}
     for tid in task_ids:
@@ -377,42 +386,128 @@ _ABSENT = object()   # marks an optional key missing from a record
 _INT64_MAX = np.iinfo(np.int64).max
 _scan_once = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"   # str.strip() would also take \x0b, \xa0, ...
+_BLOCK_LINES = 1024   # lines _scan decodes with one json.loads
 
 
-def _scan(path, pick, width: int, what: str):
-    """Line numbers (an int64 array) and value columns of a JSONL file's
-    records (its non-blank lines) in file order; ``pick`` maps a record to
-    its ``width`` values.
+def _decode_block(block: list) -> Optional[list]:
+    """The values of a block of lines, one per line, from one json.loads of
+    the lines joined as an array; None where that may differ from decoding
+    each line on its own.
+
+    Every line must start with ``{`` and hold no ``[``.  Then no value can
+    span a joined comma: a line ends in a newline, which no string may hold,
+    and after a comma inside an object the parser needs a key, not ``{``.
+    Each line starts a value, so the values map one to a line exactly when
+    there are as many as lines.
+    """
+    # the first line is tested before the join, so that files whose lines
+    # hold arrays (tasks, alpha records) pay almost nothing here
+    if block[0][:1] != "{" or "[" in block[0]:
+        return None
+    text = ",".join(block)
+    # only the last line can lack its newline, so "\n,{" marks each later
+    # line that starts with "{"
+    if "[" in text or text.count("\n,{") != len(block) - 1:
+        return None
+    try:
+        values = json.loads("[" + text + "]")
+    except (ValueError, RecursionError):
+        return None
+    return values if len(values) == len(block) else None
+
+
+def _decode_lines(block: list, start: int, what: str):
+    """The values of a block's non-blank lines decoded one at a time, their
+    line numbers, and the (line, message) of the first line that is not
+    JSON, where decoding stops, or None.
 
     A line is decoded by the json scanner when it consumes the line whole
     (JSON whitespace aside); any other line goes to json.loads, so a line
     is refused exactly as json.loads refuses it, with its message.
-    Reading stops at the first line that is not JSON or that ``pick``
-    refuses (KeyError, TypeError: a missing key, a record that is not an
-    object).  Its (line, message) comes back as ``stop``, so a fault on an
-    earlier record can still be reported first.
     """
-    values: list = []   # the records' values laid end to end
+    values, numbers = [], []
+    for lineno, line in enumerate(block, start=start):
+        text = line.strip(_JSON_SPACE)
+        try:
+            value, end = _scan_once(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(text):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except ValueError as exc:
+                return values, numbers, (lineno, f"bad {what}: {exc}")
+        values.append(value)
+        numbers.append(lineno)
+    return values, numbers, None
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector.  Values decoded from JSON hold no
+    reference cycles, so its passes while a file is read free nothing; with a
+    block of records alive at once they would run about twice as often."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _scan(path, pick, width: int, what: str):
+    """Line numbers (an int64 array) and value columns of a JSONL file's
+    records (its non-blank lines) in file order.
+
+    ``pick`` maps a list of records to ``width`` columns, lists of one value
+    per record; it raises KeyError or TypeError (a missing key, a record that
+    is not an object) for a list exactly when it raises for one of its
+    records alone.  Lines are read _BLOCK_LINES at a time, decoded by
+    _decode_block or else by _decode_lines.  Reading stops at the first line
+    that is not JSON or whose record ``pick`` refuses.  Its (line, message)
+    comes back as ``stop``, so a fault on an earlier record can still be
+    reported first.
+    """
+    columns: list = [[] for _ in range(width)]
     lines = array.array("q")
     stop = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip(_JSON_SPACE)
-            try:
-                value, end = _scan_once(text, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            try:
-                if end != len(text):
-                    if not line.strip():
-                        continue
-                    value = json.loads(line)
-                values.extend(pick(value))
-            except (KeyError, ValueError, TypeError) as exc:
-                stop = (lineno, f"bad {what}: {exc}")
+    start = 1   # line number of the block's first line
+    with _collector_paused(), open(path) as fh:
+        while stop is None:
+            block = list(itertools.islice(fh, _BLOCK_LINES))
+            if not block:
                 break
-            lines.append(lineno)
-    return np.array(lines, dtype=np.int64), [values[j::width] for j in range(width)], stop
+            records = _decode_block(block)
+            if records is not None:
+                numbers = range(start, start + len(block))
+            else:
+                records, numbers, stop = _decode_lines(block, start, what)
+            try:
+                picked = pick(records)
+            except (KeyError, TypeError):
+                i, exc = _first_refused(pick, records)
+                stop = (numbers[i], f"bad {what}: {exc}")
+                records, numbers = records[:i], numbers[:i]
+                picked = pick(records)
+            for column, values in zip(columns, picked):
+                column.extend(values)
+            lines.extend(numbers)
+            start += len(block)
+    return np.array(lines, dtype=np.int64), columns, stop
+
+
+def _first_refused(pick, records: list):
+    """The index of the first record that ``pick`` refuses on its own, and
+    the exception it raises."""
+    for i, record in enumerate(records):
+        try:
+            pick([record])
+        except (KeyError, TypeError) as exc:
+            return i, exc
+    raise AssertionError("pick refused the records but none alone")
 
 
 class _Column:
@@ -529,7 +624,9 @@ def read_task_table(path) -> TaskTable:
     """
     lines, (ids, features, true_q), stop = _scan(
         path,
-        lambda rec: (str(rec["task_id"]), rec.get("features"), rec.get("true_q", _ABSENT)),
+        lambda recs: ([str(rec["task_id"]) for rec in recs],
+                      [rec.get("features") for rec in recs],
+                      [rec.get("true_q", _ABSENT) for rec in recs]),
         3, "task record",
     )
     q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool),
@@ -625,14 +722,13 @@ def read_responses(path, scheme: CategoryScheme) -> Responses:
     index = {name: i for i, name in enumerate(scheme.names)}
     known: dict = {}
 
-    def pick(rec):
+    def pick(recs):
         # one string object per task id, and a known name's index in place
         # of its string: the file's per-response strings do not pile up
-        tid = str(rec["task_id"])
-        answer = rec["answer"]
-        if answer.__class__ is str:
-            answer = index.get(answer, answer)
-        return known.setdefault(tid, tid), answer
+        ids = [str(rec["task_id"]) for rec in recs]
+        answers = [rec["answer"] for rec in recs]
+        return (list(map(known.setdefault, ids, ids)),
+                [index.get(a, a) if a.__class__ is str else a for a in answers])
 
     lines, (ids, values), stop = _scan(path, pick, 2, "response record")
     k = scheme.num_categories
@@ -689,14 +785,18 @@ def attach_responses(tasks: Sequence[TaskRecord], responses: Responses) -> None:
 def write_alpha_records(path, records: Iterable[tuple]) -> None:
     """Write (task_id, DirichletParams, n) triples as JSON lines.
 
-    Shared format for posterior and prediction files.
+    Shared format for posterior and prediction files.  Each line is filled
+    into a template, with the bytes of json.dumps of the record's dict: the
+    id through json.dumps, the alpha components (positive and finite) and
+    the integer n through their reprs, as json.dumps writes them.
     """
     with open(path, "w") as fh:
-        for task_id, params, n in records:
-            fh.write(
-                json.dumps({"task_id": task_id, "alpha": params.alpha.tolist(), "n": n})
-                + "\n"
-            )
+        fh.writelines([
+            '{"task_id": ' + json.dumps(task_id) + ', "alpha": ['
+            + ", ".join(map(float.__repr__, params.alpha.tolist()))
+            + '], "n": ' + int.__repr__(n) + "}\n"
+            for task_id, params, n in records
+        ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -734,7 +834,10 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     num_categories, the scheme's K.
     """
     lines, (ids, alphas, ns), stop = _scan(
-        path, lambda rec: (str(rec["task_id"]), rec["alpha"], rec.get("n", _ABSENT)), 3, "record"
+        path,
+        lambda recs: ([str(rec["task_id"]) for rec in recs], [rec["alpha"] for rec in recs],
+                      [rec.get("n", _ABSENT) for rec in recs]),
+        3, "record",
     )
     shape_fault = "alpha must be a non-empty vector"
     alpha = _Column(alphas, np.ones(len(ids), dtype=bool), shape_fault)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DirichletParams, InputError
+from .core import DirichletParams, InputError, check_seed
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -271,6 +271,7 @@ class TrainConfig:
         if self.warmup_iters is not None and self.warmup_iters < 0:
             raise InputError(f"warmup_iters must be non-negative, got {self.warmup_iters}")
         _check_tau(self.tau)
+        check_seed(self.seed)
         if self.select not in ("best", "last"):
             raise InputError(f"unknown model selection rule {self.select!r}")
         if self.warmup_iters is None:

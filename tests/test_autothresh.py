@@ -180,6 +180,10 @@ def test_input_validation():
         select_threshold_on_curve(CONF, CORR, 0.0)
     with pytest.raises(ValueError):
         select_threshold(CONF, CORR, 1.0, B=0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        select_threshold(CONF, CORR, 1.0, B=4, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        bootstrap_curves(CONF, CORR, B=4, seed=-1)
     with pytest.raises(ValueError):
         evaluate_thresholds(CONF, CORR, [])
 

@@ -209,6 +209,12 @@ def test_invalid_simulate_options_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []   # nothing written
 
 
+def test_simulate_takes_a_negative_seed(tmp_path):
+    # the simulator hashes its seed into per-task streams, so any integer will do
+    assert run(tmp_path, "simulate", "--num-tasks", "6", "--seed", "-1") == 0
+    assert len(read_jsonl(tmp_path / "tasks.jsonl")) == 6
+
+
 def test_missing_inputs_exit_2(tmp_path):
     assert run(tmp_path, "infer") == 2
     assert run(tmp_path, "eval") == 2
@@ -674,6 +680,14 @@ _ALL_INPUTS = ("scheme.json", "tasks.jsonl", "responses.jsonl", "posteriors.json
     (("infer", "--blend", "2"), "blend must lie in [0, 1], got 2.0"),
     (("train", "--ratios", "nan,0.5,0.5"), "ratios must be positive and sum to 1, got (nan, "),
     (("eval", "--ratios", "nan,0.5,0.5"), "ratios must be positive and sum to 1, got (nan, "),
+    (("train", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("eval", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("curve", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("curve", "--split", "all", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("calibrate", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("repeats", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    (("repeats", "--deployment-threshold", "nan"),
+     "deployment_threshold must be a number or inf, got nan"),
 ])
 def test_invalid_option_values_exit_2(pipeline, tmp_path, capsys, argv, message):
     _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
@@ -697,6 +711,15 @@ def test_config_values_outside_the_choices_exit_2(pipeline, tmp_path, capsys, ar
     (key,) = entry
     assert f"error: config key {key!r} must be one of " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
+
+
+def test_nan_deployment_threshold_from_config_exit_2(tmp_path, capsys):
+    # refused before any file is read: the directory holds no inputs
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"deployment_threshold": NaN}')
+    assert run(tmp_path, "repeats", "--config", str(cfgfile)) == 2
+    assert "error: deployment_threshold must be a number or inf, got nan" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_eval_on_one_proper_category_exit_2(tmp_path, capsys):

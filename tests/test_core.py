@@ -1,12 +1,15 @@
+import gc
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdinfer import core
 from crowdinfer.core import (
     CategoryScheme,
     CountVector,
@@ -475,6 +478,185 @@ def test_responses_reader_reports_each_fault_like_the_oracle(tmp_path):
         assert _responses_outcome(read_responses, path, scheme) == message, kind
 
 
+# ---------------------------------------------------------------------------
+# The block decoder of _scan against the per-line scanner
+# ---------------------------------------------------------------------------
+
+def _scan_oracle(path, pick, width, what):
+    """The per-line scanner: each line decoded and picked on its own."""
+    columns = [[] for _ in range(width)]
+    lines = []
+    stop = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip(" \t\n\r")
+            try:
+                value, end = core._scan_once(text, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            try:
+                if end != len(text):
+                    if not line.strip():
+                        continue
+                    value = json.loads(line)
+                for column, values in zip(columns, pick([value])):
+                    column.extend(values)
+            except (KeyError, ValueError, TypeError) as exc:
+                stop = (lineno, f"bad {what}: {exc}")
+                break
+            lines.append(lineno)
+    return np.array(lines, dtype=np.int64), columns, stop
+
+
+def _reader_outcomes(path, names):
+    """What read_responses, read_task_table and read_alpha_records make of
+    the file: an InputError's message, or the columns they return."""
+    scheme = CategoryScheme(names[:-1], names[-1])
+    readers = [
+        lambda: read_responses(path, scheme),
+        lambda: read_task_table(path),
+        lambda: read_alpha_records(path, len(names)),
+    ]
+    out = []
+    for read in readers:
+        try:
+            got = read()
+        except InputError as exc:
+            out.append(f"InputError: {exc}")
+            continue
+        columns = {k: v for k, v in vars(got).items() if k not in ("path", "_row")}
+        out.append({k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                    for k, v in columns.items()})
+    return out
+
+
+def _assert_blocks_read_like_lines(path, names, size):
+    with mock.patch.object(core, "_scan", _scan_oracle):
+        want = _reader_outcomes(path, names)
+    with mock.patch.object(core, "_BLOCK_LINES", size):
+        assert _reader_outcomes(path, names) == want
+
+
+# Lines beyond the responses kinds: task and alpha records (with and without
+# a "["), an answer that is an object, and a record merged from two lines
+# (merge_a then merge_b), with and without a "[".
+_OTHER_LINES = {
+    "task": '{"task_id": "t5", "features": [0.5, -1.0], "true_q": [0.25, 0.75]}',
+    "bare_task": '{"task_id": "t6"}',
+    "alpha": '{"task_id": "t7", "alpha": [1.5, 2.0, 0.5], "n": 4}',
+    "scalar_alpha": '{"task_id": "t8", "alpha": 3.0, "n": 1}',
+    "object_answer": '{"task_id": "t0", "answer": {"c0": 1}}',
+    "merge_a": '{"task_id": "t0", "answer": "c0", "x": {"y": 1',
+    "merge_b": '"z": 2}}',
+    "array_merge_a": '{"task_id": "t0", "answer": "c0", "x": [{"y": 1}',
+    "array_merge_b": '{"z": 2}]}',
+    "brace_merge_a": '{"task_id": "t0", "answer": "c0", "x": {"y": 1}',
+    "brace_merge_b": '{"z": 2}}',
+    "split": '{"task_id": "t1", "answer": "c1"}, {"task_id": "t2", "answer": 0}',
+}
+
+
+def _line(kind, tid, answer, names):
+    if kind in _OTHER_LINES:
+        return _OTHER_LINES[kind]
+    return _response_line(kind, tid, answer, names)
+
+
+def _write_lines(path, lines, ending="\n", final=True):
+    text = ending.join(lines) + (ending if final and lines else "")
+    path.write_bytes(text.encode("utf-8"))
+
+
+_NAMES = ("c0", "c1", "cs")
+
+
+def test_decode_block_takes_only_one_object_per_line():
+    decode = core._decode_block
+    assert decode(['{"a": 1}\n', '{"b": "x"}\n', '{"c": {"d": null}}']) == [
+        {"a": 1}, {"b": "x"}, {"c": {"d": None}}]
+    assert decode(['{"a": 1} \t\n', '{"b": 2}\n']) == [{"a": 1}, {"b": 2}]
+    for block in (['{"a": 1}\n', ' {"b": 2}\n'], ['\n', '{"a": 1}\n'],
+                  ['{"a": [1]}\n', '{"b": 2}\n'], ['{"a": 1}\n', '{"b": "["}\n'],
+                  ['{"a": {"b": 1\n', '"c": 2}}\n', '{"d": 1}, {"e": 2}\n'],
+                  ['{"a": [{"b": 1}\n', '{"c": 2}]}\n', '{"d": 1}, {"e": 2}\n'],
+                  ['{"a": 1}\n', '{"b": 2},\n'], ['{"a": 1}\x0b\n'], ['{oops\n'],
+                  ['{"a": 1} {"b": 2}\n']):
+        assert decode(block) is None, block
+
+
+@pytest.mark.parametrize("kind", _GOOD_LINES + _BAD_LINES + list(_OTHER_LINES))
+def test_block_reader_equals_per_line_oracle_at_block_edges(tmp_path, kind):
+    """Each kind of line as the first or the last line of a block, in files
+    whose other lines are good, so the blocks around it decode whole."""
+    path = tmp_path / "responses.jsonl"
+    for size in range(2, 6):
+        for at in (0, size - 1, size, 2 * size - 1, 2 * size):
+            lines = [_response_line("name", f"t{i % 3}", i % 3, _NAMES)
+                     for i in range(2 * size + 1)]
+            lines[at] = _line(kind, "t1", 1, _NAMES)
+            for ending, final in (("\n", True), ("\r\n", True), ("\n", False)):
+                _write_lines(path, lines, ending, final)
+                _assert_blocks_read_like_lines(path, _NAMES, size)
+
+
+def test_block_reader_refuses_merged_and_split_lines(tmp_path):
+    """Two lines that join into one value and a line of two values: the
+    block holds as many values as lines, and only the line rule refuses it."""
+    path = tmp_path / "responses.jsonl"
+    good = _response_line("name", "t0", 0, _NAMES)
+    for a, b in (("merge_a", "merge_b"), ("array_merge_a", "array_merge_b"),
+                 ("brace_merge_a", "brace_merge_b")):
+        lines = [good, _OTHER_LINES[a], _OTHER_LINES[b], _OTHER_LINES["split"], good]
+        _write_lines(path, lines)
+        for size in (4, 5, 1024):
+            _assert_blocks_read_like_lines(path, _NAMES, size)
+        message = _reader_outcomes(path, _NAMES)[0]
+        assert message.startswith(f"InputError: {path}:2: bad response record: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5), st.lists(st.tuples(
+    st.sampled_from(_GOOD_LINES * 4 + _BAD_LINES + list(_OTHER_LINES)),
+    st.sampled_from(["t0", "t1", "t2", 'q"\\ü']), st.integers(0, 2)), max_size=24),
+    st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_block_reader_equals_per_line_oracle(tmp_path_factory, size, kinds, ending, final):
+    path = tmp_path_factory.mktemp("blocks") / "records.jsonl"
+    _write_lines(path, [_line(kind, tid, a, _NAMES) for kind, tid, a in kinds], ending, final)
+    _assert_blocks_read_like_lines(path, _NAMES, size)
+
+
+def test_reading_leaves_the_collector_as_it_was(tmp_path):
+    path = tmp_path / "responses.jsonl"
+    scheme = CategoryScheme(("no", "yes"))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for text in ('{"task_id": "t0", "answer": "yes"}\n', '{"task_id": "t0"}\n', None):
+                if text is None:
+                    path.unlink()   # open fails inside the pause
+                else:
+                    path.write_text(text)
+                try:
+                    read_responses(path, scheme)
+                except (InputError, FileNotFoundError):
+                    pass
+                assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_response_ids_are_one_string_per_task(tmp_path):
+    path = tmp_path / "responses.jsonl"
+    ids = [f"t{i % 37}" for i in range(3 * core._BLOCK_LINES + 5)]
+    lines = [json.dumps({"task_id": tid, "answer": "yes"}) for tid in ids]
+    lines[core._BLOCK_LINES + 3] = " " + lines[core._BLOCK_LINES + 3]   # one block line by line
+    path.write_text("".join(line + "\n" for line in lines))
+    got = read_responses(path, CategoryScheme(("no", "yes"))).task_ids
+    assert got == ids
+    assert len({id(tid) for tid in got}) == len(set(got))
+
+
 def _write_responses_oracle(path, tasks, scheme):
     """The per-record responses writer: json.dumps of each record."""
     names = scheme.names
@@ -527,6 +709,35 @@ def test_alpha_records_round_trip(tmp_path):
     assert back.task_ids == ["t1"] and len(back) == 1 and "t1" in back
     assert back.alpha.tolist() == [[1.0, 21.0, 1.0]]
     assert back.n.tolist() == [20]
+
+
+def _write_alpha_records_oracle(path, records):
+    """The per-record alpha writer: json.dumps of each record's dict."""
+    with open(path, "w") as fh:
+        for task_id, params, n in records:
+            fh.write(json.dumps({"task_id": task_id, "alpha": params.alpha.tolist(), "n": n})
+                     + "\n")
+
+
+_alpha_components = (st.floats(5e-324, 1e308)
+                     | st.sampled_from([5e-324, 1e-300, 0.1, 1.0, 2.0, 3e16, 1e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.tuples(
+    _awkward_text, st.lists(_alpha_components, min_size=k, max_size=k),
+    st.integers(0, 2**63 - 1)), max_size=8, unique_by=lambda r: r[0]))))
+def test_templated_alpha_writer_equals_per_record_writer(tmp_path_factory, case):
+    k, rows = case
+    records = [(tid, DirichletParams(alpha), n) for tid, alpha, n in rows]
+    folder = tmp_path_factory.mktemp("alpha_writer")
+    write_alpha_records(folder / "got.jsonl", records)
+    _write_alpha_records_oracle(folder / "want.jsonl", records)
+    assert (folder / "got.jsonl").read_bytes() == (folder / "want.jsonl").read_bytes()
+    back = read_alpha_records(folder / "got.jsonl", k)
+    assert back.task_ids == [tid for tid, _, _ in rows]
+    assert back.alpha.reshape(-1).tolist() == [a for _, alpha, _ in rows for a in alpha]
+    assert back.n.tolist() == [n for _, _, n in rows]
 
 
 def test_alpha_records_bad_line(tmp_path):

@@ -380,7 +380,7 @@ def test_train_config_validation():
     for bad in (dict(learning_rate=math.nan), dict(learning_rate=math.inf),
                 dict(learning_rate=-1.0), dict(beta1=1.5), dict(beta1=-0.1),
                 dict(beta2=1.0), dict(beta2=math.nan), dict(epochs=0), dict(epochs=-3),
-                dict(batch_size=0), dict(warmup_iters=-1)):
+                dict(batch_size=0), dict(warmup_iters=-1), dict(seed=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     assert TrainConfig(beta1=0.0, beta2=0.0, warmup_iters=0, epochs=1, batch_size=1)
