@@ -27,22 +27,22 @@ from crowdinfer.sim import SimConfig
 
 cfg = SimConfig(num_tasks=1200, num_proper=2, repeats=15, feature_noise=0.1, seed=0)
 scheme, tasks = simulate_dataset(cfg)
-split = split_dataset([t.task_id for t in tasks], (0.8, 0.1, 0.1), seed=0)
+# one split label per task: 0 train, 1 val, 2 test
+labels = split_dataset([t.task_id for t in tasks], (0.8, 0.1, 0.1), seed=0)
 prior = uniform_prior(scheme)
-by_id = {t.task_id: t for t in tasks}
 
 
-def arrays(ids):
-    """The training set as arrays: features X, target concentrations T (each
-    task's posterior under the uniform prior), response counts n and example
-    weights w, one row per task."""
-    rows = [by_id[tid] for tid in sorted(ids)]
+def arrays(label):
+    """The tasks of one split as arrays: features X, target concentrations T
+    (each task's posterior under the uniform prior), response counts n and
+    example weights w, one row per task."""
+    rows = [t for t, split in zip(tasks, labels) if split == label]
     counts = np.stack([tally(t.responses, scheme).counts for t in rows])
     X = np.stack([t.features for t in rows])
     return X, prior.alpha + counts, counts.sum(axis=1).astype(float), np.ones(len(rows))
 
 
-train_set, val_set = arrays(split.train), arrays(split.val)
+train_set, val_set = arrays(0), arrays(1)
 print(f"{len(train_set[0])} train / {len(val_set[0])} val examples, "
       f"{cfg.feature_dim} features, {scheme.num_categories} categories")
 
@@ -55,20 +55,21 @@ for e, tl, vl in history[:: max(1, len(history) // 6)]:
     print(f"  epoch {e:3d}  train {tl:.4f}  val {vl:.4f}")
 
 # predictions: Dirichlet parameters at any chosen response budget n
-t = by_id[sorted(split.test)[0]]
+test_tasks = [t for t, split in zip(tasks, labels) if split == 2]
+t = test_tasks[0]
 for n in (0, 5, 15):
     alpha = head_forward(model, t.features, n)
     print(f"n={n:2d} -> alpha {np.round(alpha.alpha, 3)} (sum {alpha.alpha_sum:.1f})")
 
 # score mode-vs-mode on the held-out split, one row per task
-X, T, n, _ = arrays(split.test)
+X, T, n, _ = arrays(2)
 predictions = point_estimates(np.stack([head_forward(model, x, k).alpha for x, k in zip(X, n)]))
 report = evaluate(predictions, point_estimates(T))
 print(f"\ntest accuracy {report.acc:.3f}, mean distance {report.mean_D:.3f} "
       f"over {report.n_tasks} tasks")
 
 # the loss being minimized is a proper distance between Dirichlet posteriors
-t = by_id[max(split.test)]
+t = test_tasks[-1]
 a = head_forward(model, t.features, t.n_responses)
 b = posterior(prior, tally(t.responses, scheme))
 print(f"chernoff(prediction, crowd posterior) on one task: {chernoff(a, b):.4f}")

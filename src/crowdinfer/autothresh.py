@@ -73,11 +73,6 @@ def _curve(conf: np.ndarray, corr: np.ndarray):
     return grid, slot, retained[0], _accuracy(retained[0], hits[0])
 
 
-def _check_target(target_accuracy: float) -> None:
-    if not 0.0 < target_accuracy <= 1.0:
-        raise InputError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     threshold: float
@@ -163,18 +158,10 @@ def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBa
     )
 
 
-def select_threshold_on_curve(confidences, correct, target_accuracy: float) -> float:
-    """Smallest grid threshold whose retained accuracy meets the target;
-    math.inf (abstain on everything) when none does."""
-    conf, corr = _as_curve_inputs(confidences, correct)
-    _check_target(target_accuracy)
-    grid, _, retained, acc = _curve(conf, corr)
-    ok = np.flatnonzero((retained > 0) & (acc >= target_accuracy))
-    return float(grid[ok[0]]) if ok.size else math.inf
-
-
 def _first_thresholds(grid, counts, retained, hits, target_accuracy: float) -> list:
-    """select_threshold_on_curve of each resample (row), read off the full grid.
+    """Each resample's (row's) threshold, read off the full grid: the
+    smallest threshold on its own grid whose retained accuracy meets the
+    target, math.inf (abstain on everything) when none does.
 
     A resample's own grid holds its drawn values, plus 0.0 when they are all
     positive.  At a full-grid threshold it did not draw, its totals are those
@@ -197,7 +184,8 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
     conf, corr = _as_curve_inputs(val_confidences, val_correct)
     if B < 1:
         raise InputError("B must be at least 1")
-    _check_target(target_accuracy)
+    if not 0.0 < target_accuracy <= 1.0:
+        raise InputError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
     grid, slot, _, _ = _curve(conf, corr)
     out: List[float] = []
     for _, draws in _resamples(conf.size, B, seed, grid.size):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CategoryScheme, CountVector, DirichletParams, InputError, SoftLabel
-from .head import log_gamma
 
 
 @dataclass(frozen=True)
@@ -85,20 +84,3 @@ def point_estimates(alpha: np.ndarray, how: str = "mode") -> np.ndarray:
     total = shifted.sum(axis=-1, keepdims=True)
     return np.divide(shifted, total, out=mean, where=total > 0.0)
 
-
-def log_density(alpha: DirichletParams, q: np.ndarray) -> float:
-    """Log pdf of Dirichlet(alpha) at a point on the simplex."""
-    a = alpha.alpha
-    q = np.asarray(q, dtype=float)
-    if q.size != a.size:
-        raise ValueError("dimension mismatch")
-    if (q < 0).any() or abs(q.sum() - 1.0) > 1e-9:
-        return -np.inf
-    if ((q == 0) & (a > 1)).any():
-        return -np.inf
-    norm = log_gamma(a.sum()) - log_gamma(a).sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where((a == 1.0), 0.0, (a - 1.0) * np.log(q))
-    if np.isnan(terms).any():
-        return -np.inf
-    return float(norm + terms.sum())

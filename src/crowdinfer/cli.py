@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -40,8 +41,10 @@ from .core import (
     attach_responses,
     config_hash,
     count_matrix,
+    is_numbers,
     json_ready,
     read_alpha_records,
+    read_json_object,
     read_responses,
     read_scheme,
     read_task_table,
@@ -134,13 +137,10 @@ _NULLABLE_TYPES = {"alpha0": tuple, "warmup_iters": int, "max_repeats": int,
                    "inference_n": int, "deployment_threshold": float}
 _TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a list of numbers",
                str: "a string"}
-# The values a string option may take, from a flag or a config file alike.
+# The values a string option may take, from a flag or a config file alike;
+# the splits come in the order of split_dataset's labels 0, 1, 2.
 _CHOICES = {"prior": ("uniform", "model"), "select": ("best", "last"),
             "split": ("train", "val", "test", "all"), "point_estimate": ("mode", "mean")}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_config_value(key: str, value) -> None:
@@ -152,9 +152,9 @@ def _check_config_value(key: str, value) -> None:
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif kind is float:
-        ok = _is_number(value)
+        ok = is_numbers(value)
     elif kind is tuple:
-        ok = isinstance(value, str) or (isinstance(value, list) and all(map(_is_number, value)))
+        ok = isinstance(value, str) or is_numbers(value, 1)
     else:
         ok = isinstance(value, str)
     if not ok:
@@ -177,13 +177,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     raw = vars(args)
     if raw.get("config"):
-        with open(raw["config"]) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{raw['config']}: invalid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise InputError(f"{raw['config']}: expected a JSON object of options")
+        file_cfg = read_json_object(raw["config"], "options")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -222,15 +216,29 @@ def _load_dataset(cfg: dict, with_responses: bool = True):
     return scheme, tasks
 
 
+def _load_model(cfg: dict, scheme, tasks: List[TaskRecord]):
+    """The model, refused unless it maps the tasks' features to the scheme's categories."""
+    path = _path(cfg, "model")
+    model = load_model(path)
+    width = next((t.features.size for t in tasks if t.features is not None), model.feature_dim)
+    if (model.feature_dim, model.num_categories) != (width, scheme.num_categories):
+        raise InputError(f"{path}: the model maps {model.feature_dim} features to "
+                         f"{model.num_categories} categories; the tasks have {width} features "
+                         f"and the scheme {scheme.num_categories} categories")
+    return model
+
+
 def _load_task_ids(cfg: dict):
     """The scheme and the task ids, all the score stages read of the dataset."""
     return read_scheme(_path(cfg, "scheme")), read_task_table(_path(cfg, "tasks")).task_ids
 
 
-def _split_ids(cfg: dict, task_ids: List[str]) -> frozenset:
+def _in_split(cfg: dict, task_ids: List[str]) -> np.ndarray:
+    """Mask of the task ids in the split that the split option names."""
     if cfg["split"] == "all":
-        return frozenset(task_ids)
-    return split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"]).of(cfg["split"])
+        return np.ones(len(task_ids), dtype=bool)
+    labels = split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"])
+    return labels == _CHOICES["split"].index(cfg["split"])
 
 
 def _read_pair(cfg: dict, scheme):
@@ -312,7 +320,7 @@ def cmd_infer(cfg: dict) -> int:
     check_blend(cfg["blend"])   # refused with either prior, though only the model prior blends
     scheme, tasks = _load_dataset(cfg)
     if cfg["prior"] == "model":
-        model = load_model(_path(cfg, "model"))
+        model = _load_model(cfg, scheme, tasks)
 
         def prior_for(task: TaskRecord) -> DirichletParams:
             if task.features is None:
@@ -334,23 +342,22 @@ def cmd_infer(cfg: dict) -> int:
     return 0
 
 
-def _training_set(scheme, table, counts: np.ndarray, split) -> list:
-    """(X, T, n, w) arrays and task ids of the train and of the val tasks in
-    file order: uniform-prior posteriors T, weighted by train label rarity."""
+def _training_set(scheme, table, counts: np.ndarray, labels: np.ndarray) -> list:
+    """(X, T, n, w) arrays and task ids of the train and of the val tasks
+    (split labels 0 and 1) in file order: uniform-prior posteriors T,
+    weighted by train label rarity."""
     ids = table.task_ids
-    sets = [np.fromiter((tid in part for tid in ids), dtype=bool, count=len(ids))
-            for part in (split.train, split.val)]
-    featureless = (sets[0] | sets[1]) & ~table.has_features
+    featureless = (labels < 2) & ~table.has_features
     if featureless.any():
         raise InputError(f"task {ids[featureless.argmax()]} has no features; cannot train on it")
     T = uniform_prior(scheme).alpha + counts
     refs = point_estimates(T)
-    weights = hard_weights(np.bincount(refs[sets[0]].argmax(axis=1),
+    weights = hard_weights(np.bincount(refs[labels == 0].argmax(axis=1),
                                        minlength=scheme.num_categories))
     w = soft_weight(refs, weights)
     n = counts.sum(axis=1).astype(float)
     return [((table.features[rows], T[rows], n[rows], w[rows]), [ids[i] for i in rows])
-            for rows in map(np.flatnonzero, sets)]
+            for rows in (np.flatnonzero(labels == 0), np.flatnonzero(labels == 1))]
 
 
 def cmd_train(cfg: dict) -> int:
@@ -358,11 +365,11 @@ def cmd_train(cfg: dict) -> int:
     table = read_task_table(_path(cfg, "tasks"))
     responses = read_responses(_path(cfg, "responses"), scheme)
     counts = count_matrix(table.task_ids, responses, scheme.num_categories)
-    split = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
-    if not split.train:
+    labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
+    if not (labels == 0).any():
         ratios = ",".join(str(r) for r in cfg["ratios"])
         raise InputError(f"ratios {ratios} leave no training tasks among {len(table.task_ids)}")
-    (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, split)
+    (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, labels)
     # every TrainConfig field is the option of the same name
     tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
     history = []
@@ -386,7 +393,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_predict(cfg: dict) -> int:
     scheme, tasks = _load_dataset(cfg, with_responses=cfg["inference_n"] is None)
-    model = load_model(_path(cfg, "model"))
+    model = _load_model(cfg, scheme, tasks)
     records = []
     for task in tasks:
         if task.features is None:
@@ -404,7 +411,7 @@ def cmd_eval(cfg: dict) -> int:
     if scheme.num_proper < 2:
         raise InputError(f"{_path(cfg, 'scheme')}: eval scores ambiguity, which needs at "
                          f"least two proper categories; the scheme has {scheme.num_proper}")
-    ids = _split_ids(cfg, task_ids)
+    ids = list(itertools.compress(task_ids, _in_split(cfg, task_ids)))
     preds, posts = _read_pair(cfg, scheme)
     q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
@@ -425,7 +432,7 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_curve(cfg: dict) -> int:
     scheme, task_ids = _load_task_ids(cfg)
-    ids = _split_ids(cfg, task_ids)
+    ids = list(itertools.compress(task_ids, _in_split(cfg, task_ids)))
     preds, posts = _read_pair(cfg, scheme)
     conf, correct = _conf_correct(cfg, preds, posts, ids)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
@@ -439,10 +446,11 @@ def cmd_curve(cfg: dict) -> int:
 
 def cmd_calibrate(cfg: dict) -> int:
     scheme, task_ids = _load_task_ids(cfg)
-    split = split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"])
+    labels = split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"])
+    val_ids, test_ids = (list(itertools.compress(task_ids, labels == j)) for j in (1, 2))
     preds, posts = _read_pair(cfg, scheme)
-    val_conf, val_corr = _conf_correct(cfg, preds, posts, split.val)
-    test_conf, test_corr = _conf_correct(cfg, preds, posts, split.test)
+    val_conf, val_corr = _conf_correct(cfg, preds, posts, val_ids)
+    test_conf, test_corr = _conf_correct(cfg, preds, posts, test_ids)
     result = calibrate(
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
@@ -461,16 +469,18 @@ def cmd_repeats(cfg: dict) -> int:
     if threshold is not None and math.isnan(threshold):
         raise InputError(f"deployment_threshold must be a number or inf, got {threshold}")
     scheme, tasks = _load_dataset(cfg)
-    ids = _split_ids(cfg, [t.task_id for t in tasks])
-    model = load_model(_path(cfg, "model"))
+    in_split = _in_split(cfg, [t.task_id for t in tasks])
+    model = _load_model(cfg, scheme, tasks)
 
     if threshold is None:
-        with open(_path(cfg, "calibration")) as fh:
-            threshold = json.load(fh)["deployment_threshold"]
+        threshold = read_json_object(_path(cfg, "calibration"), "calibration results", {
+            "deployment_threshold": ("a number or null",
+                                     lambda v: v is None or is_numbers(v) and not math.isnan(v)),
+        })["deployment_threshold"]
         if threshold is None:   # serialized +inf: nothing is automated
             threshold = math.inf
 
-    scored = [t for t in tasks if t.task_id in ids and t.n_responses > 0]
+    scored = [t for t, keep in zip(tasks, in_split.tolist()) if keep and t.n_responses > 0]
     modes = []
     for task in scored:
         if task.features is None:
@@ -515,6 +525,8 @@ _HELP = {
     "ratios": "train,val,test fractions",
     "inference_n": "response count to predict at (default: observed per task)",
     "deployment_threshold": "override the calibrated threshold",
+    "predictor_temperature": "no effect on simulate's files; only sim.synthetic_predictor reads it",
+    "predictor_noise": "no effect on simulate's files; only sim.synthetic_predictor reads it",
 }
 
 # Each subcommand: its handler, its help, and the options it takes beyond
@@ -578,7 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = resolve_options(args)
         return args.func(cfg)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, FloatingPointError) as exc:

@@ -15,6 +15,7 @@ import hashlib
 import json
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -48,6 +49,8 @@ class CategoryScheme:
         if len(names) < 1:
             raise InputError("scheme needs at least one proper category")
         all_names = names + (self.cs_name,)
+        if not all(isinstance(name, str) for name in all_names):
+            raise InputError(f"category names must be strings, got {all_names}")
         if len(set(all_names)) != len(all_names):
             raise InputError(f"category names not unique: {all_names}")
 
@@ -193,25 +196,6 @@ class TaskRecord:
         return len(self.responses)
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: frozenset
-    val: frozenset
-    test: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "train", frozenset(self.train))
-        object.__setattr__(self, "val", frozenset(self.val))
-        object.__setattr__(self, "test", frozenset(self.test))
-        sets = [self.train, self.val, self.test]
-        total = sum(len(s) for s in sets)
-        if len(self.train | self.val | self.test) != total:
-            raise InputError("splits are not pairwise disjoint")
-
-    def of(self, name: str) -> frozenset:
-        return {"train": self.train, "val": self.val, "test": self.test}[name]
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -272,8 +256,9 @@ def split_dataset(
     ratios: Sequence[float] = (0.8, 0.1, 0.1),
     group_key: Optional[Callable[[str], str]] = None,
     seed: int = 0,
-) -> DatasetSplit:
-    """Partition task ids into train/val/test by whole groups.
+) -> np.ndarray:
+    """Label each task id 0 (train), 1 (val) or 2 (test), by whole groups:
+    an (N,) integer array aligned with ``task_ids``.
 
     Groups (e.g. image frames) are shuffled deterministically and assigned
     greedily until each split's group quota is met, so no group straddles
@@ -285,24 +270,19 @@ def split_dataset(
         raise InputError(f"ratios must be positive and sum to 1, got {ratios}")
     check_seed(seed)
 
-    groups: dict = {}
-    for tid in task_ids:
-        groups.setdefault(group_key(tid) if group_key is not None else tid, []).append(tid)
-    group_names = sorted(groups)
-    if len(group_names) < 3:
-        raise InputError(f"need at least 3 groups to split, got {len(group_names)}")
+    keys = task_ids if group_key is None else map(group_key, task_ids)
+    groups: dict = {}   # group name -> its index, in order of first appearance
+    member = np.array([groups.setdefault(key, len(groups)) for key in keys], dtype=np.intp)
+    if len(groups) < 3:
+        raise InputError(f"need at least 3 groups to split, got {len(groups)}")
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(group_names))
-    quotas = _quota(len(group_names), ratios)
-
-    assigned: list = [[], [], []]
-    cursor = 0
-    for split_idx, quota in enumerate(quotas):
-        for _ in range(quota):
-            assigned[split_idx].extend(groups[group_names[order[cursor]]])
-            cursor += 1
-    return DatasetSplit(*(frozenset(ids) for ids in assigned))
+    # the shuffle permutes the groups in Python string order (np.unique would
+    # merge names that differ only by trailing NUL characters)
+    by_name = np.array([groups[name] for name in sorted(groups)], dtype=np.intp)
+    order = np.random.default_rng(seed).permutation(len(groups))
+    label = np.empty(len(groups), dtype=np.intp)
+    label[by_name[order]] = np.repeat(np.arange(3), _quota(len(groups), ratios))
+    return label[member]
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +345,39 @@ def write_scheme(path, scheme: CategoryScheme) -> None:
         fh.write("\n")
 
 
-def read_scheme(path) -> CategoryScheme:
+def is_numbers(value, depth: int = 0) -> bool:
+    """Whether a decoded JSON value is a number (not a bool), or lists of them ``depth`` deep."""
+    if depth:
+        return isinstance(value, list) and all(is_numbers(v, depth - 1) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_json_object(path, what: str, keys: Optional[dict] = None) -> dict:
+    """The JSON object of ``what`` a file holds.  ``keys`` maps each key it
+    must hold to (what its value must be, a test of the value).  Anything
+    else raises InputError naming the file."""
     with open(path) as fh:
-        data = json.load(fh)
-    return CategoryScheme(tuple(data["proper"]), data.get("cs", "cs"))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object of {what}")
+    for key, (kind, test) in (keys or {}).items():
+        if key not in data:
+            raise InputError(f"{path}: missing key {key!r}")
+        if not test(data[key]):
+            raise InputError(f"{path}: key {key!r} must be {kind}, got {reprlib.repr(data[key])}")
+    return data
+
+
+def read_scheme(path) -> CategoryScheme:
+    data = read_json_object(path, "category names",
+                            {"proper": ("a list of category names", lambda v: isinstance(v, list))})
+    try:
+        return CategoryScheme(tuple(data["proper"]), data.get("cs", "cs"))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_tasks(path, tasks: Iterable[TaskRecord]) -> None:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DirichletParams, InputError, check_seed
+from .core import DirichletParams, InputError, check_seed, is_numbers, read_json_object
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -450,13 +450,15 @@ def save_model(path, model: HeadModel) -> None:
 
 
 def load_model(path) -> HeadModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != _MODEL_FORMAT:
-        raise ValueError(f"unsupported model format: {payload.get('format_version')}")
-    return HeadModel(
-        A=np.asarray(payload["A"]),
-        bias=np.asarray(payload["bias"]),
-        W=np.asarray(payload["W"]),
-        alpha0_sum=float(payload["alpha0_sum"]),
-    )
+    """The model a model file holds; a malformed file raises InputError."""
+    payload = read_json_object(path, "model parameters", {
+        "format_version": (str(_MODEL_FORMAT), lambda v: v == _MODEL_FORMAT),
+        "A": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
+        "bias": ("a list of numbers", lambda v: is_numbers(v, 1)),
+        "W": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
+        "alpha0_sum": ("a number", is_numbers),
+    })
+    try:
+        return HeadModel(payload["A"], payload["bias"], payload["W"], float(payload["alpha0_sum"]))
+    except ValueError as exc:   # ragged, mis-shaped or non-finite parameters
+        raise InputError(f"{path}: {exc}") from None

@@ -15,7 +15,6 @@ from crowdinfer.autothresh import (
     curve,
     evaluate_thresholds,
     select_threshold,
-    select_threshold_on_curve,
     write_bins_csv,
     write_curve_csv,
 )
@@ -51,26 +50,20 @@ def test_evaluate_single_midpoint_threshold():
     assert ev.abstention_rate == 0.0
 
 
-def test_select_threshold_on_curve_toy():
-    assert select_threshold_on_curve(CONF, CORR, 1.0) == 0.4
-    # 0.75 is met already by automating everything
-    assert select_threshold_on_curve(CONF, CORR, 0.75) == 0.0
-    assert select_threshold_on_curve(CONF, CORR, 0.6) == 0.0
-
-
 def test_select_threshold_monotone_in_target():
+    # each resample's threshold rises with the target
     rng = np.random.default_rng(0)
     conf = rng.uniform(size=200)
     corr = rng.uniform(size=200) < conf
-    prev = -1.0
+    prev = np.full(16, -1.0)
     for target in (0.5, 0.7, 0.9, 0.97):
-        t = select_threshold_on_curve(conf, corr, target)
-        assert t >= prev
+        t = np.array(select_threshold(conf, corr, target, B=16, seed=3))
+        assert (t >= prev).all()
         prev = t
 
 
 def test_select_threshold_unreachable_target():
-    assert select_threshold_on_curve([0.9, 0.9], [False, False], 0.5) == math.inf
+    assert select_threshold([0.9, 0.9], [False, False], 0.5, B=8) == [math.inf] * 8
 
 
 def test_select_threshold_bootstrap_shape_and_determinism():
@@ -177,7 +170,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         curve([math.nan], [True])
     with pytest.raises(ValueError):
-        select_threshold_on_curve(CONF, CORR, 0.0)
+        select_threshold(CONF, CORR, 0.0, B=4)
     with pytest.raises(ValueError):
         select_threshold(CONF, CORR, 1.0, B=0)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):

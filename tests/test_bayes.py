@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from crowdinfer.bayes import (
-    log_density,
     marginal_conditional,
     marginal_solvability,
     point_estimates,
@@ -125,16 +123,6 @@ def test_posterior_mode_falls_back_to_mean():
     # All components < 1: the density has no interior mode, use the mean.
     params = DirichletParams([0.5, 0.5])
     assert np.allclose(posterior_mode(params).q, posterior_mean(params).q)
-
-
-def test_log_density_matches_scipy():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        alpha = rng.uniform(0.5, 5.0, size=4)
-        q = rng.dirichlet(np.ones(4))
-        ours = log_density(DirichletParams(alpha), q)
-        ref = stats.dirichlet.logpdf(q / q.sum(), alpha)
-        assert ours == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 _alpha_rows = st.integers(2, 12).flatmap(

@@ -9,7 +9,6 @@ from crowdinfer.bayes import posterior, uniform_prior
 from crowdinfer.cli import _training_set, main
 from crowdinfer.core import (
     CategoryScheme,
-    DatasetSplit,
     InputError,
     Responses,
     SoftLabel,
@@ -332,11 +331,86 @@ def test_alpha_record_of_wrong_length_exit_2(pipeline, tmp_path, capsys):
         assert "predictions.jsonl:5: 4 alpha components for a scheme of 3" in err
 
 
-def test_corrupt_model_exit_3(pipeline, tmp_path):
-    for name in ("scheme.json", "tasks.jsonl", "responses.jsonl"):
-        (tmp_path / name).write_bytes((pipeline / name).read_bytes())
-    (tmp_path / "model.json").write_text(json.dumps({"format_version": 42}))
-    assert run(tmp_path, "predict", "--inference-n", "0") == 3
+_MODEL = {"format_version": 1, "d": 1, "C": 2, "alpha0_sum": 3.0, "A": [[0.0, 0.0, 0.0]],
+          "bias": [0.0, 0.0, 0.0], "W": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+
+# (document, the stage that reads it, its malformed contents, words the error must hold)
+_MALFORMED_DOCUMENTS = {
+    "scheme-bad_json": ("scheme.json", ("infer",), '{"proper": ["a", "b"]', "invalid JSON"),
+    "scheme-not_object": ("scheme.json", ("infer",), "[1, 2]", "expected a JSON object"),
+    "scheme-missing_key": ("scheme.json", ("infer",), '{"cs": "x"}', "missing key 'proper'"),
+    "scheme-wrong_type": ("scheme.json", ("infer",), '{"proper": "ab"}',
+                          "key 'proper' must be a list of category names"),
+    "model-bad_json": ("model.json", ("predict",), "{", "invalid JSON"),
+    "model-not_object": ("model.json", ("predict",), "[1, 2]", "expected a JSON object"),
+    "model-missing_key": ("model.json", ("predict",),
+                          json.dumps({k: v for k, v in _MODEL.items() if k != "A"}),
+                          "missing key 'A'"),
+    "model-wrong_type": ("model.json", ("predict",), json.dumps({**_MODEL, "format_version": 2}),
+                         "key 'format_version' must be 1, got 2"),
+    "model-mis_shaped": ("model.json", ("predict",), json.dumps({**_MODEL, "A": [[0.0, 0.0]]}),
+                         "inconsistent parameter shapes: A (1, 2), bias (3,)"),
+    "calibration-bad_json": ("calibration.json", ("repeats",), "{'a': 1}", "invalid JSON"),
+    "calibration-not_object": ("calibration.json", ("repeats",), "[]", "expected a JSON object"),
+    "calibration-missing_key": ("calibration.json", ("repeats",), "{}",
+                                "missing key 'deployment_threshold'"),
+    "calibration-wrong_type": ("calibration.json", ("repeats",), '{"deployment_threshold": "x"}',
+                               "key 'deployment_threshold' must be a number or null, got 'x'"),
+    "config-bad_json": ("cfg.json", ("train", "--config", "cfg.json"), '{"epochs": 1,}',
+                        "cfg.json: invalid JSON: "),
+    "config-not_object": ("cfg.json", ("train", "--config", "cfg.json"), '[["epochs", 2]]',
+                          "cfg.json: expected a JSON object of options"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_DOCUMENTS))
+def test_malformed_json_document_exit_2(pipeline, tmp_path, capsys, monkeypatch, case):
+    name, argv, text, words = _MALFORMED_DOCUMENTS[case]
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)   # the config path is relative
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: " in err and words in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
+
+
+def _reshaped_model(pipeline, categories=0, features=0) -> dict:
+    """The pipeline's model with extra categories or features (zero weights)."""
+    model = json.loads((pipeline / "model.json").read_text())
+    A, bias, W = (np.array(model[key]) for key in ("A", "bias", "W"))
+    A = np.pad(A, ((0, features), (0, categories)))
+    bias = np.pad(bias, (0, categories))
+    W = np.pad(W, ((0, categories), (0, categories)))
+    return {**model, "A": A.tolist(), "bias": bias.tolist(), "W": W.tolist()}
+
+
+@pytest.mark.parametrize("argv", [("predict",), ("infer", "--prior", "model"),
+                                  ("repeats", "--split", "all", "--permutations", "2")],
+                         ids=["predict", "infer", "repeats"])
+@pytest.mark.parametrize("shape, words", [
+    (dict(categories=1), "model maps 8 features to 4 categories; the tasks have 8 features "
+                         "and the scheme 3 categories"),
+    (dict(features=1), "model maps 9 features to 3 categories; the tasks have 8 features "
+                       "and the scheme 3 categories"),
+], ids=["categories", "features"])
+def test_model_that_disagrees_exit_2(pipeline, tmp_path, capsys, argv, shape, words):
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    (tmp_path / "model.json").write_text(json.dumps(_reshaped_model(pipeline, **shape)))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 2
+    assert f"model.json: the {words}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
+
+
+@pytest.mark.parametrize("option", ["--tasks", "--posteriors"])
+def test_directory_in_place_of_a_file_exit_2(pipeline, tmp_path, capsys, option):
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")
+    (tmp_path / "adir").mkdir()
+    assert run(tmp_path, "infer", option, "adir") == 2
+    assert "adir" in capsys.readouterr().err
+    assert not (tmp_path / "posteriors.jsonl").exists()
 
 
 def test_version_flag():
@@ -534,11 +608,10 @@ def test_alpha_record_with_bad_n_exit_2(pipeline, tmp_path, capsys):
     ("calibrate", "--bootstrap", "4"),
 ])
 def test_reference_without_responses_exit_2(pipeline, tmp_path, capsys, argv):
-    from crowdinfer.core import split_dataset
-
     _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "predictions.jsonl")
     records = read_jsonl(pipeline / "posteriors.jsonl")[::-1]
-    test_ids = split_dataset([r["task_id"] for r in records], seed=0).test
+    ids = [r["task_id"] for r in records]
+    test_ids = {tid for tid, label in zip(ids, split_dataset(ids, seed=0)) if label == 2}
     # two unanswered tasks: the one on the earlier line is reported
     (line, rec), _ = [(i + 1, r) for i, r in enumerate(records) if r["task_id"] in test_ids][:2]
     for r in records:
@@ -559,9 +632,9 @@ def test_reference_without_responses_exit_2(pipeline, tmp_path, capsys, argv):
 def test_val_task_without_features_exit_2(pipeline, tmp_path, capsys):
     _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl")
     records = read_jsonl(pipeline / "tasks.jsonl")
-    split = split_dataset([r["task_id"] for r in records], seed=0)
+    labels = split_dataset([r["task_id"] for r in records], seed=0)
     # two featureless val tasks: the one on the earlier line is reported
-    first, second = [r for r in records if r["task_id"] in split.val][:2]
+    first, second = [r for r, label in zip(records, labels) if label == 1][:2]
     del first["features"], second["features"]
     (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
     assert run(tmp_path, "train", "--epochs", "1") == 2
@@ -582,23 +655,24 @@ def _mode_oracle(alpha):
     return SoftLabel(shifted / total if total > 0.0 else alpha / alpha.sum())
 
 
-def _training_set_oracle(scheme, tasks, split):
+def _training_set_oracle(scheme, tasks, train, val):
     """The per-task builder: one tally, posterior, mode and soft weight per
-    train/val task, stacked into (X, T, n, w) arrays and ids in file order."""
+    task of the train and val id sets, stacked into (X, T, n, w) arrays and
+    ids in file order."""
     uni = uniform_prior(scheme)
     targets = {}
     for task in tasks:
-        if task.task_id in split.train or task.task_id in split.val:
+        if task.task_id in train or task.task_id in val:
             if task.features is None:
                 raise InputError(f"task {task.task_id} has no features; cannot train on it")
             targets[task.task_id] = posterior(uni, tally(task.responses, scheme))
     refs = {tid: _mode_oracle(target.alpha) for tid, target in targets.items()}
     class_counts = np.zeros(scheme.num_categories)
-    for tid in split.train:
+    for tid in train:
         class_counts[refs[tid].argmax()] += 1
     weights = hard_weights(class_counts)
     out = []
-    for ids in (split.train, split.val):
+    for ids in (train, val):
         rows = [t for t in tasks if t.task_id in ids]
         out.append(((
             np.stack([t.features for t in rows]) if rows else None,
@@ -636,19 +710,19 @@ def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered,
         has_features[rng.integers(n)] = False
     features = np.where(has_features[:, None], rng.normal(0.0, 3.0, size=(n, d)), 0.0)
     table = TaskTable(ids, features, has_features, np.zeros((n, 0)), np.zeros(n, dtype=bool))
-    split = DatasetSplit(*({ids[i] for i in np.flatnonzero(part == j)} for j in range(3)))
+    train, val = ({ids[i] for i in np.flatnonzero(part == j)} for j in (0, 1))
 
     tasks = [TaskRecord(tid, features=x if has else None)
              for tid, x, has in zip(ids, features, has_features)]
     attach_responses(tasks, responses)
     try:
-        want = _training_set_oracle(scheme, tasks, split)
+        want = _training_set_oracle(scheme, tasks, train, val)
     except InputError as exc:
         with pytest.raises(InputError) as got:
-            _training_set(scheme, table, count_matrix(ids, responses, k), split)
+            _training_set(scheme, table, count_matrix(ids, responses, k), part)
         assert str(got.value) == str(exc)
         return
-    got = _training_set(scheme, table, count_matrix(ids, responses, k), split)
+    got = _training_set(scheme, table, count_matrix(ids, responses, k), part)
     for (arrays, got_ids), (want_arrays, want_ids) in zip(got, want):
         assert got_ids == want_ids
         for a, b in zip(arrays, want_arrays):

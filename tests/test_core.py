@@ -127,9 +127,9 @@ def test_task_rng_deterministic_and_decorrelated():
 
 def test_split_partitions_all_tasks():
     ids = [f"t{i}" for i in range(100)]
-    split = split_dataset(ids, (0.8, 0.1, 0.1), seed=0)
-    assert split.train | split.val | split.test == set(ids)
-    assert len(split.train) == 80 and len(split.val) == 10 and len(split.test) == 10
+    labels = split_dataset(ids, (0.8, 0.1, 0.1), seed=0)
+    assert labels.shape == (100,)
+    assert np.bincount(labels).tolist() == [80, 10, 10]
 
 
 def test_split_deterministic_but_seed_sensitive():
@@ -137,18 +137,63 @@ def test_split_deterministic_but_seed_sensitive():
     s1 = split_dataset(ids, seed=3)
     s2 = split_dataset(ids, seed=3)
     s3 = split_dataset(ids, seed=4)
-    assert s1 == s2
-    assert s1 != s3
+    assert np.array_equal(s1, s2)
+    assert not np.array_equal(s1, s3)
 
 
 def test_split_keeps_groups_whole():
     ids = [f"g{i % 7}/t{i}" for i in range(70)]
-    split = split_dataset(ids, group_key=lambda tid: tid.split("/")[0], seed=1)
-    for part in (split.train, split.val, split.test):
-        groups = {tid.split("/")[0] for tid in part}
-        for g in groups:
-            members = {tid for tid in ids if tid.startswith(g + "/")}
-            assert members <= part
+    labels = split_dataset(ids, group_key=lambda tid: tid.split("/")[0], seed=1)
+    for g in range(7):
+        assert len(set(labels[g::7].tolist())) == 1
+
+
+def _split_oracle(task_ids, ratios=(0.8, 0.1, 0.1), group_key=None, seed=0):
+    """The split as three frozensets of ids, assigned one group at a time."""
+    groups: dict = {}
+    for tid in task_ids:
+        groups.setdefault(group_key(tid) if group_key is not None else tid, []).append(tid)
+    group_names = sorted(groups)
+    if len(group_names) < 3:
+        raise InputError(f"need at least 3 groups to split, got {len(group_names)}")
+    order = np.random.default_rng(seed).permutation(len(group_names))
+    # largest-remainder apportionment of the groups
+    raw = [r * len(group_names) for r in ratios]
+    quotas = [math.floor(x) for x in raw]
+    short = len(group_names) - sum(quotas)
+    for i in sorted(range(3), key=lambda i: raw[i] - quotas[i], reverse=True)[:short]:
+        quotas[i] += 1
+    assigned: list = [[], [], []]
+    cursor = 0
+    for split_idx, quota in enumerate(quotas):
+        for _ in range(quota):
+            assigned[split_idx].extend(groups[group_names[order[cursor]]])
+            cursor += 1
+    return [frozenset(ids) for ids in assigned]
+
+
+_GROUP_KEYS = {"none": None, "first character": lambda tid: tid[:1],
+               "NUL-stripped": lambda tid: tid.rstrip("\x00")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(ids=st.lists(st.text(alphabet="ab\x00", max_size=4), max_size=60),
+       group_key=st.sampled_from(sorted(_GROUP_KEYS)),
+       ratios=st.sampled_from([(0.8, 0.1, 0.1), (0.7, 0.2, 0.1), (1 / 3, 1 / 3, 1 / 3)])
+       | st.tuples(*[st.integers(1, 20)] * 3).map(lambda w: tuple(x / sum(w) for x in w)),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_labels_equal_frozenset_oracle(ids, group_key, ratios, seed):
+    # ids differing only by trailing NULs, and repeated ids, are common here
+    key = _GROUP_KEYS[group_key]
+    try:
+        want = _split_oracle(ids, ratios, key, seed)
+    except InputError as exc:
+        with pytest.raises(InputError, match=re.escape(str(exc))):
+            split_dataset(ids, ratios, key, seed)
+        return
+    labels = split_dataset(ids, ratios, key, seed)
+    assert labels.shape == (len(ids),)
+    assert labels.tolist() == [next(j for j in range(3) if tid in want[j]) for tid in ids]
 
 
 def test_split_rejects_bad_ratios():
