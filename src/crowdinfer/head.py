@@ -41,8 +41,13 @@ _LANCZOS_COEFS = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _positive_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is positive and finite; a NaN fails both bounds."""
+    return not x.size or bool(x.min() > 0 and x.max() < math.inf)
+
+
 def _check_positive(x: np.ndarray, name: str) -> None:
-    if not np.isfinite(x).all() or (x <= 0).any():
+    if not _positive_finite(x):
         raise ValueError(f"{name} requires positive finite arguments")
 
 
@@ -53,19 +58,57 @@ def log_gamma(x):
     to stay inside the approximation's accurate range.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
+    xv = x.ravel()
     _check_positive(xv, "log_gamma")
 
-    small = xv < 0.5
-    z = np.where(small, xv + 1.0, xv) - 1.0
-    series = np.full_like(z, _LANCZOS_COEFS[0])
+    z = xv - 1.0
+    small = np.flatnonzero(xv < 0.5)
+    if small.size:
+        z[small] = (xv[small] + 1.0) - 1.0
+    series = np.empty_like(z)
+    series.fill(_LANCZOS_COEFS[0])
+    term = np.empty_like(z)
     for i, c in enumerate(_LANCZOS_COEFS[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = _HALF_LOG_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(series)
-    out = np.where(small, out - np.log(xv), out)
-    return float(out[0]) if scalar else out
+        np.add(z, i, out=term)
+        series += np.divide(c, term, out=term)
+    t = z + _LANCZOS_G
+    t += 0.5
+    out = np.log(t)
+    out *= np.add(z, 0.5, out=z)
+    out += _HALF_LOG_TWO_PI
+    out -= t
+    out += np.log(series, out=series)
+    if small.size:
+        out[small] -= np.log(xv[small])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+_SHIFT_BLOCK = 2048   # arguments digamma shifts at once; 4096 ran slower when all were below 8.5
+
+
+def _shift_up(v: np.ndarray):
+    """Arguments v < 8.5 shifted to 8.5 or above by adding 1.0 at a time, and
+    minus the sum of 1/v over the shifts, subtracted in shift order.
+
+    Row j of `shifted` holds v after j shifts; an argument takes the shifts
+    whose row is below 8.5.  The smallest argument takes the most, counted
+    here in Python floats, which round as numpy's do.
+    """
+    passes, smallest = 0, float(v.min())
+    while smallest < 8.5:
+        smallest += 1.0
+        passes += 1
+    shifted = np.empty((passes + 1, v.size))
+    shifted[0] = v
+    for j in range(passes):
+        np.add(shifted[j], 1.0, out=shifted[j + 1])
+    taken = shifted[:passes] < 8.5
+    inv = np.divide(1.0, shifted[:passes])
+    inv *= taken                         # a shift not taken subtracts 0.0
+    acc = 0.0 - inv[0]
+    for term in inv[1:]:
+        acc -= term
+    return shifted[taken.sum(axis=0), np.arange(v.size)], acc
 
 
 def digamma(x):
@@ -75,25 +118,49 @@ def digamma(x):
     then the Stirling-type asymptotic series is applied.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).astype(float).copy()
+    xv = x.flatten()                     # a copy: the shifted values go into it
     _check_positive(xv, "digamma")
 
-    acc = np.zeros_like(xv)
-    for _ in range(9):
-        mask = xv < 8.5
-        if not mask.any():
-            break
-        # subtracting 0.0 and adding False leave the other entries' bits alone
-        acc -= np.where(mask, 1.0 / xv, 0.0)
-        xv += mask
+    low = np.flatnonzero(xv < 8.5)
+    acc = np.empty(low.size)
+    for start in range(0, low.size, _SHIFT_BLOCK):
+        block = low[start : start + _SHIFT_BLOCK]
+        xv[block], acc[start : start + _SHIFT_BLOCK] = _shift_up(xv[block])
     inv2 = 1.0 / (xv * xv)
     series = inv2 * (
         1.0 / 12.0
         - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
     )
-    out = acc + np.log(xv) - 0.5 / xv - series
-    return float(out[0]) if scalar else out
+    out = np.log(xv)
+    out[low] += acc                      # the shifts' sum, then the series
+    out -= 0.5 / xv
+    out -= series
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+# ---------------------------------------------------------------------------
+# Reductions over the category axis
+# ---------------------------------------------------------------------------
+
+# numpy reduces each row of an (N, K) array in a loop of its own, which for
+# the few categories here costs more than the arithmetic.  Reducing a
+# transposed copy over its first axis combines whole columns, in numpy's order
+# for fewer than 8 components, so the bits are the same; from 8 on numpy's sum
+# is pairwise and its max is vectorized, so those stay with numpy.  So does one
+# row, where the copy costs more than it saves.
+
+def _columns(x: np.ndarray):
+    """x's columns as the rows of a contiguous copy, or None where numpy's own
+    row reduction is kept."""
+    if x.ndim != 2 or len(x) < 2 or x.shape[1] >= 8:
+        return None
+    return np.ascontiguousarray(x.T)
+
+
+def _row_sum(x: np.ndarray):
+    """x.sum(axis=-1), bit for bit."""
+    cols = _columns(x)
+    return x.sum(axis=-1) if cols is None else cols.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +174,8 @@ def _check_tau(tau: float) -> None:
 
 def _target_term(b: np.ndarray, tau: float) -> np.ndarray:
     """The part of the closed form that depends on b alone, per row of b."""
-    lg = log_gamma(np.concatenate([b.ravel(), np.ravel(b.sum(axis=-1))]))
-    return (1.0 - tau) * (lg[: b.size].reshape(b.shape).sum(axis=-1)
+    lg = log_gamma(np.concatenate([b.ravel(), np.ravel(_row_sum(b))]))
+    return (1.0 - tau) * (_row_sum(lg[: b.size].reshape(b.shape))
                           - lg[b.size :].reshape(b.shape[:-1]))
 
 
@@ -127,7 +194,7 @@ def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool 
     m = tau * a + (1.0 - tau) * b
     rows, size = a.shape[:-1], a.size
     n = size // a.shape[-1]
-    x = np.concatenate([np.ravel(m.sum(axis=-1)), m.ravel(), a.ravel(), np.ravel(a.sum(axis=-1))])
+    x = np.concatenate([np.ravel(_row_sum(m)), m.ravel(), a.ravel(), np.ravel(_row_sum(a))])
 
     def split(values):
         return (values[:n].reshape(rows), values[n : n + size].reshape(a.shape),
@@ -135,7 +202,7 @@ def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool 
                 values[n + 2 * size :].reshape(rows))
 
     lg_sm, lg_m, lg_a, lg_sa = split(log_gamma(x))
-    J = lg_sm - lg_m.sum(axis=-1) + tau * (lg_a.sum(axis=-1) - lg_sa) + target
+    J = lg_sm - _row_sum(lg_m) + tau * (_row_sum(lg_a) - lg_sa) + target
     if not grad:
         return J
     psi_sm, psi_m, psi_a, psi_sa = split(digamma(x))
@@ -210,9 +277,16 @@ def _check_finite_params(params) -> None:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    cols = _columns(z)
+    if cols is None:
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+    # the same steps on the transposed copy, whose rows are the categories
+    cols -= cols.max(axis=0)
+    np.exp(cols, out=cols)
+    cols /= cols.sum(axis=0)
+    return np.ascontiguousarray(cols.T)
 
 
 def _forward_batch(params, alpha0_sum: float, X: np.ndarray, n: np.ndarray):
@@ -308,12 +382,6 @@ def _arrays(data, name: str):
     return X, T, n, w
 
 
-def _degenerate_rows(alpha: np.ndarray) -> np.ndarray:
-    # softmax underflow or exploded weights leave zero/non-finite components,
-    # where the loss is divergent
-    return ~(np.isfinite(alpha).all(axis=-1) & (alpha > 0).all(axis=-1))
-
-
 def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     """Weighted mean Chernoff loss, the per-row losses J and, with grad=True,
     the gradients (dA, dbias, dW).
@@ -322,8 +390,10 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     prediction makes the loss and its rows of J infinite, without gradients.
     """
     alpha, Z, S, Sigma = _forward_batch(params, alpha0_sum, X, n)
-    bad = _degenerate_rows(alpha)
-    if bad.any():
+    if not _positive_finite(alpha):
+        # softmax underflow or exploded weights leave zero/non-finite
+        # components, where the loss is divergent
+        bad = ~(np.isfinite(alpha) & (alpha > 0)).all(axis=-1)
         return math.inf, np.where(bad, np.inf, 0.0), None
     wn = w / w.sum()
     if not grad:
@@ -333,9 +403,9 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     G = G * wn[:, None]
     W = params[2]
     dS = alpha0_sum * G
-    dZ = S * dS - S * (S * dS).sum(axis=1, keepdims=True)
+    dZ = S * dS - S * _row_sum(S * dS)[:, None]
     dSigma = n[:, None] * G
-    dU = Sigma * dSigma - Sigma * (Sigma * dSigma).sum(axis=1, keepdims=True)
+    dU = Sigma * dSigma - Sigma * _row_sum(Sigma * dSigma)[:, None]
     dZ = dZ + dU @ W
     dW = dU.T @ Z
     dA = X.T @ dZ
@@ -457,8 +527,15 @@ def load_model(path) -> HeadModel:
         "bias": ("a list of numbers", lambda v: is_numbers(v, 1)),
         "W": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
         "alpha0_sum": ("a number", is_numbers),
+        "d": ("an integer", lambda v: is_numbers(v) and isinstance(v, int)),
+        "C": ("an integer", lambda v: is_numbers(v) and isinstance(v, int)),
     })
     try:
-        return HeadModel(payload["A"], payload["bias"], payload["W"], float(payload["alpha0_sum"]))
+        model = HeadModel(payload["A"], payload["bias"], payload["W"], float(payload["alpha0_sum"]))
     except ValueError as exc:   # ragged, mis-shaped or non-finite parameters
         raise InputError(f"{path}: {exc}") from None
+    for key, value, what in (("d", model.feature_dim, "the number of rows of A"),
+                             ("C", model.num_categories - 1, "one less than the length of bias")):
+        if payload[key] != value:
+            raise InputError(f"{path}: key {key!r} must be {value}, {what}, got {payload[key]}")
+    return model

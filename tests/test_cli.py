@@ -350,6 +350,10 @@ _MALFORMED_DOCUMENTS = {
                          "key 'format_version' must be 1, got 2"),
     "model-mis_shaped": ("model.json", ("predict",), json.dumps({**_MODEL, "A": [[0.0, 0.0]]}),
                          "inconsistent parameter shapes: A (1, 2), bias (3,)"),
+    "model-d_mismatch": ("model.json", ("predict",), json.dumps({**_MODEL, "d": 99}),
+                         "key 'd' must be 1, the number of rows of A, got 99"),
+    "model-C_mismatch": ("model.json", ("predict",), json.dumps({**_MODEL, "C": 7}),
+                         "key 'C' must be 2, one less than the length of bias, got 7"),
     "calibration-bad_json": ("calibration.json", ("repeats",), "{'a': 1}", "invalid JSON"),
     "calibration-not_object": ("calibration.json", ("repeats",), "[]", "expected a JSON object"),
     "calibration-missing_key": ("calibration.json", ("repeats",), "{}",
@@ -383,7 +387,8 @@ def _reshaped_model(pipeline, categories=0, features=0) -> dict:
     A = np.pad(A, ((0, features), (0, categories)))
     bias = np.pad(bias, (0, categories))
     W = np.pad(W, ((0, categories), (0, categories)))
-    return {**model, "A": A.tolist(), "bias": bias.tolist(), "W": W.tolist()}
+    return {**model, "d": A.shape[0], "C": bias.size - 1,
+            "A": A.tolist(), "bias": bias.tolist(), "W": W.tolist()}
 
 
 @pytest.mark.parametrize("argv", [("predict",), ("infer", "--prior", "model"),

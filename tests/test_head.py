@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from crowdinfer.core import DirichletParams
+from crowdinfer.core import DirichletParams, InputError
 from crowdinfer.head import (
     HeadModel,
     TrainConfig,
     _chernoff,
+    _columns,
     _loss_grads,
+    _row_sum,
     _target_term,
     chernoff,
     chernoff_grad,
@@ -30,6 +32,48 @@ from crowdinfer.head import (
 # ---------------------------------------------------------------------------
 # reference implementations: the fused kernels must equal these bit for bit
 # ---------------------------------------------------------------------------
+
+
+_LANCZOS_COEFS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def _log_gamma_oracle(x):
+    """log_gamma with a fresh array for every term of the Lanczos series."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    xv = np.atleast_1d(x)
+    small = xv < 0.5
+    z = np.where(small, xv + 1.0, xv) - 1.0
+    series = np.full_like(z, _LANCZOS_COEFS[0])
+    for i, c in enumerate(_LANCZOS_COEFS[1:], start=1):
+        series += c / (z + i)
+    t = z + 7.0 + 0.5
+    out = 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(series)
+    out = np.where(small, out - np.log(xv), out)
+    return float(out[0]) if scalar else out
+
+
+def _softmax_oracle(z):
+    """softmax with numpy's own reductions over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _digamma_oracle(x):
@@ -92,7 +136,7 @@ def _component_arrays(draw, shape):
 
 @st.composite
 def _kernel_cases(draw):
-    shape = (draw(st.integers(1, 300)), draw(st.integers(2, 6)))
+    shape = (draw(st.integers(1, 300)), draw(st.integers(2, 12)))
     tau = draw(st.sampled_from([0.5, 0.25, 0.9]) | st.floats(0.01, 0.99))
     return draw(_component_arrays(shape)), draw(_component_arrays(shape)), tau
 
@@ -117,11 +161,68 @@ def test_fused_kernel_equals_separate_calls_on_one_vector():
     assert np.array_equal(chernoff_grad(DirichletParams(a), DirichletParams(b), 0.4), G)
 
 
+# from one element to several of digamma's blocks of shifted arguments
+_argument_arrays = (st.integers(1, 400) | st.integers(401, 40_000)).flatmap(
+    lambda size: _component_arrays((size,)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 400).flatmap(lambda size: _component_arrays((size,))))
+@given(_argument_arrays)
 def test_digamma_equals_masked_shift_bitwise(x):
     assert np.array_equal(digamma(x), _digamma_oracle(x))
     assert digamma(float(x[0])) == _digamma_oracle(float(x[0]))
+
+
+# subnormals, and 0.5 (where log_gamma lifts its argument) with its neighbours
+_TINY = np.finfo(float).tiny
+_LOG_GAMMA_EDGES = [5e-324, _TINY / 3, np.nextafter(_TINY, 0.0),
+                    np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0, 2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argument_arrays,
+       st.lists(st.tuples(st.integers(0, 2**31), st.sampled_from(_LOG_GAMMA_EDGES)), max_size=8))
+def test_log_gamma_equals_lanczos_oracle_bitwise(x, edges):
+    for pos, value in edges:
+        x[pos % x.size] = value
+    assert _same_bits(log_gamma(x), _log_gamma_oracle(x))
+    assert _same_bits(log_gamma(x.reshape(1, -1)), _log_gamma_oracle(x.reshape(1, -1)))
+    for value in (float(x[0]), *_LOG_GAMMA_EDGES):
+        assert log_gamma(value) == _log_gamma_oracle(value)
+        assert isinstance(log_gamma(value), float)
+
+
+@st.composite
+def _row_matrices(draw):
+    """(N, K) matrices, N 1-600 and K 2-12, of signed zeros, ties and values
+    of any magnitude."""
+    n, k = draw(st.integers(1, 600)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
+    special = rng.random((n, k)) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    x[special] = rng.choice(pool, size=int(special.sum()))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_matrices())
+def test_row_reductions_equal_numpy_bitwise(x):
+    with np.errstate(over="ignore", invalid="ignore"):   # sums of +-1e308
+        assert _same_bits(_row_sum(x), x.sum(axis=-1))
+        assert _same_bits(_row_sum(x[0]), x[0].sum(axis=-1))
+    cols = _columns(x)   # softmax takes the row maxima from these
+    assert (cols is None) == (len(x) == 1 or x.shape[1] >= 8)
+    if cols is not None:
+        assert _same_bits(cols.max(axis=0)[:, None], x.max(axis=-1, keepdims=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_matrices(), st.floats(1e-3, 10.0))
+def test_softmax_equals_numpy_formula_bitwise(x, scale):
+    z = np.arcsinh(x) * scale   # scores within +-7000, signed zeros kept
+    assert _same_bits(softmax(z), _softmax_oracle(z))
+    assert _same_bits(softmax(z[0]), _softmax_oracle(z[0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -463,6 +564,17 @@ def test_model_save_load_round_trip(tmp_path):
     assert back.alpha0_sum == model.alpha0_sum
     x = np.ones(5)
     assert np.array_equal(head_forward(back, x, 7).alpha, head_forward(model, x, 7).alpha)
+
+
+@pytest.mark.parametrize("key", ["d", "C"])
+def test_model_load_requires_d_and_C(tmp_path, key):
+    path = tmp_path / "model.json"
+    save_model(path, init_model(5, 3, 3.0, np.random.default_rng(8)))
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputError, match=f"missing key '{key}'"):
+        load_model(path)
 
 
 def test_model_load_rejects_unknown_format(tmp_path):
