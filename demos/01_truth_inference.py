@@ -28,7 +28,7 @@ print("categories:", scheme.names)
 # twelve annotators: 3 * no, 8 * yes, 1 * can't solve
 answers = ["no"] * 3 + ["yes"] * 8 + ["cs"]
 counts = tally([scheme.index_of(a) for a in answers], scheme)
-print("counts:", dict(zip(scheme.names, counts.counts.tolist())))
+print("counts:", dict(zip(scheme.names, counts.tolist())))
 
 # conjugate update: posterior parameters are prior + counts
 prior = uniform_prior(scheme)

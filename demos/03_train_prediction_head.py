@@ -26,9 +26,11 @@ from crowdinfer.bayes import point_estimates
 from crowdinfer.sim import SimConfig
 
 cfg = SimConfig(num_tasks=1200, num_proper=2, repeats=15, feature_noise=0.1, seed=0)
-scheme, tasks = simulate_dataset(cfg)
+# the tasks as columns (ids, features, latent soft labels) and one row of
+# answers per task
+scheme, tasks, answers = simulate_dataset(cfg)
 # one split label per task: 0 train, 1 val, 2 test
-labels = split_dataset([t.task_id for t in tasks], (0.8, 0.1, 0.1), seed=0)
+labels = split_dataset(tasks.task_ids, (0.8, 0.1, 0.1), seed=0)
 prior = uniform_prior(scheme)
 
 
@@ -36,10 +38,10 @@ def arrays(label):
     """The tasks of one split as arrays: features X, target concentrations T
     (each task's posterior under the uniform prior), response counts n and
     example weights w, one row per task."""
-    rows = [t for t, split in zip(tasks, labels) if split == label]
-    counts = np.stack([tally(t.responses, scheme).counts for t in rows])
-    X = np.stack([t.features for t in rows])
-    return X, prior.alpha + counts, counts.sum(axis=1).astype(float), np.ones(len(rows))
+    rows = labels == label
+    counts = np.stack([tally(row, scheme) for row in answers[rows]])
+    X = tasks.features[rows]
+    return X, prior.alpha + counts, counts.sum(axis=1).astype(float), np.ones(len(X))
 
 
 train_set, val_set = arrays(0), arrays(1)
@@ -55,10 +57,10 @@ for e, tl, vl in history[:: max(1, len(history) // 6)]:
     print(f"  epoch {e:3d}  train {tl:.4f}  val {vl:.4f}")
 
 # predictions: Dirichlet parameters at any chosen response budget n
-test_tasks = [t for t, split in zip(tasks, labels) if split == 2]
-t = test_tasks[0]
+test_rows = np.flatnonzero(labels == 2)
+x = tasks.features[test_rows[0]]
 for n in (0, 5, 15):
-    alpha = head_forward(model, t.features, n)
+    alpha = head_forward(model, x, n)
     print(f"n={n:2d} -> alpha {np.round(alpha.alpha, 3)} (sum {alpha.alpha_sum:.1f})")
 
 # score mode-vs-mode on the held-out split, one row per task
@@ -69,7 +71,7 @@ print(f"\ntest accuracy {report.acc:.3f}, mean distance {report.mean_D:.3f} "
       f"over {report.n_tasks} tasks")
 
 # the loss being minimized is a proper distance between Dirichlet posteriors
-t = test_tasks[-1]
-a = head_forward(model, t.features, t.n_responses)
-b = posterior(prior, tally(t.responses, scheme))
+last = test_rows[-1]
+a = head_forward(model, tasks.features[last], answers[last].size)
+b = posterior(prior, tally(answers[last], scheme))
 print(f"chernoff(prediction, crowd posterior) on one task: {chernoff(a, b):.4f}")

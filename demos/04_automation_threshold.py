@@ -12,18 +12,18 @@ import numpy as np
 
 from crowdinfer import confidence, posterior_mode
 from crowdinfer.autothresh import bootstrap_curves, calibrate, curve
-from crowdinfer.sim import SimConfig, gen_tasks, synthetic_predictor
+from crowdinfer.sim import SimConfig, simulate_dataset, synthetic_predictor
 
 # a synthetic predictor with mild noise stands in for a trained model
 cfg = SimConfig(num_tasks=3000, num_proper=2, repeats=0, predictor_noise=0.8, seed=0)
-tasks = gen_tasks(cfg)
+_, tasks, _ = simulate_dataset(cfg)
 rng = np.random.default_rng(0)
 
 conf, correct = [], []
-for t in tasks:
-    pred = posterior_mode(synthetic_predictor(t, 20, cfg, rng))
+for q in tasks.true_q:
+    pred = posterior_mode(synthetic_predictor(q, 20, cfg, rng))
     conf.append(confidence(pred.q))
-    correct.append(int(pred.argmax() == t.true_q.argmax()))
+    correct.append(int(pred.argmax() == q.argmax()))
 conf, correct = np.array(conf), np.array(correct)
 val, test = slice(0, 1500), slice(1500, None)
 print(f"overall accuracy {correct.mean():.3f}; "

@@ -11,30 +11,31 @@ posterior mode approaches the crowd's final empirical distribution.
 
 import numpy as np
 
-from crowdinfer import DirichletParams
-from crowdinfer.priors import blend_prior, repeats_summary, uniform_provider
-from crowdinfer.sim import SimConfig, simulate_dataset, synthetic_predictor, task_rng
+from crowdinfer import task_rng
+from crowdinfer.priors import blend_prior, repeats_summary
+from crowdinfer.sim import SimConfig, simulate_dataset, synthetic_predictor
 
 cfg = SimConfig(num_tasks=400, num_proper=2, repeats=12, predictor_noise=0.5, seed=0)
-scheme, tasks = simulate_dataset(cfg)
+scheme, tasks, answers = simulate_dataset(cfg)
 k = scheme.num_categories
 
 # the blended prior keeps 2/3 uniform mass so a wrong prediction cannot
 # dominate; predictions are taken at n=0 (no responses seen)
-def informed_provider(task):
-    rng = task_rng(cfg.seed, f"demo-pred:{task.task_id}")
-    return blend_prior(synthetic_predictor(task, 0, cfg, rng), blend=1.0 / 3.0)
+def informed_prior(task_id, q):
+    rng = task_rng(cfg.seed, f"demo-pred:{task_id}")
+    return blend_prior(synthetic_predictor(q, 0, cfg, rng), blend=1.0 / 3.0).alpha
 
 
-sample = tasks[0]
+# one prior row per task
+informed = np.stack([informed_prior(tid, q) for tid, q in zip(tasks.task_ids, tasks.true_q)])
 print("uniform prior :", np.ones(k))
-print("informed prior:", np.round(informed_provider(sample).alpha, 3))
+print("informed prior:", np.round(informed[0], 3))
 
 # identical seeds replay identical response orders, so the two variants
 # are compared on exactly the same draws
-uni = repeats_summary(tasks, uniform_provider(k), permutations=16, seed=0,
-                      variant="uniform")
-inf = repeats_summary(tasks, informed_provider, permutations=16, seed=0,
+uni = repeats_summary(tasks.task_ids, answers, np.ones((len(tasks), k)), permutations=16,
+                      seed=0, variant="uniform")
+inf = repeats_summary(tasks.task_ids, answers, informed, permutations=16, seed=0,
                       variant="informed")
 
 print("\nstep  uniform median  informed median")
@@ -47,7 +48,7 @@ print("final step is 0 for the uniform variant by construction:",
       uni.steps[-1].median)
 
 # the same machinery accepts any prior; e.g. a deliberately wrong one
-wrong = DirichletParams(np.array([2.5, 0.25, 0.25]))
-bad = repeats_summary(tasks, lambda t: wrong, permutations=16, seed=0,
-                      variant="wrong")
+wrong = np.array([2.5, 0.25, 0.25])
+bad = repeats_summary(tasks.task_ids, answers, np.tile(wrong, (len(tasks), 1)),
+                      permutations=16, seed=0, variant="wrong")
 print("step-1 median with a misleading prior:", round(bad.steps[0].median, 4))

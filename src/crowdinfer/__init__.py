@@ -19,7 +19,6 @@ from .bayes import (
 )
 from .core import (
     CategoryScheme,
-    CountVector,
     DirichletParams,
     InputError,
     SoftLabel,
@@ -57,7 +56,6 @@ __all__ = [
     "__version__",
     "AmbiguityConfig",
     "CategoryScheme",
-    "CountVector",
     "DirichletParams",
     "HeadModel",
     "InputError",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CategoryScheme, CountVector, DirichletParams, InputError, SoftLabel
+from .core import CategoryScheme, DirichletParams, InputError, SoftLabel
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,20 @@ def uniform_prior(scheme: CategoryScheme) -> DirichletParams:
     return DirichletParams(np.ones(scheme.num_categories))
 
 
-def posterior(prior: DirichletParams, counts: CountVector) -> DirichletParams:
-    """Conjugate update: add observed counts to the prior concentrations."""
-    if len(prior) != counts.counts.size:
+def posterior(prior: DirichletParams, counts) -> DirichletParams:
+    """Conjugate update: add observed counts (an integer row, as tally
+    returns) to the prior concentrations."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise InputError(f"counts must be integers, got {counts.dtype}")
+    if counts.shape != (len(prior),):
         raise ValueError(
             f"dimension mismatch: prior has {len(prior)} components, "
-            f"counts has {counts.counts.size}"
+            f"counts has {counts.size}"
         )
-    return DirichletParams(prior.alpha + counts.counts)
+    if min(counts.tolist()) < 0:   # a list: microseconds less per task than a ufunc
+        raise InputError(f"negative count in {counts}")
+    return DirichletParams(prior.alpha + counts)
 
 
 def marginal_solvability(alpha: DirichletParams) -> BetaParams:

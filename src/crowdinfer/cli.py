@@ -66,7 +66,7 @@ from .metrics import (
     soft_distance,
     soft_weight,
 )
-from .priors import blend_prior, check_blend, repeats_summary, uniform_provider, write_repeats_csv
+from .priors import blend_prior, check_blend, repeats_summary, write_repeats_csv
 from .sim import SimConfig, simulate_dataset
 
 # Artifact paths, resolved against the output directory; provenance leaves
@@ -305,12 +305,12 @@ def cmd_simulate(cfg: dict) -> int:
         predictor_noise=cfg["predictor_noise"],
         seed=cfg["seed"],
     )
-    scheme, tasks = simulate_dataset(sim)
+    scheme, table, answers = simulate_dataset(sim)
     write_scheme(_path(cfg, "scheme"), scheme)
-    write_tasks(_path(cfg, "tasks"), tasks)
-    write_responses(_path(cfg, "responses"), tasks, scheme)
+    write_tasks(_path(cfg, "tasks"), table)
+    write_responses(_path(cfg, "responses"), table.task_ids, answers, scheme)
     print(
-        f"simulated {len(tasks)} tasks, {sum(t.n_responses for t in tasks)} responses "
+        f"simulated {len(table)} tasks, {answers.size} responses "
         f"({scheme.num_proper}+1 categories, seed {cfg['seed']})"
     )
     return 0
@@ -336,7 +336,7 @@ def cmd_infer(cfg: dict) -> int:
     records = []
     for task in tasks:
         counts = tally(task.responses, scheme)
-        records.append((task.task_id, posterior(prior_for(task), counts), counts.total))
+        records.append((task.task_id, posterior(prior_for(task), counts), int(counts.sum())))
     write_alpha_records(_path(cfg, "posteriors"), records)
     print(f"inferred {len(records)} posteriors ({cfg['prior']} prior)")
     return 0
@@ -493,17 +493,14 @@ def cmd_repeats(cfg: dict) -> int:
         raise InputError("no non-automated tasks left for the repeats analysis")
     kept.sort(key=lambda t: t.task_id)
 
-    informed = {
-        t.task_id: blend_prior(head_forward(model, t.features, 0), cfg["blend"]) for t in kept
-    }
-    common = dict(
-        max_repeats=cfg["max_repeats"],
-        permutations=cfg["permutations"],
-        seed=cfg["seed"],
-    )
+    ids, answers = [t.task_id for t in kept], [t.responses for t in kept]
+    informed = np.stack([blend_prior(head_forward(model, t.features, 0), cfg["blend"]).alpha
+                         for t in kept])
+    common = dict(max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],
+                  seed=cfg["seed"])
     summaries = [
-        repeats_summary(kept, uniform_provider(scheme.num_categories), variant="uniform", **common),
-        repeats_summary(kept, lambda t: informed[t.task_id], variant="informed", **common),
+        repeats_summary(ids, answers, np.ones_like(informed), variant="uniform", **common),
+        repeats_summary(ids, answers, informed, variant="informed", **common),
     ]
     write_repeats_csv(_path(cfg, "repeats_csv"), summaries, provenance(cfg))
     s1 = {s.variant: s.steps[0].median for s in summaries}

@@ -88,23 +88,6 @@ class CategoryScheme:
 
 
 @dataclass(frozen=True)
-class CountVector:
-    """Per-category response frequencies for a single task."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if (counts < 0).any():
-            raise InputError(f"negative count in {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class DirichletParams:
     """Strictly positive concentration vector."""
 
@@ -200,8 +183,9 @@ class TaskRecord:
 # Operations
 # ---------------------------------------------------------------------------
 
-def tally(answers, scheme: CategoryScheme) -> CountVector:
-    """Count answer indices (an integer array or sequence) per category."""
+def tally(answers, scheme: CategoryScheme) -> np.ndarray:
+    """Count answer indices (an integer array or sequence) per category: a
+    (K,) int64 row, as count_matrix makes for each task."""
     answers = np.asarray(answers)
     k = scheme.num_categories
     if answers.size and answers.dtype.kind not in "iu":
@@ -209,15 +193,15 @@ def tally(answers, scheme: CategoryScheme) -> CountVector:
     invalid = (answers < 0) | (answers >= k)
     if invalid.any():
         raise InputError(f"invalid category index {answers[invalid][0]} (expected < {k})")
-    counts = np.bincount(answers.astype(np.int64, copy=False), minlength=k)
-    return _checked(CountVector, counts=counts)
+    return np.bincount(answers.astype(np.int64, copy=False), minlength=k)
 
 
-def empirical_soft_label(counts: CountVector) -> SoftLabel:
-    """Observed response frequencies as a soft label."""
-    if counts.total == 0:
+def empirical_soft_label(counts) -> SoftLabel:
+    """Observed response frequencies (a row of counts) as a soft label."""
+    counts = np.asarray(counts)
+    if counts.sum() == 0:
         raise ValueError("no responses to normalize")
-    return SoftLabel(counts.counts / counts.total)
+    return SoftLabel(counts / counts.sum())
 
 
 def task_rng(global_seed: int, task_id) -> np.random.Generator:
@@ -378,17 +362,6 @@ def read_scheme(path) -> CategoryScheme:
         return CategoryScheme(tuple(data["proper"]), data.get("cs", "cs"))
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-
-
-def write_tasks(path, tasks: Iterable[TaskRecord]) -> None:
-    with open(path, "w") as fh:
-        for t in tasks:
-            rec: dict = {"task_id": t.task_id}
-            if t.features is not None:
-                rec["features"] = t.features.tolist()
-            if t.true_q is not None:
-                rec["true_q"] = t.true_q.q.tolist()
-            fh.write(json.dumps(rec) + "\n")
 
 
 _ABSENT = object()   # marks an optional key missing from a record
@@ -622,14 +595,17 @@ class TaskTable:
     true_q: np.ndarray
     has_true_q: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
 
 def read_task_table(path) -> TaskTable:
     """Read a tasks file as columns, checking features and true_q as matrices.
 
     The first failing record exits as ``file:line``: a bad JSON line or a
-    missing task_id, a true_q that is not a soft label, non-finite features,
-    a repeated task_id, or a features or true_q length that differs from the
-    first record's.
+    missing task_id, a true_q that is not a soft label, empty or non-finite
+    features, a repeated task_id, or a features or true_q length that
+    differs from the first record's.
     """
     lines, (ids, features, true_q), stop = _scan(
         path,
@@ -650,6 +626,7 @@ def read_task_table(path) -> TaskTable:
          lambda i: f"bad task record: soft label does not sum to 1: {q.row(i)} "
                    f"(sum {q.row(i).sum()!r})"),
         (f.faulty, lambda i: f"bad task record: {f.faults[i]}"),
+        (f.sizes == 0, lambda i: f"bad task record: empty features in task {ids[i]!r}"),
         (f.failing(lambda a: ~np.isfinite(a).all(axis=-1)),
          lambda i: f"bad task record: non-finite feature values in task {ids[i]!r}"),
         (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
@@ -659,6 +636,22 @@ def read_task_table(path) -> TaskTable:
                                    f"records ({q.first_size})"),
     ])
     return TaskTable(ids, f.matrix, f.present, q.matrix, q.present)
+
+
+def write_tasks(path, table: TaskTable) -> None:
+    """Write a TaskTable as read_task_table reads it: one JSON line per task,
+    with features and true_q where the table has them."""
+    with open(path, "w") as fh:
+        for tid, x, has_x, q, has_q in zip(
+            table.task_ids, table.features.tolist(), table.has_features.tolist(),
+            table.true_q.tolist(), table.has_true_q.tolist(),
+        ):
+            rec: dict = {"task_id": tid}
+            if has_x:
+                rec["features"] = x
+            if has_q:
+                rec["true_q"] = q
+            fh.write(json.dumps(rec) + "\n")
 
 
 def _checked(cls, **fields):
@@ -687,22 +680,25 @@ def read_tasks(path) -> list:
     ]
 
 
-def write_responses(path, tasks: Iterable[TaskRecord], scheme: CategoryScheme) -> None:
-    """Write each task's responses in order, one JSON line per answer, from
-    a per-task prefix and per-category suffixes keyed by index, so that an
-    answer outside [0, K), a negative one too, exits naming its task."""
+def write_responses(path, task_ids: Sequence[str], answers, scheme: CategoryScheme) -> None:
+    """Write each task's row of ``answers`` (an (N, R) matrix or N integer
+    arrays) in order, one JSON line per answer, from a per-task prefix and
+    per-category suffixes keyed by index, so that an answer outside [0, K),
+    a negative one too, exits naming its task."""
+    if len(answers) != len(task_ids):
+        raise InputError(f"{len(answers)} answer rows for {len(task_ids)} task ids")
     suffixes = [json.dumps(name) + "}\n" for name in scheme.names]
     with open(path, "w") as fh:
-        for task in tasks:
-            answers = np.asarray(task.responses)
-            if answers.size and answers.dtype.kind not in "iu":
-                raise InputError(f"task {task.task_id!r}: answers are {answers.dtype}, not integers")
-            prefix = '{"task_id": ' + json.dumps(task.task_id) + ', "answer": '
+        for task_id, row in zip(task_ids, answers):
+            row = np.asarray(row)
+            if row.size and row.dtype.kind not in "iu":
+                raise InputError(f"task {task_id!r}: answers are {row.dtype}, not integers")
+            prefix = '{"task_id": ' + json.dumps(task_id) + ', "answer": '
             lines = {i: prefix + suffix for i, suffix in enumerate(suffixes)}
             try:
-                fh.write("".join([lines[a] for a in answers.tolist()]))
+                fh.write("".join([lines[a] for a in row.tolist()]))
             except KeyError as exc:
-                raise InputError(f"task {task.task_id!r}: invalid category index {exc}") from None
+                raise InputError(f"task {task_id!r}: invalid category index {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -251,8 +252,8 @@ class HeadModel:
         if A.ndim != 2 or A.shape[1] != k or W.shape != (k, k):
             raise ValueError(f"inconsistent parameter shapes: A {A.shape}, bias {bias.shape}, W {W.shape}")
         _check_finite_params((A, bias, W))
-        if not self.alpha0_sum > 0:
-            raise ValueError("alpha0_sum must be positive")
+        if not 0 < self.alpha0_sum < math.inf:
+            raise ValueError(f"alpha0_sum must be positive and finite, got {self.alpha0_sum}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "W", W)
@@ -526,7 +527,8 @@ def load_model(path) -> HeadModel:
         "A": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
         "bias": ("a list of numbers", lambda v: is_numbers(v, 1)),
         "W": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
-        "alpha0_sum": ("a number", is_numbers),
+        "alpha0_sum": ("a positive finite number",
+                       lambda v: is_numbers(v) and 0 < v <= sys.float_info.max),
         "d": ("an integer", lambda v: is_numbers(v) and isinstance(v, int)),
         "C": ("an integer", lambda v: is_numbers(v) and isinstance(v, int)),
     })

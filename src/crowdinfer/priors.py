@@ -4,18 +4,19 @@ Observed responses are replayed one at a time in random order, updating the
 Dirichlet posterior after every draw and measuring how far its mode still
 is from the crowd's empirical soft label.  Running the replay once from the
 uniform prior and once from a machine-informed prior, on identical draw
-orders, quantifies how many human labels the prediction is worth.
+orders, quantifies how many human labels the prediction is worth.  Tasks
+come as arrays: answers as category indices, and one prior row per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .bayes import point_estimates
-from .core import DirichletParams, InputError, TaskRecord, task_rng, write_csv
+from .core import DirichletParams, InputError, task_rng, write_csv
 
 _REPEATS_STREAM = "repeats"
 
@@ -36,28 +37,33 @@ def blend_prior(prediction_at_n0: DirichletParams, blend: float = 1.0 / 3.0) -> 
     return DirichletParams((1.0 - blend) + blend * prediction_at_n0.alpha)
 
 
-def repeats_run(task: TaskRecord, prior: DirichletParams, permutations: int,
+def repeats_run(answers, prior_alpha, permutations: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Mean distance-to-empirical after each incremental draw.
 
-    Each permutation replays all observed responses of the task in a random
-    order without replacement; the result averages the per-step distances
-    over the permutations.
+    ``answers`` are one task's observed responses as category indices and
+    ``prior_alpha`` its (K,) prior concentrations.  Each permutation replays
+    all answers in a random order without replacement; the result averages
+    the per-step distances over the permutations.
     """
-    n = task.n_responses
+    answers = np.asarray(answers)
+    n = answers.size
     if n == 0:
-        raise ValueError(f"task {task.task_id} has no responses to replay")
+        raise ValueError("no responses to replay")
     if permutations < 1:
         raise InputError("permutations must be at least 1")
-    k = len(prior)
-    answers = np.asarray(task.responses)
-    if (answers < 0).any() or (answers >= k).any():
-        raise ValueError(f"task {task.task_id} has answers outside the prior's categories")
+    alpha = np.asarray(prior_alpha, dtype=float)
+    if alpha.ndim != 1 or not (np.isfinite(alpha) & (alpha > 0)).all():
+        raise InputError(f"prior must be a vector of positive finite numbers, got {alpha}")
+    k = alpha.size
+    if (answers.ndim != 1 or answers.dtype.kind not in "iu"
+            or not 0 <= answers.min() <= answers.max() < k):
+        raise ValueError(f"answers must be a vector of indices of the prior's {k} categories")
     empirical = np.bincount(answers, minlength=k) / n
 
     orders = np.array([rng.permutation(n) for _ in range(permutations)])
     steps = np.zeros((permutations, n + 1, k))
-    steps[:, 0] = prior.alpha
+    steps[:, 0] = alpha
     steps[np.arange(permutations)[:, None], np.arange(1, n + 1), answers[orders]] = 1.0
     modes = point_estimates(np.cumsum(steps, axis=1)[:, 1:])
     denom = np.maximum(empirical, 1.0 - empirical)
@@ -85,8 +91,9 @@ class RepeatsSummary:
 
 
 def repeats_summary(
-    tasks: Sequence[TaskRecord],
-    prior_provider: Callable[[TaskRecord], DirichletParams],
+    task_ids: Sequence[str],
+    answers: Sequence[np.ndarray],
+    priors: np.ndarray,
     max_repeats: Optional[int] = None,
     permutations: int = 16,
     seed: int = 0,
@@ -94,19 +101,23 @@ def repeats_summary(
 ) -> RepeatsSummary:
     """Per-step distance quantiles across tasks.
 
-    Each task replays from its own named random stream derived from (seed,
+    ``answers`` and ``priors`` (an (M, K) matrix) hold one answer array and
+    one prior row per task id.  Each task replays from its own named random stream derived from (seed,
     task_id) only, so two summaries with different priors but the same seed
     see identical draw orders and are directly paired.  Tasks without
     responses are skipped.
     """
     if max_repeats is not None and max_repeats < 1:
         raise InputError(f"max_repeats must be at least 1, got {max_repeats}")
+    if not len(task_ids) == len(answers) == len(priors):
+        raise InputError(f"{len(task_ids)} task ids, {len(answers)} answer arrays and "
+                         f"{len(priors)} prior rows")
     per_task: List[np.ndarray] = []
-    for task in tasks:
-        if task.n_responses == 0:
+    for task_id, task_answers, prior in zip(task_ids, answers, priors):
+        if len(task_answers) == 0:
             continue
-        rng = task_rng(seed, f"{_REPEATS_STREAM}:{task.task_id}")
-        per_task.append(repeats_run(task, prior_provider(task), permutations, rng))
+        rng = task_rng(seed, f"{_REPEATS_STREAM}:{task_id}")
+        per_task.append(repeats_run(task_answers, prior, permutations, rng))
     if not per_task:
         raise ValueError("no tasks with responses")
 
@@ -119,11 +130,6 @@ def repeats_summary(
         q = np.quantile(vals, (0.025, 0.25, 0.5, 0.75, 0.975))
         steps.append(StepQuantiles(s, *(float(x) for x in q), int(vals.size)))
     return RepeatsSummary(variant=variant, steps=steps)
-
-
-def uniform_provider(k: int) -> Callable[[TaskRecord], DirichletParams]:
-    prior = DirichletParams(np.ones(k))
-    return lambda task: prior
 
 
 def write_repeats_csv(path, summaries: Sequence[RepeatsSummary],

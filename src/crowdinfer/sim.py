@@ -3,14 +3,17 @@
 Tasks carry a latent answer distribution drawn from a Dirichlet prior;
 annotators respond i.i.d. from it, features are a fixed noisy linear map
 of its log, and a controllable synthetic predictor exposes the accuracy
-knobs needed to exercise the downstream pipeline without training.
+knobs needed to exercise the downstream pipeline without training.  The
+dataset comes back as arrays: a TaskTable of ids, features and latent soft
+labels, and a matrix of answers, one row per task, which write_tasks and
+write_responses write as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,8 +21,8 @@ from .core import (
     CategoryScheme,
     DirichletParams,
     InputError,
-    SoftLabel,
-    TaskRecord,
+    TaskTable,
+    check_soft_labels,
     task_rng,
 )
 from .head import softmax
@@ -83,83 +86,54 @@ def feature_map(config: SimConfig) -> np.ndarray:
     return rng.standard_normal((config.feature_dim, config.num_categories))
 
 
-def gen_features(task: TaskRecord, config: SimConfig, rng: np.random.Generator,
-                 fmap: Optional[np.ndarray] = None) -> np.ndarray:
-    if task.true_q is None:
-        raise ValueError(f"task {task.task_id} lacks a latent answer distribution")
-    if fmap is None:
-        fmap = feature_map(config)
-    x = fmap @ np.log(task.true_q.q + _LOG_FLOOR)
-    if config.feature_noise > 0:
-        x = x + config.feature_noise * rng.standard_normal(config.feature_dim)
-    return x
+def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.ndarray]:
+    """The scheme, the tasks as columns (ids, features, latent soft labels)
+    and an (N, repeats) int64 matrix of answers as category indices.
 
-
-def gen_responses(task: TaskRecord, repeats: int, rng: np.random.Generator) -> np.ndarray:
-    """``repeats`` answers drawn i.i.d. from the task's latent distribution,
-    as category indices."""
-    if task.true_q is None:
-        raise ValueError(f"task {task.task_id} lacks a latent answer distribution")
-    if repeats < 0:
-        raise ValueError("repeats must be non-negative")
-    return rng.choice(len(task.true_q.q), size=repeats, p=task.true_q.q)
-
-
-def _task_stream(config: SimConfig, index: int) -> Tuple[str, np.random.Generator]:
-    tid = f"t{index:06d}"
-    return tid, task_rng(config.seed, tid)
-
-
-def _gen_task(config: SimConfig, index: int, prior: DirichletParams,
-              fmap: np.ndarray) -> Tuple[TaskRecord, np.random.Generator]:
-    """Draw one task from its own named stream: latent label, then features.
-
-    Returns the still-open stream so callers can continue it for responses.
+    Each task's own named stream draws its latent label, its feature noise,
+    then its responses, so a task's row is a pure function of the config and
+    its index.  Non-finite features (a huge feature_noise) raise InputError
+    naming the first such task.
     """
-    tid, rng = _task_stream(config, index)
-    q = SoftLabel(rng.dirichlet(prior.alpha))
-    task = TaskRecord(tid, None, q)
-    task.features = gen_features(task, config, rng, fmap)
-    return task, rng
-
-
-def gen_tasks(config: SimConfig) -> List[TaskRecord]:
-    """Tasks with latent labels and features, no responses yet."""
-    prior = config.generation_prior()
+    alpha = config.generation_prior().alpha
     fmap = feature_map(config)
-    return [_gen_task(config, i, prior, fmap)[0] for i in range(config.num_tasks)]
+    n, k, d = config.num_tasks, config.num_categories, config.feature_dim
+    ids = [f"t{i:06d}" for i in range(n)]
+    q = np.empty((n, k))
+    x = np.empty((n, d))
+    answers = np.empty((n, config.repeats), dtype=np.int64)
+    for i, tid in enumerate(ids):
+        rng = task_rng(config.seed, tid)
+        q[i] = rng.dirichlet(alpha)
+        # one mat-vec per task: a batched product may round differently
+        x[i] = fmap @ np.log(q[i] + _LOG_FLOOR)
+        if config.feature_noise > 0:
+            x[i] += config.feature_noise * rng.standard_normal(d)
+        answers[i] = rng.choice(k, size=config.repeats, p=q[i])
+    check_soft_labels(q)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise InputError(f"non-finite feature values in task {ids[bad.argmax()]!r}")
+    present = np.ones(n, dtype=bool)
+    return scheme_for(config), TaskTable(ids, x, present, q, present.copy()), answers
 
 
-def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, List[TaskRecord]]:
-    """Generate the full synthetic dataset.
-
-    Per-task streams draw the latent label, features, then responses, so the
-    output is a pure function of the config regardless of generation order.
-    """
-    prior = config.generation_prior()
-    fmap = feature_map(config)
-    tasks: List[TaskRecord] = []
-    for i in range(config.num_tasks):
-        task, rng = _gen_task(config, i, prior, fmap)
-        task.responses = gen_responses(task, config.repeats, rng)
-        tasks.append(task)
-    return scheme_for(config), tasks
-
-
-def synthetic_predictor(task: TaskRecord, n: int, config: SimConfig,
+def synthetic_predictor(q, n: int, config: SimConfig,
                         rng: np.random.Generator) -> DirichletParams:
-    """Stand-in for a trained head: softmax of the perturbed, tempered log
-    answer distribution, scaled so the components sum to alpha0_sum + n.
+    """Stand-in for a trained head on a task with latent soft label ``q``:
+    softmax of the perturbed, tempered log answer distribution, scaled so the
+    components sum to alpha0_sum + n.
 
     Temperature 1 and noise 0 recover the latent distribution itself;
     raising either degrades fidelity.
     """
-    if task.true_q is None:
-        raise ValueError(f"task {task.task_id} lacks a latent answer distribution")
+    q = check_soft_labels(q)
+    if q.ndim != 1:
+        raise InputError(f"q must be one soft label, got shape {q.shape}")
     if n < 0:
         raise ValueError("response count n must be non-negative")
-    k = len(task.true_q.q)
-    logits = np.log(task.true_q.q + _LOG_FLOOR) / config.predictor_temperature
+    k = len(q)
+    logits = np.log(q + _LOG_FLOOR) / config.predictor_temperature
     if config.predictor_noise > 0:
         logits = logits + config.predictor_noise * rng.standard_normal(k)
     alpha0_sum = float(k)

@@ -28,15 +28,14 @@ from crowdinfer import cli
 from crowdinfer.cli import main
 from crowdinfer.core import (
     CategoryScheme,
-    CountVector,
     DirichletParams,
     read_alpha_records,
     task_rng,
 )
 from crowdinfer.head import _chernoff, chernoff, chernoff_grad, head_forward, init_model
 from crowdinfer.metrics import AmbiguityConfig, ambiguity, confidence, soft_distance
-from crowdinfer.priors import repeats_run, repeats_summary, uniform_provider, write_repeats_csv
-from crowdinfer.sim import SimConfig, gen_tasks, simulate_dataset, synthetic_predictor
+from crowdinfer.priors import repeats_run, repeats_summary, write_repeats_csv
+from crowdinfer.sim import SimConfig, simulate_dataset, synthetic_predictor
 
 
 @pytest.fixture
@@ -83,9 +82,9 @@ def test_criterion_01_conjugacy_grid_oracle(check):
         # the simplex boundary and the grid tests quadrature, not conjugacy
         prior = DirichletParams(rng.uniform(1.0, 4.0, size=3))
         n = int(rng.integers(0, 7))
-        counts = CountVector(rng.multinomial(n, (0.3, 0.5, 0.2)))
+        counts = rng.multinomial(n, (0.3, 0.5, 0.2))
         analytic = posterior_mean(posterior(prior, counts)).q
-        expo = prior.alpha + counts.counts - 1.0
+        expo = prior.alpha + counts - 1.0
         logw = expo @ grid_logq + grid_jac
         w = np.exp(logw - logw.max())
         brute = grid_q @ (w / w.sum())
@@ -189,9 +188,9 @@ def test_criterion_05_mode_identity(check):
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 60))
-        counts = CountVector(rng.multinomial(n, (0.2, 0.5, 0.3)))
+        counts = rng.multinomial(n, (0.2, 0.5, 0.3))
         mode = posterior_mode(posterior(prior, counts)).q
-        worst = max(worst, float(np.max(np.abs(mode - counts.counts / n))))
+        worst = max(worst, float(np.max(np.abs(mode - counts / n))))
     check(5, "posterior mode identity", worst <= 1e-12, f"max |err| {worst:.2e}")
 
 
@@ -224,18 +223,18 @@ def test_criterion_06_metric_anchors(check):
 def repeats500(tmp_path_factory):
     out = tmp_path_factory.mktemp("repeats500")
     cfg = SimConfig(num_tasks=500, num_proper=2, repeats=5, seed=0)
-    _, tasks = simulate_dataset(cfg)
-    prior = DirichletParams(np.ones(3))
+    _, table, answers = simulate_dataset(cfg)
+    prior = np.ones(3)
     start = time.monotonic()
     finals = []
-    for task in tasks:
-        rng = task_rng(cfg.seed, f"repeats:{task.task_id}")
-        finals.append(repeats_run(task, prior, 16, rng)[-1])
+    for task_id, row in zip(table.task_ids, answers):
+        rng = task_rng(cfg.seed, f"repeats:{task_id}")
+        finals.append(repeats_run(row, prior, 16, rng)[-1])
     elapsed = time.monotonic() - start
     paths = (out / "repeats_a.csv", out / "repeats_b.csv")
     for p in paths:
-        summary = repeats_summary(tasks, uniform_provider(3), permutations=16,
-                                  seed=cfg.seed, variant="uniform")
+        summary = repeats_summary(table.task_ids, answers, np.ones((len(table), 3)),
+                                  permutations=16, seed=cfg.seed, variant="uniform")
         write_repeats_csv(p, [summary], provenance={"seed": cfg.seed})
     return {"finals": np.array(finals), "elapsed": elapsed, "paths": paths}
 
@@ -335,14 +334,14 @@ def synthetic_bins(tmp_path_factory):
     out = tmp_path_factory.mktemp("synthbins")
     cfg = SimConfig(num_tasks=3000, num_proper=2, repeats=0,
                     predictor_noise=0.5, seed=0)
-    tasks = gen_tasks(cfg)
+    _, table, _ = simulate_dataset(cfg)
     amb_cfg = AmbiguityConfig()
     pred, act = [], []
-    for task in tasks:
-        rng = task_rng(cfg.seed, f"pred:{task.task_id}")
-        alpha = synthetic_predictor(task, 20, cfg, rng)
+    for task_id, q in zip(table.task_ids, table.true_q):
+        rng = task_rng(cfg.seed, f"pred:{task_id}")
+        alpha = synthetic_predictor(q, 20, cfg, rng)
         pred.append(ambiguity(posterior_mode(alpha).q, amb_cfg))
-        act.append(ambiguity(task.true_q.q, amb_cfg))
+        act.append(ambiguity(q, amb_cfg))
     bins_ = ambiguity_calibration(pred, act, bins=10)
     xs = [b.mean_predicted for b in bins_ if b.count]
     ys = [b.mean_actual for b in bins_ if b.count]

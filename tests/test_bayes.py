@@ -12,7 +12,7 @@ from crowdinfer.bayes import (
     posterior_mode,
     uniform_prior,
 )
-from crowdinfer.core import CategoryScheme, CountVector, DirichletParams, SoftLabel
+from crowdinfer.core import CategoryScheme, DirichletParams, InputError, SoftLabel
 
 
 def _posterior_mean_oracle(alpha: DirichletParams) -> SoftLabel:
@@ -53,7 +53,7 @@ def grid_posterior_mean(prior, counts, q, logq, log_jac):
     the simplex boundary and midpoint quadrature degrades, which would test
     the quadrature rather than the conjugacy.
     """
-    expo = prior.alpha + counts.counts - 1.0
+    expo = prior.alpha + counts - 1.0
     logw = expo @ logq + log_jac
     w = np.exp(logw - logw.max())
     w /= w.sum()
@@ -65,7 +65,7 @@ def test_conjugate_mean_matches_grid_oracle():
     grid = simplex_grid()
     for _ in range(10):
         prior = DirichletParams(rng.uniform(1.0, 4.0, size=3))
-        counts = CountVector(rng.multinomial(int(rng.integers(0, 7)), (0.3, 0.5, 0.2)))
+        counts = rng.multinomial(int(rng.integers(0, 7)), (0.3, 0.5, 0.2))
         analytic = posterior_mean(posterior(prior, counts)).q
         brute = grid_posterior_mean(prior, counts, *grid)
         assert np.max(np.abs(analytic - brute) / brute) < 1e-3
@@ -77,10 +77,22 @@ def test_uniform_prior_is_ones():
 
 
 def test_posterior_adds_counts():
-    post = posterior(DirichletParams([1, 1, 1]), CountVector([0, 20, 0]))
+    post = posterior(DirichletParams([1, 1, 1]), np.array([0, 20, 0]))
     assert post.alpha.tolist() == [1.0, 21.0, 1.0]
+    assert posterior(DirichletParams([1, 1, 1]), [0, 20, 0]).alpha.tolist() == [1.0, 21.0, 1.0]
     with pytest.raises(ValueError):
-        posterior(DirichletParams([1, 1]), CountVector([1, 2, 3]))
+        posterior(DirichletParams([1, 1]), np.array([1, 2, 3]))
+
+
+def test_posterior_refuses_negative_counts():
+    # a negative count could still leave every component positive
+    for counts in ([0, -1, 0], np.array([3, 0, -2])):
+        with pytest.raises(InputError, match="negative count in"):
+            posterior(DirichletParams([2.0, 2.0, 3.0]), counts)
+    # a fractional count must not be truncated to an integer
+    for counts in ([0.5, 1.7, 0.0], np.array([True, False, True])):
+        with pytest.raises(InputError, match="counts must be integers"):
+            posterior(DirichletParams([2.0, 2.0, 3.0]), counts)
 
 
 def test_marginals_against_monte_carlo():
@@ -109,7 +121,7 @@ def test_posterior_mode_identity_with_uniform_prior():
     rng = np.random.default_rng(2)
     for _ in range(200):
         counts = rng.multinomial(int(rng.integers(1, 40)), (0.2, 0.5, 0.3))
-        post = posterior(DirichletParams([1, 1, 1]), CountVector(counts))
+        post = posterior(DirichletParams([1, 1, 1]), counts)
         mode = posterior_mode(post).q
         assert np.max(np.abs(mode - counts / counts.sum())) <= 1e-12
 

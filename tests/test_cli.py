@@ -208,6 +208,28 @@ def test_invalid_simulate_options_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []   # nothing written
 
 
+def test_simulate_refuses_non_finite_features(tmp_path, capsys):
+    # noise this large overflows the features; they were written as Infinity
+    # and every later stage refused the file
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(tmp_path, "simulate", "--num-tasks", "5", "--feature-noise", "1e308") == 2
+    assert "error: non-finite feature values in task 't000000'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # nothing written
+
+
+def test_empty_features_exit_2(tmp_path, capsys):
+    # train used to die in init_model with a ZeroDivisionError
+    assert run(tmp_path, "simulate", "--num-tasks", "30", "--repeats", "3") == 0
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text("".join(json.dumps({"task_id": rec["task_id"], "features": []}) + "\n"
+                             for rec in read_jsonl(tasks)))
+    for argv in (("train", "--epochs", "1"), ("predict",)):
+        assert run(tmp_path, *argv) == 2
+        assert "tasks.jsonl:1: bad task record: empty features in task 't000000'" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_simulate_takes_a_negative_seed(tmp_path):
     # the simulator hashes its seed into per-task streams, so any integer will do
     assert run(tmp_path, "simulate", "--num-tasks", "6", "--seed", "-1") == 0
@@ -354,6 +376,14 @@ _MALFORMED_DOCUMENTS = {
                          "key 'd' must be 1, the number of rows of A, got 99"),
     "model-C_mismatch": ("model.json", ("predict",), json.dumps({**_MODEL, "C": 7}),
                          "key 'C' must be 2, one less than the length of bias, got 7"),
+    "model-alpha0_sum_inf": ("model.json", ("predict",),
+                             json.dumps({**_MODEL, "alpha0_sum": float("inf")}),
+                             "key 'alpha0_sum' must be a positive finite number, got inf"),
+    "model-alpha0_sum_inf_infer": ("model.json", ("infer", "--prior", "model"),
+                                   json.dumps({**_MODEL, "alpha0_sum": float("inf")}),
+                                   "key 'alpha0_sum' must be a positive finite number, got inf"),
+    "model-alpha0_sum_zero": ("model.json", ("predict",), json.dumps({**_MODEL, "alpha0_sum": 0}),
+                              "key 'alpha0_sum' must be a positive finite number, got 0"),
     "calibration-bad_json": ("calibration.json", ("repeats",), "{'a': 1}", "invalid JSON"),
     "calibration-not_object": ("calibration.json", ("repeats",), "[]", "expected a JSON object"),
     "calibration-missing_key": ("calibration.json", ("repeats",), "{}",

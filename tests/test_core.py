@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from crowdinfer import core
 from crowdinfer.core import (
     CategoryScheme,
-    CountVector,
     DirichletParams,
     InputError,
     Responses,
     SoftLabel,
     TaskRecord,
+    TaskTable,
     attach_responses,
     config_hash,
     count_matrix,
@@ -98,8 +98,8 @@ def test_dirichlet_params_positive():
 def test_tally_counts_per_category():
     s = CategoryScheme(("no", "yes"))
     c = tally([1, 1, 0, 2, 1], s)
-    assert c.counts.tolist() == [1, 3, 1]
-    assert c.total == 5
+    assert c.dtype == np.int64 and c.tolist() == [1, 3, 1]
+    assert c.sum() == 5
 
 
 def test_tally_rejects_out_of_range():
@@ -109,10 +109,10 @@ def test_tally_rejects_out_of_range():
 
 
 def test_empirical_soft_label():
-    q = empirical_soft_label(CountVector([1, 3, 0]))
+    q = empirical_soft_label(np.array([1, 3, 0]))
     assert np.allclose(q.q, [0.25, 0.75, 0.0])
     with pytest.raises(ValueError):
-        empirical_soft_label(CountVector([0, 0, 0]))
+        empirical_soft_label(np.array([0, 0, 0]))
 
 
 def test_task_rng_deterministic_and_decorrelated():
@@ -230,17 +230,24 @@ def test_scheme_file_round_trip(tmp_path):
 
 
 def test_tasks_file_round_trip(tmp_path):
-    tasks = [
-        TaskRecord("t1", np.array([0.5, -1.0]), SoftLabel([0.2, 0.8, 0.0])),
-        TaskRecord("t2", np.array([1.5, 2.0]), None),
-    ]
+    table = TaskTable(["t1", "t2", "t3"], np.array([[0.5, -1.0], [1.5, 2.0], [0.0, 0.0]]),
+                      np.array([True, True, False]),
+                      np.array([[0.2, 0.8, 0.0], [0.0, 0.0, 0.0], [0.1, 0.1, 0.8]]),
+                      np.array([True, False, True]))
+    assert len(table) == 3
     path = tmp_path / "tasks.jsonl"
-    write_tasks(path, tasks)
-    back = read_tasks(path)
-    assert [t.task_id for t in back] == ["t1", "t2"]
-    assert np.allclose(back[0].features, [0.5, -1.0])
-    assert np.allclose(back[0].true_q.q, [0.2, 0.8, 0.0])
-    assert back[1].true_q is None
+    write_tasks(path, table)
+    assert json.loads(path.read_text().splitlines()[2]) == {"task_id": "t3",
+                                                            "true_q": [0.1, 0.1, 0.8]}
+    back = read_task_table(path)
+    for column in ("features", "has_features", "true_q", "has_true_q"):
+        assert np.array_equal(getattr(back, column), getattr(table, column)), column
+    assert back.task_ids == table.task_ids
+    tasks = read_tasks(path)
+    assert [t.task_id for t in tasks] == ["t1", "t2", "t3"]
+    assert np.allclose(tasks[0].features, [0.5, -1.0])
+    assert np.allclose(tasks[0].true_q.q, [0.2, 0.8, 0.0])
+    assert tasks[1].true_q is None and tasks[2].features is None
 
 
 def test_read_tasks_reports_line_numbers(tmp_path):
@@ -263,7 +270,7 @@ def test_read_tasks_rejects_ragged_features(tmp_path):
 def test_responses_round_trip_by_name_and_index(tmp_path):
     s = CategoryScheme(("no", "yes"))
     path = tmp_path / "responses.jsonl"
-    write_responses(path, [TaskRecord("t1", responses=np.array([1, 2]))], s)
+    write_responses(path, ["t1"], [np.array([1, 2])], s)
     lines = path.read_text().splitlines()
     assert json.loads(lines[0])["answer"] == "yes"
     back = read_responses(path, s)
@@ -359,7 +366,7 @@ def test_count_matrix_equals_per_task_tally(case):
     got = count_matrix(task_ids, responses, k)
     tasks = [TaskRecord(tid) for tid in task_ids]
     attach_responses(tasks, responses)
-    want = np.array([tally(t.responses, scheme).counts for t in tasks],
+    want = np.array([tally(t.responses, scheme) for t in tasks],
                     dtype=np.int64).reshape(n, k)
     assert got.dtype == np.int64 and got.shape == (n, k)
     assert got.tobytes() == want.tobytes()
@@ -401,7 +408,7 @@ def test_tally_equals_counting_loop(case):
                 tally(given_answers, scheme)
         return
     for given_answers in (answers, np.array(answers, dtype=np.int64)):
-        got = tally(given_answers, scheme).counts
+        got = tally(given_answers, scheme)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -702,13 +709,13 @@ def test_response_ids_are_one_string_per_task(tmp_path):
     assert len({id(tid) for tid in got}) == len(set(got))
 
 
-def _write_responses_oracle(path, tasks, scheme):
+def _write_responses_oracle(path, task_answers, scheme):
     """The per-record responses writer: json.dumps of each record."""
     names = scheme.names
     with open(path, "w") as fh:
-        for t in tasks:
-            for a in t.responses:
-                fh.write(json.dumps({"task_id": t.task_id, "answer": names[a]}) + "\n")
+        for task_id, answers in task_answers:
+            for a in answers:
+                fh.write(json.dumps({"task_id": task_id, "answer": names[a]}) + "\n")
 
 
 _awkward_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x7fé€😀 ,:{}'), max_size=6)
@@ -721,14 +728,14 @@ _awkward_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x7fé€😀 ,:{}'), max
 def test_templated_writer_equals_per_record_writer(tmp_path_factory, case):
     names, task_answers = case
     scheme = CategoryScheme(tuple(names[:-1]), names[-1])
-    tasks = [TaskRecord(tid, responses=np.array(answers, dtype=np.int64))
-             for tid, answers in task_answers]
+    ids = [tid for tid, _ in task_answers]
+    rows = [np.array(answers, dtype=np.int64) for _, answers in task_answers]
     folder = tmp_path_factory.mktemp("writer")
-    write_responses(folder / "got.jsonl", tasks, scheme)
-    _write_responses_oracle(folder / "want.jsonl", tasks, scheme)
+    write_responses(folder / "got.jsonl", ids, rows, scheme)
+    _write_responses_oracle(folder / "want.jsonl", task_answers, scheme)
     assert (folder / "got.jsonl").read_bytes() == (folder / "want.jsonl").read_bytes()
     back = read_responses(folder / "got.jsonl", scheme)
-    assert back.task_ids == [t.task_id for t in tasks for _ in t.responses]
+    assert back.task_ids == [tid for tid, answers in task_answers for _ in answers]
     assert back.answers.tolist() == [a for _, answers in task_answers for a in answers]
 
 
@@ -736,14 +743,19 @@ def test_writer_rejects_answers_outside_the_scheme(tmp_path):
     s = CategoryScheme(("no", "yes"))
     path = tmp_path / "responses.jsonl"
     for bad in (-1, 3, 7):
-        tasks = [TaskRecord("t0", responses=np.array([0, 2])),
-                 TaskRecord("t1", responses=np.array([1, bad, 0]))]
+        rows = [np.array([0, 2]), np.array([1, bad, 0])]
         with pytest.raises(InputError, match=f"task 't1': invalid category index {bad}$"):
-            write_responses(path, tasks, s)
+            write_responses(path, ["t0", "t1"], rows, s)
+        with pytest.raises(InputError, match=f"task 't1': invalid category index {bad}$"):
+            write_responses(path, ["t0", "t1"], np.array([[0, 2], [bad, 0]]), s)
     for bad in (np.array([1.0]), np.array([True])):
         with pytest.raises(InputError, match="task 't0': answers are (float64|bool), not integers"):
-            write_responses(path, [TaskRecord("t0", responses=bad)], s)
-    write_responses(path, [TaskRecord("t0", responses=[])], s)
+            write_responses(path, ["t0"], [bad], s)
+    with pytest.raises(InputError, match="1 answer rows for 2 task ids"):
+        write_responses(path, ["t0", "t1"], [np.array([0])], s)
+    write_responses(path, ["t0"], [[]], s)
+    assert path.read_text() == ""
+    write_responses(path, ["t0", "t1"], np.zeros((2, 0), dtype=np.int64), s)
     assert path.read_text() == ""
 
 
@@ -1009,6 +1021,10 @@ def test_task_table_columns(tmp_path):
      ":1: bad task record: soft label has negative"),
     (['{"task_id": "a", "features": [1.0]}', '{"features": [1.0]}', '{"task_id": "c", "true_q": []}'],
      ":2: bad task record: 'task_id'"),
+    (['{"task_id": "a", "features": []}', '{"task_id": "b", "features": []}'],
+     ":1: bad task record: empty features in task 'a'"),
+    (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b"}', '{"task_id": "c", "features": []}'],
+     ":3: bad task record: empty features in task 'c'"),
 ])
 def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path = tmp_path / "tasks.jsonl"

@@ -589,3 +589,9 @@ def test_head_model_validates_shapes():
         HeadModel(A=np.zeros((2, 3)), bias=np.zeros(4), W=np.eye(4), alpha0_sum=3.0)
     with pytest.raises(ValueError):
         HeadModel(A=np.zeros((2, 3)), bias=np.zeros(3), W=np.eye(3), alpha0_sum=0.0)
+
+
+@pytest.mark.parametrize("alpha0_sum", [0.0, -1.0, float("inf"), float("nan")])
+def test_head_model_requires_positive_finite_alpha0_sum(alpha0_sum):
+    with pytest.raises(ValueError, match="alpha0_sum must be positive and finite"):
+        HeadModel(A=np.zeros((2, 3)), bias=np.zeros(3), W=np.eye(3), alpha0_sum=alpha0_sum)

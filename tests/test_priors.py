@@ -4,20 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdinfer.bayes import posterior_mode
-from crowdinfer.core import DirichletParams, InputError, SoftLabel, TaskRecord
+from crowdinfer.core import DirichletParams, InputError, SoftLabel
 from crowdinfer.metrics import soft_distance
 from crowdinfer.priors import (
     RepeatsSummary,
     blend_prior,
     repeats_run,
     repeats_summary,
-    uniform_provider,
     write_repeats_csv,
 )
 
 
-def _task(tid, answers):
-    return TaskRecord(tid, None, None, np.array(answers, dtype=np.int64))
+def _answers(answers):
+    return np.array(answers, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +67,12 @@ def test_repeats_run_hand_enumeration_first_step():
     # After one draw from the uniform prior the mode is a one-hot, so the
     # distance is 1 - 0.6 over denominator 0.6 = 2/3 when category 1 is
     # drawn (prob 0.6), else |1 - 0.4| / max(0.4, 0.6) = 1.0 (prob 0.4).
-    task = _task("t0", [1, 1, 1, 0, 0])
-    prior = DirichletParams(np.ones(3))
+    answers = _answers([1, 1, 1, 0, 0])
+    prior = np.ones(3)
     per_perm = []
     rng = np.random.default_rng(0)
     for _ in range(4000):
-        d = repeats_run(task, prior, 1, rng)
+        d = repeats_run(answers, prior, 1, rng)
         per_perm.append(d[0])
     vals = set(round(v, 12) for v in per_perm)
     assert vals == {round(2 / 3, 12), 1.0}
@@ -87,40 +86,37 @@ def test_repeats_run_final_step_zero_under_uniform_prior():
     for trial in range(10):
         n = int(rng_data.integers(1, 30))
         answers = rng_data.integers(0, 3, size=n)
-        task = _task(f"t{trial}", list(answers))
-        d = repeats_run(task, DirichletParams(np.ones(3)), 8, np.random.default_rng(trial))
+        d = repeats_run(answers, np.ones(3), 8, np.random.default_rng(trial))
         assert d[-1] == 0.0
         assert len(d) == n
 
 
 def test_repeats_run_unanimous_with_aligned_prior():
     # prior already modes at the unanimous answer: distance 0 at every step
-    task = _task("t0", [1, 1, 1, 1])
-    prior = DirichletParams([1.0, 3.0, 1.0])
-    d = repeats_run(task, prior, 4, np.random.default_rng(0))
+    d = repeats_run(_answers([1, 1, 1, 1]), [1.0, 3.0, 1.0], 4, np.random.default_rng(0))
     assert np.array_equal(d, np.zeros(4))
 
 
 def test_repeats_run_informed_prior_starts_closer():
     # a prior pointing at the empirical distribution beats the uniform one
     # at step 1 on average
-    task = _task("t0", [1, 1, 1, 0, 0])
-    uniform = DirichletParams(np.ones(3))
-    informed = DirichletParams([1.2, 1.6, 0.2])  # mode ~ (0.4, 0.6, 0)
-    du = repeats_run(task, uniform, 512, np.random.default_rng(2))
-    di = repeats_run(task, informed, 512, np.random.default_rng(2))
+    answers = _answers([1, 1, 1, 0, 0])
+    uniform = np.ones(3)
+    informed = np.array([1.2, 1.6, 0.2])  # mode ~ (0.4, 0.6, 0)
+    du = repeats_run(answers, uniform, 512, np.random.default_rng(2))
+    di = repeats_run(answers, informed, 512, np.random.default_rng(2))
     assert di[0] < du[0]
 
 
 def test_repeats_run_mc_error_shrinks_with_permutations():
     # step-1 value is 2/3 (prob 0.6) or 1.0 (prob 0.4), expectation 0.8
-    task = _task("t0", [1, 1, 1, 0, 0])
-    prior = DirichletParams(np.ones(3))
+    answers = _answers([1, 1, 1, 0, 0])
+    prior = np.ones(3)
     err = {}
     means = {}
     for k in (4, 64):
         reps = [
-            repeats_run(task, prior, k, np.random.default_rng(100 + k * 50 + i))[0]
+            repeats_run(answers, prior, k, np.random.default_rng(100 + k * 50 + i))[0]
             for i in range(200)
         ]
         err[k] = float(np.std(reps))
@@ -131,20 +127,24 @@ def test_repeats_run_mc_error_shrinks_with_permutations():
 
 
 def test_repeats_run_validation():
-    prior = DirichletParams(np.ones(3))
-    with pytest.raises(ValueError, match="t9"):
-        repeats_run(_task("t9", []), prior, 4, np.random.default_rng(0))
+    prior = np.ones(3)
+    with pytest.raises(ValueError, match="no responses to replay"):
+        repeats_run(_answers([]), prior, 4, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        repeats_run(_task("t0", [0]), prior, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="t7"):
-        repeats_run(_task("t7", [0, 3]), prior, 4, np.random.default_rng(0))
+        repeats_run(_answers([0]), prior, 0, np.random.default_rng(0))
+    for bad in (_answers([0, 3]), _answers([-1, 0]), np.array([0.0, 1.0]), _answers([[0, 1]])):
+        with pytest.raises(ValueError, match="answers must be a vector of indices of the "
+                                             "prior's 3 categories"):
+            repeats_run(bad, prior, 4, np.random.default_rng(0))
+    for bad in ([1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [[1.0, 1.0, 1.0]]):
+        with pytest.raises(InputError, match="prior must be a vector of positive finite numbers"):
+            repeats_run(_answers([0, 1]), bad, 4, np.random.default_rng(0))
 
 
-def _replay_oracle(task, prior, permutations, rng):
+def _replay_oracle(answers, prior, permutations, rng):
     """Scalar reference for repeats_run: replays one draw at a time, one
     posterior_mode and one soft_distance per step."""
-    n = task.n_responses
-    answers = task.responses
+    n = len(answers)
     empirical = SoftLabel(np.bincount(answers, minlength=len(prior)) / n)
     totals = np.zeros(n)
     for _ in range(permutations):
@@ -173,10 +173,10 @@ def _replay_cases(draw):
 @given(_replay_cases())
 def test_repeats_run_equals_scalar_replay_bitwise(case):
     k, answers, prior, permutations, seed = case
-    task = _task("t", answers)
+    answers = _answers(answers)
     prior = DirichletParams(prior)
-    got = repeats_run(task, prior, permutations, np.random.default_rng(seed))
-    want = _replay_oracle(task, prior, permutations, np.random.default_rng(seed))
+    got = repeats_run(answers, prior.alpha, permutations, np.random.default_rng(seed))
+    want = _replay_oracle(answers, prior, permutations, np.random.default_rng(seed))
     assert np.array_equal(got, want)
 
 
@@ -186,9 +186,9 @@ def test_repeats_run_equals_scalar_replay_on_blended_priors():
         k = int(rng.integers(2, 7))
         raw = rng.uniform(0.02, 1.0, size=k)
         prior = blend_prior(DirichletParams(k * raw / raw.sum()))
-        task = _task(f"t{trial}", list(rng.integers(0, k, size=int(rng.integers(1, 31)))))
-        got = repeats_run(task, prior, 16, np.random.default_rng(trial))
-        want = _replay_oracle(task, prior, 16, np.random.default_rng(trial))
+        answers = rng.integers(0, k, size=int(rng.integers(1, 31)))
+        got = repeats_run(answers, prior.alpha, 16, np.random.default_rng(trial))
+        want = _replay_oracle(answers, prior, 16, np.random.default_rng(trial))
         assert np.array_equal(got, want)
 
 
@@ -198,20 +198,22 @@ def test_repeats_run_equals_scalar_replay_on_blended_priors():
 
 
 def _toy_tasks(num=12, seed=4):
+    """Task ids and their answers."""
     rng = np.random.default_rng(seed)
-    tasks = []
-    for i in range(num):
-        n = int(rng.integers(3, 9))
-        tasks.append(_task(f"t{i:03d}", list(rng.integers(0, 3, size=n))))
-    return tasks
+    answers = [rng.integers(0, 3, size=int(rng.integers(3, 9))) for _ in range(num)]
+    return [f"t{i:03d}" for i in range(num)], answers
+
+
+def _uniform(answers):
+    return np.ones((len(answers), 3))
 
 
 def test_summary_steps_and_counts():
-    tasks = _toy_tasks()
-    out = repeats_summary(tasks, uniform_provider(3), permutations=8, seed=0)
+    ids, answers = _toy_tasks()
+    out = repeats_summary(ids, answers, _uniform(answers), permutations=8, seed=0)
     assert isinstance(out, RepeatsSummary)
     assert out.variant == "uniform"
-    lengths = [t.n_responses for t in tasks]
+    lengths = [len(a) for a in answers]
     assert len(out.steps) == max(lengths)
     for s in out.steps:
         assert s.step >= 1
@@ -220,8 +222,8 @@ def test_summary_steps_and_counts():
 
 
 def test_summary_max_repeats_truncates():
-    tasks = _toy_tasks()
-    out = repeats_summary(tasks, uniform_provider(3), max_repeats=2, permutations=4, seed=0)
+    ids, answers = _toy_tasks()
+    out = repeats_summary(ids, answers, _uniform(answers), max_repeats=2, permutations=4, seed=0)
     assert [s.step for s in out.steps] == [1, 2]
 
 
@@ -229,23 +231,34 @@ def test_summary_max_repeats_truncates():
 def test_summary_refuses_max_repeats_below_one(max_repeats):
     # it returned no steps, so cli's repeats wrote a header-only CSV and failed after
     with pytest.raises(InputError, match="max_repeats must be at least 1"):
-        repeats_summary(_toy_tasks(), uniform_provider(3), max_repeats=max_repeats)
+        ids, answers = _toy_tasks()
+        repeats_summary(ids, answers, _uniform(answers), max_repeats=max_repeats)
 
 
 def test_summary_skips_empty_tasks():
-    tasks = _toy_tasks(num=4) + [_task("empty", [])]
-    out = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=0)
+    ids, answers = _toy_tasks(num=4)
+    ids, answers = ids + ["empty"], answers + [_answers([])]
+    out = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=0)
     assert out.steps[0].n_tasks == 4
     with pytest.raises(ValueError):
-        repeats_summary([_task("empty", [])], uniform_provider(3))
+        repeats_summary(["empty"], [_answers([])], np.ones((1, 3)))
+
+
+def test_summary_refuses_misaligned_columns():
+    ids, answers = _toy_tasks(num=4)
+    with pytest.raises(InputError, match="4 task ids, 3 answer arrays and 4 prior rows"):
+        repeats_summary(ids, answers[:3], _uniform(answers))
+    with pytest.raises(InputError, match="4 task ids, 4 answer arrays and 5 prior rows"):
+        repeats_summary(ids, answers, np.ones((5, 3)))
 
 
 def test_summary_pairs_draw_orders_across_variants():
     # identical seeds replay identical orders, so a "different" variant with
     # the same prior must reproduce the uniform summary exactly
-    tasks = _toy_tasks()
-    a = repeats_summary(tasks, uniform_provider(3), permutations=8, seed=5, variant="uniform")
-    b = repeats_summary(tasks, lambda t: DirichletParams(np.ones(3)),
+    ids, answers = _toy_tasks()
+    a = repeats_summary(ids, answers, _uniform(answers), permutations=8, seed=5,
+                        variant="uniform")
+    b = repeats_summary(ids, answers, np.full((len(ids), 3), 1.0),
                         permutations=8, seed=5, variant="informed")
     assert b.variant == "informed"
     for sa, sb in zip(a.steps, b.steps):
@@ -256,26 +269,26 @@ def test_summary_pairs_draw_orders_across_variants():
 
 def test_summary_final_step_zero_with_equal_lengths():
     rng = np.random.default_rng(6)
-    tasks = [_task(f"t{i}", list(rng.integers(0, 3, size=5))) for i in range(6)]
-    out = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=0)
+    answers = [rng.integers(0, 3, size=5) for _ in range(6)]
+    out = repeats_summary([f"t{i}" for i in range(6)], answers, _uniform(answers),
+                          permutations=4, seed=0)
     last = out.steps[-1]
     assert last.step == 5
     assert last.q975 == 0.0
 
 
 def test_summary_deterministic_in_seed():
-    tasks = _toy_tasks()
-    a = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=7)
-    b = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=7)
-    c = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=8)
+    ids, answers = _toy_tasks()
+    a, b, c = (repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=seed)
+               for seed in (7, 7, 8))
     assert [s.median for s in a.steps] == [s.median for s in b.steps]
     assert [s.median for s in a.steps] != [s.median for s in c.steps]
 
 
 def test_summary_stream_isolated_from_task_order():
-    tasks = _toy_tasks()
-    a = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=9)
-    b = repeats_summary(list(reversed(tasks)), uniform_provider(3), permutations=4, seed=9)
+    ids, answers = _toy_tasks()
+    a = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=9)
+    b = repeats_summary(ids[::-1], answers[::-1], _uniform(answers), permutations=4, seed=9)
     assert [s.median for s in a.steps] == [s.median for s in b.steps]
 
 
@@ -285,9 +298,11 @@ def test_summary_stream_isolated_from_task_order():
 
 
 def test_repeats_csv_layout(tmp_path):
-    tasks = _toy_tasks(num=5)
-    u = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=0, variant="uniform")
-    i = repeats_summary(tasks, uniform_provider(3), permutations=4, seed=0, variant="informed")
+    ids, answers = _toy_tasks(num=5)
+    u = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=0,
+                        variant="uniform")
+    i = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=0,
+                        variant="informed")
     path = tmp_path / "repeats.csv"
     write_repeats_csv(path, [u, i], provenance={"seed": 0})
     lines = path.read_text().splitlines()
