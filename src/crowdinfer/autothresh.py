@@ -206,6 +206,13 @@ class ThresholdEvaluation:
                 raise ValueError("interval bounds out of order")
 
 
+def _at_thresholds(conf: np.ndarray, corr: np.ndarray, thresholds):
+    """Automation and accuracy at the first grid value >= each threshold (0, NaN past the end)."""
+    grid, _, retained, acc = _curve(conf, corr)
+    at = np.searchsorted(grid, np.asarray(thresholds, dtype=float))
+    return np.append(retained / conf.size, 0.0)[at], np.append(acc, np.nan)[at]
+
+
 def evaluate_thresholds(test_confidences, test_correct,
                         thresholds: Sequence[float]) -> ThresholdEvaluation:
     """Apply each realized threshold to the (unresampled) test set and report
@@ -213,13 +220,7 @@ def evaluate_thresholds(test_confidences, test_correct,
     conf, corr = _as_curve_inputs(test_confidences, test_correct)
     if len(thresholds) == 0:
         raise ValueError("no thresholds to evaluate")
-    automation = np.empty(len(thresholds))
-    accuracy = np.full(len(thresholds), np.nan)
-    for i, c in enumerate(thresholds):
-        mask = conf >= c
-        automation[i] = mask.mean()
-        if mask.any():
-            accuracy[i] = corr[mask].mean()
+    automation, accuracy = _at_thresholds(conf, corr, thresholds)
     kept = accuracy[np.isfinite(accuracy)]
     acc_ci = (
         tuple(np.quantile(kept, (0.025, 0.975))) if kept.size else (math.nan, math.nan)

@@ -353,25 +353,21 @@ class TrainConfig:
             self.warmup_iters = math.ceil(2.0 / (1.0 - self.beta2))
 
 
-class _Adam:
-    def __init__(self, shapes, cfg: TrainConfig):
-        self.cfg = cfg
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.t = 0
+def _unflatten(theta: np.ndarray, d: int, k: int) -> tuple:
+    """A (d, K), bias (K,) and W (K, K) as views of the flat vector theta."""
+    return (theta[: d * k].reshape(d, k), theta[d * k : (d + 1) * k],
+            theta[(d + 1) * k :].reshape(k, k))
 
-    def step(self, params, grads):
-        self.t += 1
-        cfg = self.cfg
-        lr = cfg.learning_rate * min(1.0, self.t / max(cfg.warmup_iters, 1))
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = cfg.beta1 * self.m[i] + (1 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1 - cfg.beta2) * g * g
-            mhat = self.m[i] / (1 - cfg.beta1 ** self.t)
-            vhat = self.v[i] / (1 - cfg.beta2 ** self.t)
-            out.append(p - lr * mhat / (np.sqrt(vhat) + 1e-8))
-        return out
+
+def _adam_step(theta, m, v, g, t: int, cfg: TrainConfig) -> None:
+    """Adam's step t on the flat parameters theta, their gradient g and the
+    moments m and v, all updated in place."""
+    lr = cfg.learning_rate * min(1.0, t / max(cfg.warmup_iters, 1))
+    m[:] = cfg.beta1 * m + (1 - cfg.beta1) * g
+    v[:] = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+    mhat = m / (1 - cfg.beta1 ** t)
+    vhat = v / (1 - cfg.beta2 ** t)
+    theta -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def _arrays(data, name: str):
@@ -465,25 +461,28 @@ def train_head(
         val_dataset = None
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_model(X.shape[1], k, alpha0_sum, rng).params
-    adam = _Adam([p.shape for p in params], cfg)
+    d = X.shape[1]
+    theta = np.concatenate(init_model(d, k, alpha0_sum, rng).params, axis=None)
+    params = _unflatten(theta, d, k)     # views: every step updates theta in place
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    t = 0
 
     best_loss = math.inf
-    best_params = [p.copy() for p in params]
+    best_theta = theta.copy()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(N)
         for start in range(0, N, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
                                          cfg.tau, target[idx], grad=True)
+            t += 1
             if not math.isfinite(loss):
                 bad = idx[~np.isfinite(J)]
                 bad_id = task_ids[bad[0]] if bad.size else "unknown"
-                raise RuntimeError(
-                    f"non-finite training loss at iteration {adam.t + 1}, example {bad_id}"
-                )
-            params = adam.step(params, grads)
-            _check_finite_params(params)
+                raise RuntimeError(f"non-finite training loss at iteration {t}, example {bad_id}")
+            _adam_step(theta, m, v, np.concatenate(grads, axis=None), t, cfg)
+            if not np.isfinite(theta).all():
+                _check_finite_params(params)
 
         train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
         val_loss = (_loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
@@ -491,11 +490,12 @@ def train_head(
         monitored = train_loss if val_loss is None else val_loss
         if monitored < best_loss:
             best_loss = monitored
-            best_params = [p.copy() for p in params]
+            best_theta = theta.copy()
         if callback is not None:
             callback(epoch, train_loss, val_loss)
 
-    return HeadModel(*(best_params if cfg.select == "best" else params), alpha0_sum)
+    return HeadModel(*_unflatten(best_theta if cfg.select == "best" else theta, d, k),
+                     alpha0_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -102,14 +102,15 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     q = np.empty((n, k))
     x = np.empty((n, d))
     answers = np.empty((n, config.repeats), dtype=np.int64)
-    for i, tid in enumerate(ids):
-        rng = task_rng(config.seed, tid)
-        q[i] = rng.dirichlet(alpha)
-        # one mat-vec per task: a batched product may round differently
-        x[i] = fmap @ np.log(q[i] + _LOG_FLOOR)
-        if config.feature_noise > 0:
-            x[i] += config.feature_noise * rng.standard_normal(d)
-        answers[i] = rng.choice(k, size=config.repeats, p=q[i])
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused below
+        for i, tid in enumerate(ids):
+            rng = task_rng(config.seed, tid)
+            q[i] = rng.dirichlet(alpha)
+            # one mat-vec per task: a batched product may round differently
+            x[i] = fmap @ np.log(q[i] + _LOG_FLOOR)
+            if config.feature_noise > 0:
+                x[i] += config.feature_noise * rng.standard_normal(d)
+            answers[i] = rng.choice(k, size=config.repeats, p=q[i])
     check_soft_labels(q)
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():

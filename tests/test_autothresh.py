@@ -378,6 +378,32 @@ def test_select_threshold_equals_per_resample_oracle(case, target):
     assert got == _select_threshold_oracle(conf, corr, target, B, seed)
 
 
+def _evaluate_thresholds_oracle(conf, corr, thresholds):
+    """Automation and retained accuracy of each threshold, one mask at a time."""
+    automation = np.empty(len(thresholds))
+    accuracy = np.full(len(thresholds), np.nan)
+    for i, c in enumerate(thresholds):
+        mask = conf >= c
+        automation[i] = mask.mean()
+        if mask.any():
+            accuracy[i] = corr[mask].mean()
+    return automation, accuracy
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_sets(), st.lists(st.sampled_from([0.0, -0.5, math.inf, 1.0, 0.5])
+                                | st.floats(-1.0, 2.0) | st.integers(0, 299), min_size=1,
+                                max_size=60))
+def test_threshold_retention_equals_per_threshold_oracle_bitwise(case, picks):
+    conf, corr = case[:2]
+    # thresholds on the grid (an integer picks a task's confidence), off it,
+    # below 0 and above every confidence
+    thresholds = [float(conf[p % conf.size]) if isinstance(p, int) else p for p in picks]
+    got = autothresh._at_thresholds(conf, corr, thresholds)
+    want = _evaluate_thresholds_oracle(conf, corr, thresholds)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_select_threshold_oracle_cases_cover_every_branch():
     # all wrong: no threshold reaches the target; all right: 0.0 everywhere
     conf = np.array([0.0, 0.2, 0.2, 0.7])

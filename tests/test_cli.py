@@ -208,12 +208,12 @@ def test_invalid_simulate_options_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []   # nothing written
 
 
+@pytest.mark.filterwarnings("error")   # a numpy warning would reach stderr
 def test_simulate_refuses_non_finite_features(tmp_path, capsys):
     # noise this large overflows the features; they were written as Infinity
     # and every later stage refused the file
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(tmp_path, "simulate", "--num-tasks", "5", "--feature-noise", "1e308") == 2
-    assert "error: non-finite feature values in task 't000000'" in capsys.readouterr().err
+    assert run(tmp_path, "simulate", "--num-tasks", "5", "--feature-noise", "1e308") == 2
+    assert capsys.readouterr().err == "error: non-finite feature values in task 't000000'\n"
     assert list(tmp_path.iterdir()) == []   # nothing written
 
 

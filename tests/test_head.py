@@ -423,6 +423,92 @@ def test_identity_mixer_can_express_any_interior_target():
 # ---------------------------------------------------------------------------
 
 
+def _train_head_oracle(data, cfg, val_dataset=None, alpha0_sum=None, callback=None):
+    """train_head with Adam state kept per parameter array (A, bias, W): the
+    reference for the flat-vector trainer.  Skips the input checks."""
+    X, T, n, w = data
+    N, k = T.shape
+    alpha0_sum = float(k) if alpha0_sum is None else alpha0_sum
+    target = _target_term(T, cfg.tau)
+    if val_dataset is not None:
+        target_v = _target_term(val_dataset[1], cfg.tau)
+    rng = np.random.default_rng(cfg.seed)
+    params = init_model(X.shape[1], k, alpha0_sum, rng).params
+    m = [np.zeros(p.shape) for p in params]
+    v = [np.zeros(p.shape) for p in params]
+    t = 0
+    best_loss, best_params = math.inf, [p.copy() for p in params]
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(N)
+        for start in range(0, N, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
+                                         cfg.tau, target[idx], grad=True)
+            t += 1
+            if not math.isfinite(loss):
+                raise RuntimeError(f"non-finite training loss at iteration {t}, "
+                                   f"example row {idx[~np.isfinite(J)][0]}")
+            lr = cfg.learning_rate * min(1.0, t / max(cfg.warmup_iters, 1))
+            out = []
+            for i, (p, g) in enumerate(zip(params, grads)):
+                m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+                v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+                mhat = m[i] / (1 - cfg.beta1 ** t)
+                vhat = v[i] / (1 - cfg.beta2 ** t)
+                out.append(p - lr * mhat / (np.sqrt(vhat) + 1e-8))
+            params = out
+        train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
+        val_loss = (_loss_grads(params, alpha0_sum, *val_dataset, cfg.tau, target_v)[0]
+                    if val_dataset is not None else None)
+        monitored = train_loss if val_loss is None else val_loss
+        if monitored < best_loss:
+            best_loss, best_params = monitored, [p.copy() for p in params]
+        callback(epoch, train_loss, val_loss)
+    return HeadModel(*(best_params if cfg.select == "best" else params), alpha0_sum)
+
+
+@st.composite
+def _training_cases(draw):
+    N, d, k = draw(st.integers(1, 300)), draw(st.integers(1, 16)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def examples(rows):
+        counts = rng.integers(0, 30, size=rows).astype(float)
+        targets = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(rows, k)))
+        return rng.normal(size=(rows, d)), targets, counts, rng.uniform(0.1, 2.0, size=rows)
+
+    val = examples(draw(st.integers(1, 40))) if draw(st.booleans()) else None
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([2e-4, 1e-2, 0.1])),
+        beta1=draw(st.sampled_from([0.0, 0.9])),
+        beta2=draw(st.sampled_from([0.0, 0.995])),
+        warmup_iters=draw(st.sampled_from([None, 0, 5])),
+        batch_size=draw(st.integers(1, 63) | st.integers(N, N + 10)),
+        epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**16)),
+        select=draw(st.sampled_from(["best", "last"])),
+    )
+    return examples(N), val, draw(st.sampled_from([None, 1.0, 7.5])), cfg
+
+
+def _trained(trainer, case):
+    """The model's bytes, or the error that stopped training, and the losses
+    the callback saw."""
+    data, val, alpha0_sum, cfg = case
+    losses = []
+    try:
+        model = trainer(data, cfg, val, alpha0_sum, callback=lambda *e: losses.append(e))
+    except RuntimeError as exc:
+        return str(exc), losses
+    return [model.A.tobytes(), model.bias.tobytes(), model.W.tobytes(), model.alpha0_sum], losses
+
+
+@settings(max_examples=60, deadline=None)
+@given(_training_cases())
+def test_training_equals_per_array_adam_oracle_bitwise(case):
+    assert _trained(train_head, case) == _trained(_train_head_oracle, case)
+
+
 def _toy_dataset(rng, n=64, d=6, k=3):
     X = rng.normal(size=(n, d))
     A = rng.normal(size=(d, k))
@@ -517,24 +603,26 @@ def test_train_head_checks_array_shapes():
     assert losses == [None]
 
 
-def test_non_finite_parameters_stop_training_at_that_step(monkeypatch):
+@pytest.mark.parametrize("part", [0, 1, 2], ids=["A", "bias", "W"])
+def test_non_finite_parameters_stop_training_at_that_step(monkeypatch, part):
     from crowdinfer import head
 
-    step = head._Adam.step
-
-    def poisoned(self, params, grads):
-        out = step(self, params, grads)
-        if self.t == 3:
-            out[2] = out[2] * np.nan
-        return out
-
-    monkeypatch.setattr(head._Adam, "step", poisoned)
-    epochs = []
+    step = head._adam_step
     data = _toy_dataset(np.random.default_rng(9), n=32)
-    with pytest.raises(ValueError, match="non-finite entries in W"):
+    d, k = data[0].shape[1], data[1].shape[1]
+
+    def poisoned(theta, m, v, g, t, cfg):
+        steps.append(t)
+        step(theta, m, v, g, t, cfg)
+        if t == 3:
+            head._unflatten(theta, d, k)[part].flat[-1] = np.nan
+
+    monkeypatch.setattr(head, "_adam_step", poisoned)
+    steps, epochs = [], []
+    with pytest.raises(ValueError, match=f"non-finite entries in {('A', 'bias', 'W')[part]}$"):
         train_head(data, TrainConfig(epochs=2, batch_size=8),
                    callback=lambda e, tl, vl: epochs.append(e))
-    assert epochs == []
+    assert steps == [1, 2, 3] and epochs == []
 
 
 def test_training_is_deterministic():
