@@ -492,24 +492,37 @@ def _first_refused(pick, records: list):
     raise AssertionError("pick refused the records but none alone")
 
 
+def _only_numbers(values: list) -> bool:
+    """Whether every item of every value is a JSON number, not a bool or a
+    string, in one pass over all items; a value that holds none fails."""
+    try:
+        return set(map(type, itertools.chain.from_iterable(values))) <= {int, float}
+    except TypeError:
+        return False
+
+
 class _Column:
-    """The present values of one record field as float vectors.
+    """The present values of field ``name`` as float vectors.
 
     They are rows of one matrix (zero rows where a value is absent) when they
-    stack into one.  Otherwise ``matrix`` is None and each value is converted
-    on its own; the file then has a fault to report.  ``sizes`` holds each
-    vector's length (-1 where absent or faulty) and ``faults`` the reason each
-    faulty value, one that is not a flat array of numbers, was refused.
+    are lists of numbers that stack into one.  Otherwise ``matrix`` is None
+    and each value is converted on its own; the file then has a fault to
+    report.  ``sizes`` holds each vector's length (-1 where absent or faulty)
+    and ``faults`` the reason each faulty value, one that is not a flat list
+    of numbers, was refused.
     """
 
-    def __init__(self, values: list, present: np.ndarray, shape_fault: str):
+    def __init__(self, values: list, present: np.ndarray, name: str, shape: str = "a vector"):
         self.present = present
         self.faults: dict = {}
         rows = np.flatnonzero(present)
-        try:
-            stacked = np.array([values[i] for i in rows], dtype=float)
-        except (ValueError, TypeError):
-            stacked = None
+        picked = [values[i] for i in rows]
+        stacked = None
+        if _only_numbers(picked):
+            try:
+                stacked = np.array(picked, dtype=float)
+            except (ValueError, TypeError, OverflowError):
+                pass
         if stacked is not None and (stacked.ndim == 2 or not rows.size):
             width = stacked.shape[1] if rows.size else 0
             self.matrix = np.zeros((len(values), width))
@@ -521,11 +534,14 @@ class _Column:
             for i in rows:
                 try:
                     vector = np.asarray(values[i], dtype=float)
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, OverflowError) as exc:
                     self.faults[i] = str(exc)
                     continue
                 if vector.ndim != 1:
-                    self.faults[i] = shape_fault
+                    self.faults[i] = f"{name} must be {shape}"
+                elif not _only_numbers([values[i]]):
+                    item = next(v for v in values[i] if type(v) not in (int, float))
+                    self.faults[i] = f"{name} must hold numbers, got {json.dumps(item)}"
                 else:
                     self.vectors[i], self.sizes[i] = vector, vector.size
         self.faulty = np.zeros(len(values), dtype=bool)
@@ -603,9 +619,10 @@ def read_task_table(path) -> TaskTable:
     """Read a tasks file as columns, checking features and true_q as matrices.
 
     The first failing record exits as ``file:line``: a bad JSON line or a
-    missing task_id, a true_q that is not a soft label, empty or non-finite
-    features, a repeated task_id, or a features or true_q length that
-    differs from the first record's.
+    missing task_id, a features or true_q item that is not a number, a true_q
+    that is not a soft label, empty or non-finite features, a repeated
+    task_id, or a features or true_q length that differs from the first
+    record's.
     """
     lines, (ids, features, true_q), stop = _scan(
         path,
@@ -614,10 +631,8 @@ def read_task_table(path) -> TaskTable:
                       [rec.get("true_q", _ABSENT) for rec in recs]),
         3, "task record",
     )
-    q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool),
-                "true_q must be a vector")
-    f = _Column(features, np.array([v is not None for v in features], dtype=bool),
-                "features must be a vector")
+    q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool), "true_q")
+    f = _Column(features, np.array([v is not None for v in features], dtype=bool), "features")
     _raise_first(path, lines, stop, [
         (q.faulty, lambda i: f"bad task record: {q.faults[i]}"),
         (q.failing(lambda a: ~(a >= 0).all(axis=-1)),
@@ -833,10 +848,10 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     """Read a posterior/prediction file as columns, checked as a whole.
 
     The first failing record exits as ``file:line``: a bad JSON line or a
-    missing task_id or alpha, an alpha that is not a non-empty vector of
-    positive finite numbers, an ``n`` that is missing or not a non-negative
-    integer, a repeated task_id, or an alpha whose length is not
-    num_categories, the scheme's K.
+    missing task_id or alpha, an alpha that is not a non-empty list of
+    positive finite numbers (a bool or a string is not a number), an ``n``
+    that is missing or not a non-negative integer, a repeated task_id, or an
+    alpha whose length is not num_categories, the scheme's K.
     """
     lines, (ids, alphas, ns), stop = _scan(
         path,
@@ -845,7 +860,7 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
         3, "record",
     )
     shape_fault = "alpha must be a non-empty vector"
-    alpha = _Column(alphas, np.ones(len(ids), dtype=bool), shape_fault)
+    alpha = _Column(alphas, np.ones(len(ids), dtype=bool), "alpha", "a non-empty vector")
     bad_n = np.array([not (type(v) is int and 0 <= v <= _INT64_MAX) for v in ns], dtype=bool)
     _raise_first(path, lines, stop, [
         (alpha.faulty | (alpha.sizes == 0),

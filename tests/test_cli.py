@@ -314,6 +314,28 @@ def test_non_finite_task_values_exit_2(pipeline, tmp_path, capsys):
         assert "tasks.jsonl:3: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("item", [True, False, "0.5"])
+def test_non_number_values_exit_2(pipeline, tmp_path, capsys, item):
+    """true and "0.5" would convert to floats; each is refused at its line."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl", "model.json",
+                 "posteriors.jsonl")
+    records = read_jsonl(pipeline / "tasks.jsonl")
+    for key in ("features", "true_q"):
+        bad = [dict(r) for r in records]
+        bad[2][key] = [item] + bad[2][key][1:]
+        (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in bad))
+        assert run(tmp_path, "predict") == 2
+        assert (f"tasks.jsonl:3: bad task record: {key} must hold numbers, got "
+                f"{json.dumps(item)}") in capsys.readouterr().err
+    _copy_inputs(pipeline, tmp_path, "tasks.jsonl")
+    bad = read_jsonl(pipeline / "predictions.jsonl")
+    bad[4]["alpha"][1] = item
+    (tmp_path / "predictions.jsonl").write_text("".join(json.dumps(r) + "\n" for r in bad))
+    assert run(tmp_path, "eval", "--split", "all") == 2
+    assert (f"predictions.jsonl:5: bad record: alpha must hold numbers, got "
+            f"{json.dumps(item)}") in capsys.readouterr().err
+
+
 def test_empty_split_exit_2(pipeline, tmp_path, capsys):
     _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "posteriors.jsonl",
                  "predictions.jsonl")

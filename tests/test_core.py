@@ -1031,3 +1031,39 @@ def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(InputError, match=re.escape(message)):
         read_task_table(path)
+
+
+@pytest.mark.parametrize("item", ["true", "false", '"1.5"', "null"])
+def test_readers_refuse_non_numbers_at_the_first_failing_line(tmp_path, item):
+    """numpy reads true as 1.0 and "1.5" as 1.5; the readers refuse both.
+    An earlier record's fault of a later kind is still reported first."""
+    path = tmp_path / "records.jsonl"
+    tasks = ['{"task_id": "a", "features": [1.0, 2.0], "true_q": [0.5, 0.5]}',
+             '{"task_id": "b", "features": [ITEM, 2.0], "true_q": [0.5, 0.5]}',
+             '{"task_id": "c", "features": [1.0, 2.0], "true_q": [ITEM, 0.5]}',
+             '{"task_id": "a", "features": [1.0, 2.0]}']
+    for lines, message in (
+            (tasks, f":2: bad task record: features must hold numbers, got {item}"),
+            (tasks[:1] + tasks[2:], f":2: bad task record: true_q must hold numbers, got {item}"),
+            (['{"task_id": "a", "features": [NaN, 2.0]}'] + tasks[1:],
+             ":1: bad task record: non-finite feature values in task 'a'")):
+        path.write_text("".join(line.replace("ITEM", item) + "\n" for line in lines))
+        with pytest.raises(InputError, match=re.escape(message)):
+            read_task_table(path)
+    alphas = ['{"task_id": "a", "alpha": [1.0, 2.0], "n": 1}',
+              '{"task_id": "b", "alpha": [1.0, ITEM], "n": 1}',
+              '{"task_id": "a", "alpha": [1.0], "n": 1}']
+    for lines, message in ((alphas, f":2: bad record: alpha must hold numbers, got {item}"),
+                           (['{"task_id": "a", "alpha": [1.0, 2.0]}'] + alphas[1:],
+                            ":1: bad record: 'n'")):
+        path.write_text("".join(line.replace("ITEM", item) + "\n" for line in lines))
+        with pytest.raises(InputError, match=re.escape(message)):
+            read_alpha_records(path, 2)
+
+
+def test_readers_refuse_integers_too_large_for_a_float(tmp_path):
+    path = tmp_path / "tasks.jsonl"
+    path.write_text('{"task_id": "a", "features": [1.0]}\n'
+                    '{"task_id": "b", "features": [1' + "0" * 400 + ']}\n')
+    with pytest.raises(InputError, match=re.escape(":2: bad task record: int too large")):
+        read_task_table(path)
