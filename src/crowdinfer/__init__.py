@@ -22,7 +22,6 @@ from .core import (
     DirichletParams,
     InputError,
     SoftLabel,
-    TaskRecord,
     empirical_soft_label,
     split_dataset,
     tally,
@@ -61,7 +60,6 @@ __all__ = [
     "InputError",
     "SimConfig",
     "SoftLabel",
-    "TaskRecord",
     "TrainConfig",
     "ambiguity",
     "blend_prior",

@@ -35,19 +35,15 @@ from .autothresh import (
 from .bayes import point_estimates, posterior, posterior_mode, uniform_prior
 from .core import (
     AlphaRecords,
-    DirichletParams,
     InputError,
-    TaskRecord,
     attach_responses,
     config_hash,
     count_matrix,
     is_numbers,
-    json_ready,
     read_alpha_records,
     read_json_object,
     read_responses,
     read_scheme,
-    read_task_table,
     read_tasks,
     split_dataset,
     tally,
@@ -209,18 +205,21 @@ def provenance(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _load_dataset(cfg: dict, with_responses: bool = True):
+    """The scheme, the tasks table and each task's answers (None without responses)."""
     scheme = read_scheme(_path(cfg, "scheme"))
-    tasks = read_tasks(_path(cfg, "tasks"))
+    table = read_tasks(_path(cfg, "tasks"))
+    answers = None
     if with_responses:
-        attach_responses(tasks, read_responses(_path(cfg, "responses"), scheme))
-    return scheme, tasks
+        answers = attach_responses(table.task_ids,
+                                   read_responses(_path(cfg, "responses"), scheme))
+    return scheme, table, answers
 
 
-def _load_model(cfg: dict, scheme, tasks: List[TaskRecord]):
+def _load_model(cfg: dict, scheme, table):
     """The model, refused unless it maps the tasks' features to the scheme's categories."""
     path = _path(cfg, "model")
     model = load_model(path)
-    width = next((t.features.size for t in tasks if t.features is not None), model.feature_dim)
+    width = table.features.shape[1] if table.has_features.any() else model.feature_dim
     if (model.feature_dim, model.num_categories) != (width, scheme.num_categories):
         raise InputError(f"{path}: the model maps {model.feature_dim} features to "
                          f"{model.num_categories} categories; the tasks have {width} features "
@@ -230,7 +229,7 @@ def _load_model(cfg: dict, scheme, tasks: List[TaskRecord]):
 
 def _load_task_ids(cfg: dict):
     """The scheme and the task ids, all the score stages read of the dataset."""
-    return read_scheme(_path(cfg, "scheme")), read_task_table(_path(cfg, "tasks")).task_ids
+    return read_scheme(_path(cfg, "scheme")), read_tasks(_path(cfg, "tasks")).task_ids
 
 
 def _in_split(cfg: dict, task_ids: List[str]) -> np.ndarray:
@@ -278,7 +277,7 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
 def _write_json(path: str, payload: dict) -> None:
     """A report, indented with sorted keys and a final newline."""
     with open(path, "w") as fh:
-        json.dump(json_ready(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -318,25 +317,19 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_infer(cfg: dict) -> int:
     check_blend(cfg["blend"])   # refused with either prior, though only the model prior blends
-    scheme, tasks = _load_dataset(cfg)
-    if cfg["prior"] == "model":
-        model = _load_model(cfg, scheme, tasks)
-
-        def prior_for(task: TaskRecord) -> DirichletParams:
-            if task.features is None:
-                raise InputError(f"task {task.task_id} has no features for the model prior")
-            return blend_prior(head_forward(model, task.features, 0), cfg["blend"])
-
-    else:
-        uni = uniform_prior(scheme)
-
-        def prior_for(task: TaskRecord) -> DirichletParams:
-            return uni
-
+    scheme, table, answers = _load_dataset(cfg)
+    by_model = cfg["prior"] == "model"
+    model = _load_model(cfg, scheme, table) if by_model else None
+    prior = uniform_prior(scheme)
     records = []
-    for task in tasks:
-        counts = tally(task.responses, scheme)
-        records.append((task.task_id, posterior(prior_for(task), counts), int(counts.sum())))
+    for tid, x, has_x, row in zip(table.task_ids, table.features,
+                                  table.has_features.tolist(), answers):
+        counts = tally(row, scheme)
+        if by_model:
+            if not has_x:
+                raise InputError(f"task {tid} has no features for the model prior")
+            prior = blend_prior(head_forward(model, x, 0), cfg["blend"])
+        records.append((tid, posterior(prior, counts), int(counts.sum())))
     write_alpha_records(_path(cfg, "posteriors"), records)
     print(f"inferred {len(records)} posteriors ({cfg['prior']} prior)")
     return 0
@@ -362,7 +355,7 @@ def _training_set(scheme, table, counts: np.ndarray, labels: np.ndarray) -> list
 
 def cmd_train(cfg: dict) -> int:
     scheme = read_scheme(_path(cfg, "scheme"))
-    table = read_task_table(_path(cfg, "tasks"))
+    table = read_tasks(_path(cfg, "tasks"))
     responses = read_responses(_path(cfg, "responses"), scheme)
     counts = count_matrix(table.task_ids, responses, scheme.num_categories)
     labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
@@ -392,14 +385,16 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_predict(cfg: dict) -> int:
-    scheme, tasks = _load_dataset(cfg, with_responses=cfg["inference_n"] is None)
-    model = _load_model(cfg, scheme, tasks)
+    fixed_n = cfg["inference_n"]
+    scheme, table, answers = _load_dataset(cfg, with_responses=fixed_n is None)
+    model = _load_model(cfg, scheme, table)
+    ns = [fixed_n] * len(table) if fixed_n is not None else [row.size for row in answers]
     records = []
-    for task in tasks:
-        if task.features is None:
-            raise InputError(f"task {task.task_id} has no features to predict from")
-        n = cfg["inference_n"] if cfg["inference_n"] is not None else task.n_responses
-        records.append((task.task_id, head_forward(model, task.features, n), n))
+    for tid, x, has_x, n in zip(table.task_ids, table.features,
+                                table.has_features.tolist(), ns):
+        if not has_x:
+            raise InputError(f"task {tid} has no features to predict from")
+        records.append((tid, head_forward(model, x, n), n))
     write_alpha_records(_path(cfg, "predictions"), records)
     print(f"predicted {len(records)} tasks")
     return 0
@@ -468,9 +463,9 @@ def cmd_repeats(cfg: dict) -> int:
     threshold = cfg["deployment_threshold"]
     if threshold is not None and math.isnan(threshold):
         raise InputError(f"deployment_threshold must be a number or inf, got {threshold}")
-    scheme, tasks = _load_dataset(cfg)
-    in_split = _in_split(cfg, [t.task_id for t in tasks])
-    model = _load_model(cfg, scheme, tasks)
+    scheme, table, answers = _load_dataset(cfg)
+    in_split = _in_split(cfg, table.task_ids)
+    model = _load_model(cfg, scheme, table)
 
     if threshold is None:
         threshold = read_json_object(_path(cfg, "calibration"), "calibration results", {
@@ -480,22 +475,22 @@ def cmd_repeats(cfg: dict) -> int:
         if threshold is None:   # serialized +inf: nothing is automated
             threshold = math.inf
 
-    scored = [t for t, keep in zip(tasks, in_split.tolist()) if keep and t.n_responses > 0]
+    scored = [i for i, keep in enumerate(in_split.tolist()) if keep and answers[i].size > 0]
     modes = []
-    for task in scored:
-        if task.features is None:
-            raise InputError(f"task {task.task_id} has no features")
-        n = cfg["inference_n"] if cfg["inference_n"] is not None else task.n_responses
-        modes.append(posterior_mode(head_forward(model, task.features, n)).q)
+    for i in scored:
+        if not table.has_features[i]:
+            raise InputError(f"task {table.task_ids[i]} has no features")
+        n = cfg["inference_n"] if cfg["inference_n"] is not None else answers[i].size
+        modes.append(posterior_mode(head_forward(model, table.features[i], n)).q)
     conf = confidence(np.reshape(modes, (len(scored), scheme.num_categories)))
-    kept = [t for t, c in zip(scored, conf) if c < threshold]
+    kept = [i for i, c in zip(scored, conf) if c < threshold]
     if not kept:
         raise InputError("no non-automated tasks left for the repeats analysis")
-    kept.sort(key=lambda t: t.task_id)
+    kept.sort(key=table.task_ids.__getitem__)
 
-    ids, answers = [t.task_id for t in kept], [t.responses for t in kept]
-    informed = np.stack([blend_prior(head_forward(model, t.features, 0), cfg["blend"]).alpha
-                         for t in kept])
+    ids, answers = [table.task_ids[i] for i in kept], [answers[i] for i in kept]
+    informed = np.stack([blend_prior(head_forward(model, table.features[i], 0),
+                                     cfg["blend"]).alpha for i in kept])
     common = dict(max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],
                   seed=cfg["seed"])
     summaries = [

@@ -16,15 +16,12 @@ import json
 import itertools
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 SIMPLEX_ATOL = 1e-9
-
-_NO_ANSWERS = np.zeros(0, dtype=np.int64)   # responses of a task that has none
-_NO_ANSWERS.flags.writeable = False
 
 
 class InputError(ValueError):
@@ -155,28 +152,6 @@ class SoftLabel:
 
     def __len__(self) -> int:
         return self.q.size
-
-
-@dataclass
-class TaskRecord:
-    """A task together with its surrogate features, optional simulator
-    ground truth, and observed responses: its answers as category indices,
-    a 1-D int64 array in response order."""
-
-    task_id: str
-    features: Optional[np.ndarray] = None
-    true_q: Optional[SoftLabel] = None
-    responses: np.ndarray = field(default_factory=lambda: _NO_ANSWERS)
-
-    def __post_init__(self):
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=float)
-            if not np.isfinite(self.features).all():
-                raise InputError(f"non-finite feature values in task {self.task_id!r}")
-
-    @property
-    def n_responses(self) -> int:
-        return len(self.responses)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +344,19 @@ _INT64_MAX = np.iinfo(np.int64).max
 _scan_once = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"   # str.strip() would also take \x0b, \xa0, ...
 _BLOCK_LINES = 1024   # lines _scan decodes with one json.loads
+
+
+def _task_ids(values: list) -> list:
+    """Decoded task ids as strings, an integer as its decimal string; any
+    other value (a bool, null, a float, a list or an object) raises
+    TypeError, as the first fault of its record."""
+    kinds = set(map(type, values))
+    if kinds <= {str}:
+        return values
+    if kinds <= {str, int}:
+        return list(map(str, values))
+    bad = next(v for v in values if type(v) not in (str, int))
+    raise TypeError(f"task_id must be a string or an integer, got {json.dumps(bad)}")
 
 
 def _decode_block(block: list) -> Optional[list]:
@@ -615,18 +603,19 @@ class TaskTable:
         return len(self.task_ids)
 
 
-def read_task_table(path) -> TaskTable:
+def read_tasks(path) -> TaskTable:
     """Read a tasks file as columns, checking features and true_q as matrices.
 
-    The first failing record exits as ``file:line``: a bad JSON line or a
-    missing task_id, a features or true_q item that is not a number, a true_q
-    that is not a soft label, empty or non-finite features, a repeated
-    task_id, or a features or true_q length that differs from the first
-    record's.
+    The first failing record exits as ``file:line``: a bad JSON line, a
+    missing task_id or one that is not a string or an integer (an integer
+    becomes its decimal string), a features or true_q item that is not a
+    number, a true_q that is not a soft label, empty or non-finite features,
+    a repeated task_id, or a features or true_q length that differs from the
+    first record's.
     """
     lines, (ids, features, true_q), stop = _scan(
         path,
-        lambda recs: ([str(rec["task_id"]) for rec in recs],
+        lambda recs: (_task_ids([rec["task_id"] for rec in recs]),
                       [rec.get("features") for rec in recs],
                       [rec.get("true_q", _ABSENT) for rec in recs]),
         3, "task record",
@@ -654,7 +643,7 @@ def read_task_table(path) -> TaskTable:
 
 
 def write_tasks(path, table: TaskTable) -> None:
-    """Write a TaskTable as read_task_table reads it: one JSON line per task,
+    """Write a TaskTable as read_tasks reads it: one JSON line per task,
     with features and true_q where the table has them."""
     with open(path, "w") as fh:
         for tid, x, has_x, q, has_q in zip(
@@ -667,32 +656,6 @@ def write_tasks(path, table: TaskTable) -> None:
             if has_q:
                 rec["true_q"] = q
             fh.write(json.dumps(rec) + "\n")
-
-
-def _checked(cls, **fields):
-    """An instance of dataclass ``cls`` from values that already passed its
-    checks, without running them again."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def read_tasks(path) -> list:
-    """Read a tasks file as TaskRecords, from the columns of read_task_table.
-
-    The columns were checked as matrices, so the records and soft labels
-    skip their per-row checks.
-    """
-    table = read_task_table(path)
-    return [
-        _checked(TaskRecord, task_id=tid, features=x if has_x else None,
-                 true_q=_checked(SoftLabel, q=q) if has_q else None, responses=_NO_ANSWERS)
-        for tid, x, has_x, q, has_q in zip(
-            table.task_ids, table.features, table.has_features.tolist(),
-            table.true_q, table.has_true_q.tolist(),
-        )
-    ]
 
 
 def write_responses(path, task_ids: Sequence[str], answers, scheme: CategoryScheme) -> None:
@@ -735,9 +698,10 @@ def read_responses(path, scheme: CategoryScheme) -> Responses:
 
     An answer is a category name or an integer index; an ``annotator_id``
     is accepted and ignored.  The first failing record exits as
-    ``file:line``: a bad JSON line, a missing task_id or answer, or an
-    answer the scheme does not resolve (an unknown name, an index out of
-    range, a bool, a float or any other value).
+    ``file:line``: a bad JSON line, a missing task_id or answer, a task_id
+    that is not a string or an integer, or an answer the scheme does not
+    resolve (an unknown name, an index out of range, a bool, a float or any
+    other value).
     """
     index = {name: i for i, name in enumerate(scheme.names)}
     known: dict = {}
@@ -745,7 +709,7 @@ def read_responses(path, scheme: CategoryScheme) -> Responses:
     def pick(recs):
         # one string object per task id, and a known name's index in place
         # of its string: the file's per-response strings do not pile up
-        ids = [str(rec["task_id"]) for rec in recs]
+        ids = _task_ids([rec["task_id"] for rec in recs])
         answers = [rec["answer"] for rec in recs]
         return (list(map(known.setdefault, ids, ids)),
                 [index.get(a, a) if a.__class__ is str else a for a in answers])
@@ -791,15 +755,13 @@ def count_matrix(task_ids: Sequence[str], responses: Responses, num_categories: 
     return np.bincount(owner * k + answers, minlength=len(task_ids) * k).reshape(-1, k)
 
 
-def attach_responses(tasks: Sequence[TaskRecord], responses: Responses) -> None:
-    """Set each task's responses to its answers in file order, grouped with
-    one stable sort; the first response of an unknown task exits as
-    ``file:line``."""
-    owner = _response_rows([t.task_id for t in tasks], responses)
+def attach_responses(task_ids: Sequence[str], responses: Responses) -> list:
+    """Each task id's answers, an int64 array in file order, grouped with one
+    stable sort; the first response of an unknown task exits as ``file:line``."""
+    owner = _response_rows(task_ids, responses)
     grouped = responses.answers[np.argsort(owner, kind="stable")]
-    ends = np.cumsum(np.bincount(owner, minlength=len(tasks))).tolist()
-    for task, start, end in zip(tasks, [0] + ends, ends):
-        task.responses = grouped[start:end]
+    ends = np.cumsum(np.bincount(owner, minlength=len(task_ids))).tolist()
+    return [grouped[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def write_alpha_records(path, records: Iterable[tuple]) -> None:
@@ -847,15 +809,17 @@ class AlphaRecords:
 def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     """Read a posterior/prediction file as columns, checked as a whole.
 
-    The first failing record exits as ``file:line``: a bad JSON line or a
-    missing task_id or alpha, an alpha that is not a non-empty list of
-    positive finite numbers (a bool or a string is not a number), an ``n``
-    that is missing or not a non-negative integer, a repeated task_id, or an
-    alpha whose length is not num_categories, the scheme's K.
+    The first failing record exits as ``file:line``: a bad JSON line, a
+    missing task_id or alpha, a task_id that is not a string or an integer,
+    an alpha that is not a non-empty list of positive finite numbers (a bool
+    or a string is not a number), an ``n`` that is missing or not a
+    non-negative integer, a repeated task_id, or an alpha whose length is not
+    num_categories, the scheme's K.
     """
     lines, (ids, alphas, ns), stop = _scan(
         path,
-        lambda recs: ([str(rec["task_id"]) for rec in recs], [rec["alpha"] for rec in recs],
+        lambda recs: (_task_ids([rec["task_id"] for rec in recs]),
+                      [rec["alpha"] for rec in recs],
                       [rec.get("n", _ABSENT) for rec in recs]),
         3, "record",
     )

@@ -75,7 +75,8 @@ def log_gamma(x):
     t = z + _LANCZOS_G
     t += 0.5
     out = np.log(t)
-    out *= np.add(z, 0.5, out=z)
+    with np.errstate(over="ignore"):   # inf near the largest float, as log_gamma is
+        out *= np.add(z, 0.5, out=z)
     out += _HALF_LOG_TWO_PI
     out -= t
     out += np.log(series, out=series)
@@ -96,13 +97,15 @@ def digamma(x):
     y = x.flatten()                      # a copy: the shifts go into it
     _check_positive(y, "digamma")
 
-    acc = np.divide(1.0, y)
+    with np.errstate(over="ignore"):   # 1/x is inf for the smallest subnormals: psi is -inf
+        acc = np.divide(1.0, y)
     inv = np.empty_like(y)
     for _ in range(8):
         y += 1.0
         acc += np.divide(1.0, y, out=inv)
     y += 1.0
-    inv2 = 1.0 / (y * y)
+    with np.errstate(over="ignore"):   # y * y is inf above 1.3e154, and its reciprocal 0
+        inv2 = 1.0 / (y * y)
     series = inv2 * (
         1.0 / 12.0
         - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))

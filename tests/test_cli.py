@@ -12,7 +12,6 @@ from crowdinfer.core import (
     InputError,
     Responses,
     SoftLabel,
-    TaskRecord,
     TaskTable,
     attach_responses,
     count_matrix,
@@ -334,6 +333,21 @@ def test_non_number_values_exit_2(pipeline, tmp_path, capsys, item):
     assert run(tmp_path, "eval", "--split", "all") == 2
     assert (f"predictions.jsonl:5: bad record: alpha must hold numbers, got "
             f"{json.dumps(item)}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task_id", [None, True, 1.5, [1], {}])
+def test_task_ids_that_are_not_strings_or_integers_exit_2(pipeline, tmp_path, capsys, task_id):
+    """str() would make ids such as "None" and "True" of them."""
+    for name, argv in (("tasks.jsonl", ("infer",)), ("responses.jsonl", ("infer",)),
+                       ("posteriors.jsonl", ("eval", "--split", "all"))):
+        _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+        records = read_jsonl(pipeline / name)
+        records[2]["task_id"] = task_id
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"{name}:3: " in err
+        assert f"task_id must be a string or an integer, got {json.dumps(task_id)}\n" in err
 
 
 def test_empty_split_exit_2(pipeline, tmp_path, capsys):
@@ -700,6 +714,46 @@ def test_val_task_without_features_exit_2(pipeline, tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def _without_features(pipeline, tmp_path, rows) -> list:
+    """Copy the pipeline's inputs, minus the features of the tasks on the
+    given rows of tasks.jsonl; their ids."""
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    records = read_jsonl(pipeline / "tasks.jsonl")
+    for i in rows:
+        del records[i]["features"]
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    return [records[i]["task_id"] for i in rows]
+
+
+_NEGATIVE_N = "response count n must be non-negative"
+
+
+@pytest.mark.parametrize("argv, rows, message", [
+    (("predict", "--inference-n", "-1"), [1], _NEGATIVE_N),
+    (("repeats", "--split", "all", "--inference-n", "-1"), [1], _NEGATIVE_N),
+    (("predict", "--inference-n", "-1"), [0], "task {} has no features to predict from"),
+    (("repeats", "--split", "all", "--inference-n", "-1"), [0], "task {} has no features"),
+    (("infer", "--prior", "model"), [3, 7], "task {} has no features for the model prior"),
+], ids=["predict-n", "repeats-n", "predict-featureless", "repeats-featureless",
+        "infer-first-featureless"])
+def test_per_task_stages_report_the_first_fault(pipeline, tmp_path, capsys, argv, rows,
+                                                message):
+    """The tasks are checked one at a time in file order, so the first
+    task's fault is reported, whichever kind it is."""
+    ids = _without_features(pipeline, tmp_path, rows)
+    assert run(tmp_path, *argv) == 2
+    assert f"error: {message.format(ids[0])}\n" in capsys.readouterr().err
+
+
+def test_repeats_ignores_featureless_tasks_outside_its_split(pipeline, tmp_path):
+    argv = ("repeats", "--split", "test", "--permutations", "2", "--deployment-threshold", "2.0")
+    assert run(pipeline, *argv, "--repeats-csv", str(tmp_path / "want.csv")) == 0
+    labels = split_dataset([r["task_id"] for r in read_jsonl(pipeline / "tasks.jsonl")], seed=0)
+    _without_features(pipeline, tmp_path, [int(np.flatnonzero(labels == 0)[0])])
+    assert run(tmp_path, *argv) == 0
+    assert (tmp_path / "repeats.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the training set: column arrays against the per-task builder
 # ---------------------------------------------------------------------------
@@ -714,15 +768,15 @@ def _mode_oracle(alpha):
 
 def _training_set_oracle(scheme, tasks, train, val):
     """The per-task builder: one tally, posterior, mode and soft weight per
-    task of the train and val id sets, stacked into (X, T, n, w) arrays and
-    ids in file order."""
+    (task_id, features or None, answers) task of the train and val id sets,
+    stacked into (X, T, n, w) arrays and ids in file order."""
     uni = uniform_prior(scheme)
     targets = {}
-    for task in tasks:
-        if task.task_id in train or task.task_id in val:
-            if task.features is None:
-                raise InputError(f"task {task.task_id} has no features; cannot train on it")
-            targets[task.task_id] = posterior(uni, tally(task.responses, scheme))
+    for tid, x, answers in tasks:
+        if tid in train or tid in val:
+            if x is None:
+                raise InputError(f"task {tid} has no features; cannot train on it")
+            targets[tid] = posterior(uni, tally(answers, scheme))
     refs = {tid: _mode_oracle(target.alpha) for tid, target in targets.items()}
     class_counts = np.zeros(scheme.num_categories)
     for tid in train:
@@ -730,13 +784,13 @@ def _training_set_oracle(scheme, tasks, train, val):
     weights = hard_weights(class_counts)
     out = []
     for ids in (train, val):
-        rows = [t for t in tasks if t.task_id in ids]
+        rows = [t for t in tasks if t[0] in ids]
         out.append(((
-            np.stack([t.features for t in rows]) if rows else None,
-            np.stack([targets[t.task_id].alpha for t in rows]) if rows else None,
-            np.array([float(t.n_responses) for t in rows]),
-            np.array([float(refs[t.task_id].q @ weights) for t in rows]),
-        ), [t.task_id for t in rows]))
+            np.stack([x for _, x, _ in rows]) if rows else None,
+            np.stack([targets[tid].alpha for tid, _, _ in rows]) if rows else None,
+            np.array([float(len(answers)) for _, _, answers in rows]),
+            np.array([float(refs[tid].q @ weights) for tid, _, _ in rows]),
+        ), [tid for tid, _, _ in rows]))
     return out
 
 
@@ -769,9 +823,8 @@ def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered,
     table = TaskTable(ids, features, has_features, np.zeros((n, 0)), np.zeros(n, dtype=bool))
     train, val = ({ids[i] for i in np.flatnonzero(part == j)} for j in (0, 1))
 
-    tasks = [TaskRecord(tid, features=x if has else None)
-             for tid, x, has in zip(ids, features, has_features)]
-    attach_responses(tasks, responses)
+    tasks = [(tid, x if has else None, answers) for tid, x, has, answers
+             in zip(ids, features, has_features, attach_responses(ids, responses))]
     try:
         want = _training_set_oracle(scheme, tasks, train, val)
     except InputError as exc:

@@ -16,7 +16,6 @@ from crowdinfer.core import (
     InputError,
     Responses,
     SoftLabel,
-    TaskRecord,
     TaskTable,
     attach_responses,
     config_hash,
@@ -26,7 +25,6 @@ from crowdinfer.core import (
     read_alpha_records,
     read_responses,
     read_scheme,
-    read_task_table,
     read_tasks,
     round_sig,
     split_dataset,
@@ -239,15 +237,10 @@ def test_tasks_file_round_trip(tmp_path):
     write_tasks(path, table)
     assert json.loads(path.read_text().splitlines()[2]) == {"task_id": "t3",
                                                             "true_q": [0.1, 0.1, 0.8]}
-    back = read_task_table(path)
+    back = read_tasks(path)
     for column in ("features", "has_features", "true_q", "has_true_q"):
         assert np.array_equal(getattr(back, column), getattr(table, column)), column
     assert back.task_ids == table.task_ids
-    tasks = read_tasks(path)
-    assert [t.task_id for t in tasks] == ["t1", "t2", "t3"]
-    assert np.allclose(tasks[0].features, [0.5, -1.0])
-    assert np.allclose(tasks[0].true_q.q, [0.2, 0.8, 0.0])
-    assert tasks[1].true_q is None and tasks[2].features is None
 
 
 def test_read_tasks_reports_line_numbers(tmp_path):
@@ -290,11 +283,9 @@ def _responses(pairs, path="responses.jsonl"):
 
 
 def test_attach_responses_rejects_orphans():
-    tasks = [TaskRecord("t1")]
     with pytest.raises(InputError, match="t2"):
-        attach_responses(tasks, _responses([("t2", 0)]))
-    attach_responses(tasks, _responses([("t1", 0)]))
-    assert tasks[0].n_responses == 1
+        attach_responses(["t1"], _responses([("t2", 0)]))
+    assert [a.tolist() for a in attach_responses(["t1"], _responses([("t1", 0)]))] == [[0]]
 
 
 def test_scheme_rejects_bool_and_float_answers():
@@ -322,9 +313,8 @@ def test_attach_responses_groups_in_file_order(tmp_path):
                     '{"task_id": "b", "answer": 0}\n{"task_id": "a", "answer": "yes"}\n')
     responses = read_responses(path, CategoryScheme(("no", "yes")))
     assert len(responses) == 4 and responses.lines.tolist() == [1, 2, 4, 5]
-    tasks = [TaskRecord("a"), TaskRecord("b"), TaskRecord("c")]
-    attach_responses(tasks, responses)
-    assert [t.responses.tolist() for t in tasks] == [[2, 1], [1, 0], []]
+    tasks = ["a", "b", "c"]
+    assert [a.tolist() for a in attach_responses(tasks, responses)] == [[2, 1], [1, 0], []]
     path.write_text('{"task_id": "a", "answer": 1}\n\n{"task_id": "ghost", "answer": 1}\n'
                     '{"task_id": "ghost2", "answer": 1}\n')
     with pytest.raises(InputError, match=re.escape(
@@ -346,11 +336,10 @@ def _attach_oracle(task_ids, pairs):
 def test_attach_responses_equals_per_response_grouping(case):
     n, pairs = case
     task_ids = [f"t{i}" for i in range(n)]
-    tasks = [TaskRecord(tid) for tid in task_ids]
-    attach_responses(tasks, _responses([(f"t{i}", a) for i, a in pairs]))
-    assert [t.responses.tolist() for t in tasks] == _attach_oracle(task_ids, [
+    got = attach_responses(task_ids, _responses([(f"t{i}", a) for i, a in pairs]))
+    assert [a.tolist() for a in got] == _attach_oracle(task_ids, [
         (f"t{i}", a) for i, a in pairs])
-    assert all(t.responses.dtype == np.int64 for t in tasks)
+    assert all(a.dtype == np.int64 for a in got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -364,9 +353,7 @@ def test_count_matrix_equals_per_task_tally(case):
     task_ids = [f"t{i}" for i in range(n)]
     responses = _responses([(f"t{i}", a) for i, a in pairs])
     got = count_matrix(task_ids, responses, k)
-    tasks = [TaskRecord(tid) for tid in task_ids]
-    attach_responses(tasks, responses)
-    want = np.array([tally(t.responses, scheme) for t in tasks],
+    want = np.array([tally(a, scheme) for a in attach_responses(task_ids, responses)],
                     dtype=np.int64).reshape(n, k)
     assert got.dtype == np.int64 and got.shape == (n, k)
     assert got.tobytes() == want.tobytes()
@@ -376,7 +363,7 @@ def test_count_matrix_reports_orphans_like_attach_responses():
     for pairs in ([("ghost", 0)], [("t1", 1), ("t0", 0), ("ghost", 2), ("ghost2", 1)]):
         responses = _responses(pairs)
         with pytest.raises(InputError) as want:
-            attach_responses([TaskRecord("t0"), TaskRecord("t1")], responses)
+            attach_responses(["t0", "t1"], responses)
         with pytest.raises(InputError) as got:
             count_matrix(["t0", "t1"], responses, 3)
         assert str(got.value) == str(want.value)
@@ -419,6 +406,16 @@ def test_tally_rejects_non_integer_answers():
             tally(bad, s)
 
 
+def _task_id_oracle(value) -> str:
+    """A record's task_id as the readers take it: a string as it is, an
+    integer as its decimal string; any other value is refused."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"task_id must be a string or an integer, got {json.dumps(value)}")
+
+
 def _read_responses_oracle(path, scheme):
     """The per-record responses reader, as (task_id, answer index) pairs."""
     out = []
@@ -428,7 +425,7 @@ def _read_responses_oracle(path, scheme):
                 continue
             try:
                 rec = json.loads(line)
-                out.append((str(rec["task_id"]), scheme.index_of(rec["answer"])))
+                out.append((_task_id_oracle(rec["task_id"]), scheme.index_of(rec["answer"])))
             except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: bad response record: {exc}") from exc
     return out
@@ -482,6 +479,12 @@ def _response_line(kind, tid, answer, names):
         "nan": '{"task_id": "t", "answer": NaN}',
         "list_answer": json.dumps({"task_id": tid, "answer": [answer]}),
         "null_answer": json.dumps({"task_id": tid, "answer": None}),
+        "null_id": json.dumps({"task_id": None, "answer": names[answer]}),
+        "bool_id": json.dumps({"task_id": answer % 2 == 0, "answer": names[answer]}),
+        "float_id": json.dumps({"task_id": answer + 0.5, "answer": names[answer]}),
+        "list_id": json.dumps({"task_id": [tid], "answer": names[answer]}),
+        "object_id": json.dumps({"task_id": {"id": tid}, "answer": names[answer]}),
+        "null_id_no_answer": json.dumps({"task_id": None}),
     }[kind]
 
 
@@ -490,7 +493,8 @@ _GOOD_LINES = ["name", "index", "annotated", "int_id", "compact", "json_space", 
 _BAD_LINES = ["vt_pad", "vt_tail", "nbsp_pad", "bom", "extra", "trailing_comma", "bad_json",
               "truncated", "array", "scalar", "null_record", "no_task", "no_answer", "unknown",
               "range", "negative", "bool", "float", "integral_float", "nan", "list_answer",
-              "null_answer"]
+              "null_answer", "null_id", "bool_id", "float_id", "list_id", "object_id",
+              "null_id_no_answer"]
 
 
 @st.composite
@@ -561,12 +565,12 @@ def _scan_oracle(path, pick, width, what):
 
 
 def _reader_outcomes(path, names):
-    """What read_responses, read_task_table and read_alpha_records make of
+    """What read_responses, read_tasks and read_alpha_records make of
     the file: an InputError's message, or the columns they return."""
     scheme = CategoryScheme(names[:-1], names[-1])
     readers = [
         lambda: read_responses(path, scheme),
-        lambda: read_task_table(path),
+        lambda: read_tasks(path),
         lambda: read_alpha_records(path, len(names)),
     ]
     out = []
@@ -595,6 +599,8 @@ def _assert_blocks_read_like_lines(path, names, size):
 _OTHER_LINES = {
     "task": '{"task_id": "t5", "features": [0.5, -1.0], "true_q": [0.25, 0.75]}',
     "bare_task": '{"task_id": "t6"}',
+    "null_id_task": '{"task_id": null, "features": [0.5, -1.0], "true_q": [2.0]}',
+    "bool_id_alpha": '{"task_id": true, "alpha": [1.5, -2.0, 0.5]}',
     "alpha": '{"task_id": "t7", "alpha": [1.5, 2.0, 0.5], "n": 4}',
     "scalar_alpha": '{"task_id": "t8", "alpha": 3.0, "n": 1}',
     "object_answer": '{"task_id": "t0", "answer": {"c0": 1}}',
@@ -839,7 +845,7 @@ def _read_alpha_records_oracle(path, num_categories):
                 continue
             try:
                 rec = json.loads(line)
-                task_id = str(rec["task_id"])
+                task_id = _task_id_oracle(rec["task_id"])
                 record = (DirichletParams(np.asarray(rec["alpha"], dtype=float)), rec["n"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
@@ -942,15 +948,22 @@ def _mutate(record, kind, records, i):
         del rec["alpha"]
     elif kind == "json":
         return "{not json"
+    elif kind == "null_id":
+        rec["task_id"] = None
+    elif kind == "bool_id":
+        rec["task_id"] = True
+    elif kind == "list_id":
+        rec["task_id"] = [rec["task_id"]]
     return rec
 
 
 _FAULTS = ["value", "nan", "inf", "string", "length", "short", "empty", "duplicate", "n",
-           "bool_n", "no_n", "scalar", "nested", "no_alpha", "json"]
+           "bool_n", "no_n", "scalar", "nested", "no_alpha", "json", "null_id", "bool_id",
+           "list_id"]
 
 
-@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n"])
-@pytest.mark.parametrize("second", [None, "value", "length", "duplicate", "n"])
+@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n", "null_id"])
+@pytest.mark.parametrize("second", [None, "value", "length", "duplicate", "n", "null_id"])
 def test_alpha_reader_error_parity(tmp_path, first, second):
     """Each fault alone, and with a second one on an earlier line or on the same line."""
     records = [{"task_id": f"t{i}", "alpha": [1.0 + i, 2.0, 0.5], "n": i} for i in range(8)]
@@ -989,19 +1002,12 @@ def test_task_table_columns(tmp_path):
         '{"task_id": "b"}\n'
         '{"task_id": 7, "features": [3.0, -4.0], "true_q": [1, 0]}\n'
     )
-    table = read_task_table(path)
+    table = read_tasks(path)
     assert table.task_ids == ["a", "b", "7"]
     assert table.features.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, -4.0]]
     assert table.has_features.tolist() == [True, False, True]
     assert table.true_q.tolist() == [[0.25, 0.75], [0.0, 0.0], [1.0, 0.0]]
     assert table.has_true_q.tolist() == [True, False, True]
-    tasks = read_tasks(path)
-    assert tasks[1].features is None and tasks[1].true_q is None
-    assert tasks[2].features.tolist() == [3.0, -4.0] and tasks[2].true_q.q.tolist() == [1.0, 0.0]
-    assert isinstance(tasks[0].true_q, SoftLabel) and tasks[0].true_q.solvability == 0.25
-    assert all(t.responses.dtype == np.int64 and t.n_responses == 0 for t in tasks)
-    tasks[0].responses = np.array([1])
-    assert [t.n_responses for t in tasks] == [1, 0, 0]
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -1025,12 +1031,20 @@ def test_task_table_columns(tmp_path):
      ":1: bad task record: empty features in task 'a'"),
     (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b"}', '{"task_id": "c", "features": []}'],
      ":3: bad task record: empty features in task 'c'"),
+    (['{"task_id": "a"}', '{"task_id": null, "features": [NaN], "true_q": [2.0]}'],
+     ":2: bad task record: task_id must be a string or an integer, got null"),
+    (['{"task_id": "a", "features": [NaN]}', '{"task_id": true}'],
+     ":1: bad task record: non-finite feature values in task 'a'"),
+    (['{"task_id": "a"}', '{"task_id": 1.5}', '{"task_id": [1]}'],
+     ":2: bad task record: task_id must be a string or an integer, got 1.5"),
+    (['{"task_id": "a"}', '{"task_id": {}}'],
+     ":2: bad task record: task_id must be a string or an integer, got {}"),
 ])
 def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path = tmp_path / "tasks.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(InputError, match=re.escape(message)):
-        read_task_table(path)
+        read_tasks(path)
 
 
 @pytest.mark.parametrize("item", ["true", "false", '"1.5"', "null"])
@@ -1049,7 +1063,7 @@ def test_readers_refuse_non_numbers_at_the_first_failing_line(tmp_path, item):
              ":1: bad task record: non-finite feature values in task 'a'")):
         path.write_text("".join(line.replace("ITEM", item) + "\n" for line in lines))
         with pytest.raises(InputError, match=re.escape(message)):
-            read_task_table(path)
+            read_tasks(path)
     alphas = ['{"task_id": "a", "alpha": [1.0, 2.0], "n": 1}',
               '{"task_id": "b", "alpha": [1.0, ITEM], "n": 1}',
               '{"task_id": "a", "alpha": [1.0], "n": 1}']
@@ -1066,4 +1080,4 @@ def test_readers_refuse_integers_too_large_for_a_float(tmp_path):
     path.write_text('{"task_id": "a", "features": [1.0]}\n'
                     '{"task_id": "b", "features": [1' + "0" * 400 + ']}\n')
     with pytest.raises(InputError, match=re.escape(":2: bad task record: int too large")):
-        read_task_table(path)
+        read_tasks(path)

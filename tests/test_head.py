@@ -279,8 +279,7 @@ def test_digamma_matches_scipy_to_5e_14_relative():
     psi = special.psi(x)
     assert np.max(np.abs(digamma(x) - psi) / np.maximum(np.abs(psi), 1.0)) < 5e-14
     edges = np.array([5e-324, _TINY, 1.0, 8.5, 1.7e308])
-    with np.errstate(over="ignore"):   # 1/5e-324 and (1.7e308 + 9)**2 overflow
-        got = digamma(edges)
+    got = digamma(edges)
     psi = special.psi(edges)
     assert got[0] == psi[0] == -math.inf
     assert np.all(np.abs(got[1:] - psi[1:]) / np.maximum(np.abs(psi[1:]), 1.0) < 5e-14)
