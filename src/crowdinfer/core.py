@@ -189,8 +189,8 @@ def task_rng(global_seed: int, task_id) -> np.random.Generator:
     digest = hashlib.blake2b(
         f"{global_seed}\x1f{task_id}".encode(), digest_size=16
     ).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    # the digest as four little-endian 32-bit entropy words
+    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(digest, "<u4")))
 
 
 def _quota(n_groups: int, ratios: Sequence[float]) -> list:
@@ -304,11 +304,17 @@ def write_scheme(path, scheme: CategoryScheme) -> None:
         fh.write("\n")
 
 
+_FLOAT_OVERFLOW = 2**1024 - 2**970   # the least integer that float() refuses
+
+
 def is_numbers(value, depth: int = 0) -> bool:
-    """Whether a decoded JSON value is a number (not a bool), or lists of them ``depth`` deep."""
+    """Whether a decoded JSON value is a number (not a bool, nor an integer
+    too large for a float), or lists of them ``depth`` deep."""
     if depth:
         return isinstance(value, list) and all(is_numbers(v, depth - 1) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) < _FLOAT_OVERFLOW
+    return isinstance(value, float)
 
 
 def read_json_object(path, what: str, keys: Optional[dict] = None) -> dict:
@@ -437,9 +443,9 @@ def _scan(path, pick, width: int, what: str):
     is not an object) for a list exactly when it raises for one of its
     records alone.  Lines are read _BLOCK_LINES at a time, decoded by
     _decode_block or else by _decode_lines.  Reading stops at the first line
-    that is not JSON or whose record ``pick`` refuses.  Its (line, message)
-    comes back as ``stop``, so a fault on an earlier record can still be
-    reported first.
+    that does not decode as text, is not JSON or holds a record ``pick``
+    refuses.  Its (line, message) comes back as ``stop``, so a fault on an
+    earlier record can still be reported first.
     """
     columns: list = [[] for _ in range(width)]
     lines = array.array("q")
@@ -447,14 +453,18 @@ def _scan(path, pick, width: int, what: str):
     start = 1   # line number of the block's first line
     with _collector_paused(), open(path) as fh:
         while stop is None:
-            block = list(itertools.islice(fh, _BLOCK_LINES))
+            try:
+                block = list(itertools.islice(fh, _BLOCK_LINES))
+            except UnicodeDecodeError:
+                block, stop = _lines_before_undecodable(path, fh.encoding, start, what)
             if not block:
                 break
             records = _decode_block(block)
             if records is not None:
                 numbers = range(start, start + len(block))
             else:
-                records, numbers, stop = _decode_lines(block, start, what)
+                records, numbers, not_json = _decode_lines(block, start, what)
+                stop = not_json or stop
             try:
                 picked = pick(records)
             except (KeyError, TypeError):
@@ -467,6 +477,24 @@ def _scan(path, pick, width: int, what: str):
             lines.extend(numbers)
             start += len(block)
     return np.array(lines, dtype=np.int64), columns, stop
+
+
+def _lines_before_undecodable(path, encoding: str, start: int, what: str):
+    """The lines of a file from line ``start`` up to the first line that does
+    not decode, and that line's (line, message).
+
+    The file is read again with undecodable bytes escaped, so that it splits
+    into the same lines, and each line's bytes are decoded on their own.
+    """
+    block = []
+    with open(path, encoding=encoding, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(itertools.islice(fh, start - 1, None), start=start):
+            try:
+                line.encode(encoding, "surrogateescape").decode(encoding)
+            except UnicodeDecodeError as exc:
+                return block, (lineno, f"bad {what}: {exc}")
+            block.append(line)
+    raise AssertionError(f"{path} decodes from line {start} on")
 
 
 def _first_refused(pick, records: list):
@@ -622,23 +650,25 @@ def read_tasks(path) -> TaskTable:
     )
     q = _Column(true_q, np.array([v is not _ABSENT for v in true_q], dtype=bool), "true_q")
     f = _Column(features, np.array([v is not None for v in features], dtype=bool), "features")
-    _raise_first(path, lines, stop, [
-        (q.faulty, lambda i: f"bad task record: {q.faults[i]}"),
-        (q.failing(lambda a: ~(a >= 0).all(axis=-1)),
-         lambda i: f"bad task record: soft label has negative or NaN components: {q.row(i)}"),
-        (q.failing(lambda a: np.abs(a.sum(axis=-1) - 1.0) > SIMPLEX_ATOL),
-         lambda i: f"bad task record: soft label does not sum to 1: {q.row(i)} "
-                   f"(sum {q.row(i).sum()!r})"),
-        (f.faulty, lambda i: f"bad task record: {f.faults[i]}"),
-        (f.sizes == 0, lambda i: f"bad task record: empty features in task {ids[i]!r}"),
-        (f.failing(lambda a: ~np.isfinite(a).all(axis=-1)),
-         lambda i: f"bad task record: non-finite feature values in task {ids[i]!r}"),
-        (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
-        (f.mismatched(), lambda i: f"feature dimension {f.sizes[i]} differs from earlier "
-                                   f"records ({f.first_size})"),
-        (q.mismatched(), lambda i: f"true_q dimension {q.sizes[i]} differs from earlier "
-                                   f"records ({q.first_size})"),
-    ])
+    # a true_q such as [1e308, 1e308] sums to inf: refused, with no overflow warning
+    with np.errstate(over="ignore"):
+        _raise_first(path, lines, stop, [
+            (q.faulty, lambda i: f"bad task record: {q.faults[i]}"),
+            (q.failing(lambda a: ~(a >= 0).all(axis=-1)),
+             lambda i: f"bad task record: soft label has negative or NaN components: {q.row(i)}"),
+            (q.failing(lambda a: np.abs(a.sum(axis=-1) - 1.0) > SIMPLEX_ATOL),
+             lambda i: f"bad task record: soft label does not sum to 1: {q.row(i)} "
+                       f"(sum {q.row(i).sum()!r})"),
+            (f.faulty, lambda i: f"bad task record: {f.faults[i]}"),
+            (f.sizes == 0, lambda i: f"bad task record: empty features in task {ids[i]!r}"),
+            (f.failing(lambda a: ~np.isfinite(a).all(axis=-1)),
+             lambda i: f"bad task record: non-finite feature values in task {ids[i]!r}"),
+            (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
+            (f.mismatched(), lambda i: f"feature dimension {f.sizes[i]} differs from earlier "
+                                       f"records ({f.first_size})"),
+            (q.mismatched(), lambda i: f"true_q dimension {q.sizes[i]} differs from earlier "
+                                       f"records ({q.first_size})"),
+        ])
     return TaskTable(ids, f.matrix, f.present, q.matrix, q.present)
 
 

@@ -507,8 +507,8 @@ def load_model(path) -> HeadModel:
         "W": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
         "alpha0_sum": ("a positive finite number",
                        lambda v: is_numbers(v) and 0 < v <= sys.float_info.max),
-        "d": ("an integer", lambda v: is_numbers(v) and isinstance(v, int)),
-        "C": ("an integer", lambda v: is_numbers(v) and isinstance(v, int)),
+        "d": ("an integer", lambda v: type(v) is int),
+        "C": ("an integer", lambda v: type(v) is int),
     })
     try:
         model = HeadModel(payload["A"], payload["bias"], payload["W"], float(payload["alpha0_sum"]))

@@ -29,6 +29,10 @@ from .head import softmax
 
 _FEATURE_MAP_KEY = "__feature_map__"
 _LOG_FLOOR = 1e-6
+# most values a simulated dataset may hold (per task: its answers, its
+# features and two rows of K); far past any dataset written as JSON lines,
+# it refuses a mistyped size before anything is allocated
+_MAX_VALUES = 2**30
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,11 @@ class SimConfig:
             raise InputError("repeats must be non-negative")
         if self.feature_dim < 1:
             raise InputError("feature_dim must be at least 1")
+        size = self.num_tasks * (self.repeats + self.feature_dim + 2 * self.num_categories)
+        if size > _MAX_VALUES:
+            raise InputError(f"{self.num_tasks} tasks would hold {size} values (answers, "
+                             f"features and two rows of K per task), more than the limit "
+                             f"of {_MAX_VALUES}")
         for name, scale in (("feature_noise", self.feature_noise),
                             ("predictor_noise", self.predictor_noise)):
             if not 0 <= scale < math.inf:
@@ -91,32 +100,53 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     and an (N, repeats) int64 matrix of answers as category indices.
 
     Each task's own named stream draws its latent label, its feature noise,
-    then its responses, so a task's row is a pure function of the config and
-    its index.  Non-finite features (a huge feature_noise) raise InputError
+    then the uniforms of its responses, so a task's row is a pure function of
+    the config and its index.  Features and answers are then computed for
+    all tasks at once, with the arithmetic the per-task draws implied: a
+    task's answers are what ``rng.choice(K, size=repeats, p=q)`` makes of its
+    uniforms.  Non-finite features (a huge feature_noise) raise InputError
     naming the first such task.
     """
     alpha = config.generation_prior().alpha
     fmap = feature_map(config)
-    n, k, d = config.num_tasks, config.num_categories, config.feature_dim
+    n, d = config.num_tasks, config.feature_dim
+    noisy = config.feature_noise > 0
     ids = [f"t{i:06d}" for i in range(n)]
-    q = np.empty((n, k))
-    x = np.empty((n, d))
-    answers = np.empty((n, config.repeats), dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused below
-        for i, tid in enumerate(ids):
-            rng = task_rng(config.seed, tid)
-            q[i] = rng.dirichlet(alpha)
-            # one mat-vec per task: a batched product may round differently
-            x[i] = fmap @ np.log(q[i] + _LOG_FLOOR)
-            if config.feature_noise > 0:
-                x[i] += config.feature_noise * rng.standard_normal(d)
-            answers[i] = rng.choice(k, size=config.repeats, p=q[i])
+    q = np.empty((n, config.num_categories))
+    noise = np.empty((n, d))
+    u = np.empty((n, config.repeats))
+    for i, tid in enumerate(ids):
+        rng = task_rng(config.seed, tid)
+        q[i] = rng.dirichlet(alpha)
+        if noisy:
+            rng.standard_normal(out=noise[i])
+        rng.random(out=u[i])
     check_soft_labels(q)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused below
+        # one product per task, stacked: it rounds as the per-task fmap @ log_q[i]
+        # (bit for bit in every shape tried; tests/test_sim.py pins it), where
+        # log_q @ fmap.T differs on most rows
+        x = np.matmul(fmap, np.log(q + _LOG_FLOOR)[:, :, None])[:, :, 0]
+        if noisy:
+            x += config.feature_noise * noise
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         raise InputError(f"non-finite feature values in task {ids[bad.argmax()]!r}")
     present = np.ones(n, dtype=bool)
-    return scheme_for(config), TaskTable(ids, x, present, q, present.copy()), answers
+    return scheme_for(config), TaskTable(ids, x, present, q, present.copy()), _answers(q, u)
+
+
+def _answers(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The category each uniform of row i of ``u`` picks from ``q[i]``, as
+    numpy's ``choice`` picks it: the number of entries of the row's
+    normalized cumulative sum at or below the uniform.  One pass per
+    category keeps the memory at one answer matrix."""
+    cdf = q.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    answers = np.zeros(u.shape, dtype=np.int64)
+    for column in cdf.T[:-1]:   # the last is 1, above every uniform
+        answers += column[:, None] <= u
+    return answers
 
 
 def synthetic_predictor(q, n: int, config: SimConfig,

@@ -229,6 +229,18 @@ def test_empty_features_exit_2(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_simulate_refuses_a_dataset_too_large_before_allocating(tmp_path, capsys, monkeypatch):
+    def unreachable(config):
+        raise AssertionError("simulate_dataset reached")
+
+    monkeypatch.setattr("crowdinfer.cli.simulate_dataset", unreachable)
+    for option, value in (("--num-tasks", 10**12), ("--repeats", 10**12),
+                          ("--feature-dim", 10**12), ("--categories", 10**12)):
+        assert run(tmp_path, "simulate", option, str(value)) == 2
+        assert "more than the limit of 1073741824" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # nothing written
+
+
 def test_simulate_takes_a_negative_seed(tmp_path):
     # the simulator hashes its seed into per-task streams, so any integer will do
     assert run(tmp_path, "simulate", "--num-tasks", "6", "--seed", "-1") == 0
@@ -335,6 +347,26 @@ def test_non_number_values_exit_2(pipeline, tmp_path, capsys, item):
             f"{json.dumps(item)}") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, argv, what", [
+    ("tasks.jsonl", ("infer",), "task record"),
+    ("responses.jsonl", ("infer",), "response record"),
+    ("posteriors.jsonl", ("eval", "--split", "all"), "record"),
+    ("predictions.jsonl", ("eval", "--split", "all"), "record"),
+])
+def test_undecodable_bytes_exit_2(pipeline, tmp_path, capsys, name, argv, what):
+    """Bytes that are not UTF-8 exited 3 as a numeric error naming no file."""
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    lines = (pipeline / name).read_bytes().splitlines(keepends=True)
+    lines[4] = b"\xff" + lines[4]
+    (tmp_path / name).write_bytes(b"".join(lines))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / name}:5: bad {what}: 'utf-8' codec can't decode byte 0xff "
+        f"in position 0: invalid start byte\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
+
+
 @pytest.mark.parametrize("task_id", [None, True, 1.5, [1], {}])
 def test_task_ids_that_are_not_strings_or_integers_exit_2(pipeline, tmp_path, capsys, task_id):
     """str() would make ids such as "None" and "True" of them."""
@@ -426,6 +458,18 @@ _MALFORMED_DOCUMENTS = {
                                 "missing key 'deployment_threshold'"),
     "calibration-wrong_type": ("calibration.json", ("repeats",), '{"deployment_threshold": "x"}',
                                "key 'deployment_threshold' must be a number or null, got 'x'"),
+    # integers too large for a float: float() raised OverflowError
+    "model-huge_int": ("model.json", ("predict",), json.dumps({**_MODEL, "bias": [10**400, 0, 0]}),
+                       "key 'bias' must be a list of numbers, got [1000"),
+    "model-huge_int_infer": ("model.json", ("infer", "--prior", "model"),
+                             json.dumps({**_MODEL, "bias": [10**400, 0, 0]}),
+                             "key 'bias' must be a list of numbers, got [1000"),
+    "model-huge_int_repeats": ("model.json", ("repeats",),
+                               json.dumps({**_MODEL, "bias": [10**400, 0, 0]}),
+                               "key 'bias' must be a list of numbers, got [1000"),
+    "calibration-huge_int": ("calibration.json", ("repeats",),
+                             json.dumps({"deployment_threshold": 10**400}),
+                             "key 'deployment_threshold' must be a number or null, got 1000"),
     "config-bad_json": ("cfg.json", ("train", "--config", "cfg.json"), '{"epochs": 1,}',
                         "cfg.json: invalid JSON: "),
     "config-not_object": ("cfg.json", ("train", "--config", "cfg.json"), '[["epochs", 2]]',
@@ -634,7 +678,7 @@ def test_cli_surface_frozen(capsys):
 @pytest.mark.parametrize("entry", [
     {"epochs": "5"}, {"epochs": 5.0}, {"epochs": True}, {"learning_rate": "fast"},
     {"tau": None}, {"select": 1}, {"ratios": [0.8, "x", 0.1]}, {"ratios": "0.8,x,0.1"},
-    {"warmup_iters": 2.5},
+    {"warmup_iters": 2.5}, {"learning_rate": 10**400}, {"ratios": [10**400, 0.1, 0.1]},
 ])
 def test_config_values_of_the_wrong_type_exit_2(pipeline, tmp_path, capsys, entry):
     _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")

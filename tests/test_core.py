@@ -539,11 +539,12 @@ def test_responses_reader_reports_each_fault_like_the_oracle(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _scan_oracle(path, pick, width, what):
-    """The per-line scanner: each line decoded and picked on its own."""
+    """The per-line scanner: each line decoded and picked on its own.  A line
+    that is not UTF-8 is decoded on its own, for the decoder's message."""
     columns = [[] for _ in range(width)]
     lines = []
     stop = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip(" \t\n\r")
             try:
@@ -551,6 +552,7 @@ def _scan_oracle(path, pick, width, what):
             except (StopIteration, ValueError):
                 end = -1
             try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
                 if end != len(text):
                     if not line.strip():
                         continue
@@ -611,6 +613,8 @@ _OTHER_LINES = {
     "brace_merge_a": '{"task_id": "t0", "answer": "c0", "x": {"y": 1}',
     "brace_merge_b": '{"z": 2}}',
     "split": '{"task_id": "t1", "answer": "c1"}, {"task_id": "t2", "answer": 0}',
+    # written as the byte 0xff, which no UTF-8 text holds
+    "undecodable": '{"task_id": "t\udcff", "answer": "c0"}',
 }
 
 
@@ -622,7 +626,7 @@ def _line(kind, tid, answer, names):
 
 def _write_lines(path, lines, ending="\n", final=True):
     text = ending.join(lines) + (ending if final and lines else "")
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
 
 _NAMES = ("c0", "c1", "cs")
@@ -681,6 +685,22 @@ def test_block_reader_equals_per_line_oracle(tmp_path_factory, size, kinds, endi
     path = tmp_path_factory.mktemp("blocks") / "records.jsonl"
     _write_lines(path, [_line(kind, tid, a, _NAMES) for kind, tid, a in kinds], ending, final)
     _assert_blocks_read_like_lines(path, _NAMES, size)
+
+
+@pytest.mark.parametrize("fault", [None, 2400, 2600])
+def test_undecodable_line_is_reported_at_its_line(tmp_path, fault):
+    """A line that is not UTF-8 in the third block, alone or after or before
+    a line that is not JSON: the earlier line is reported, with its line."""
+    path = tmp_path / "responses.jsonl"
+    lines = [_response_line("name", f"t{i % 3}", i % 3, _NAMES) for i in range(3000)]
+    lines[2499] = _OTHER_LINES["undecodable"]
+    if fault:
+        lines[fault - 1] = "{oops"
+    _write_lines(path, lines)
+    _assert_blocks_read_like_lines(path, _NAMES, core._BLOCK_LINES)
+    line = fault if fault == 2400 else 2500
+    assert _reader_outcomes(path, _NAMES)[0].startswith(
+        f"InputError: {path}:{line}: bad response record: ")
 
 
 def test_reading_leaves_the_collector_as_it_was(tmp_path):
@@ -1039,6 +1059,8 @@ def test_task_table_columns(tmp_path):
      ":2: bad task record: task_id must be a string or an integer, got 1.5"),
     (['{"task_id": "a"}', '{"task_id": {}}'],
      ":2: bad task record: task_id must be a string or an integer, got {}"),
+    (['{"task_id": "a", "true_q": [1e308, 1e308, 0]}'],
+     ":1: bad task record: soft label does not sum to 1: [1.e+308 1.e+308 0.e+000] (sum "),
 ])
 def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path = tmp_path / "tasks.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from crowdinfer.bayes import posterior, posterior_mode, uniform_prior
 from crowdinfer.core import InputError, SoftLabel, empirical_soft_label, tally, task_rng
 from crowdinfer.metrics import soft_distance
 from crowdinfer.sim import (
+    _MAX_VALUES,
     SimConfig,
     feature_map,
     scheme_for,
@@ -36,19 +38,40 @@ def _per_task_oracle(config: SimConfig) -> list:
     return tasks
 
 
+def _task_rng_oracle(global_seed, task_id) -> np.random.Generator:
+    """task_rng seeded with the digest as four Python integers."""
+    digest = hashlib.blake2b(
+        f"{global_seed}\x1f{task_id}".encode(), digest_size=16
+    ).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.default_rng(np.random.SeedSequence(words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**63), st.one_of(
+    st.text(st.characters(max_codepoint=127)), st.text(st.characters(min_codepoint=128)),
+    st.integers(-2**70, 2**70)))
+def test_task_rng_equals_integer_word_seeding(seed, task_id):
+    assert task_rng(seed, task_id).bit_generator.state == \
+        _task_rng_oracle(seed, task_id).bit_generator.state
+
+
 @st.composite
 def _sim_configs(draw):
-    num_proper = draw(st.integers(1, 5))
+    # a few examples reach past the small sizes, up to 600 tasks, 16
+    # features and 12 categories
+    large = draw(st.booleans())
+    num_proper = draw(st.integers(1, 11 if large else 5))
     alpha0 = draw(st.one_of(
         st.none(),
         st.lists(st.floats(0.05, 20.0), min_size=num_proper + 1, max_size=num_proper + 1),
     ))
     return SimConfig(
-        num_tasks=draw(st.integers(1, 12)),
+        num_tasks=draw(st.integers(1, 600 if large else 12)),
         num_proper=num_proper,
         repeats=draw(st.integers(0, 25)),
         alpha0=alpha0,
-        feature_dim=draw(st.integers(1, 8)),
+        feature_dim=draw(st.integers(1, 16 if large else 8)),
         feature_noise=draw(st.sampled_from([0.0, 0.1, 2.5])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -86,6 +109,14 @@ def test_config_validation():
         for key in ("feature_noise", "predictor_noise", "predictor_temperature"):
             with pytest.raises(InputError, match=key):
                 SimConfig(**{key: value})
+
+
+def test_config_size_limit():
+    # constructing a config allocates nothing, so the boundary itself is tested
+    per_task = 20 + 8 + 2 * 3   # repeats, features, two rows of K
+    SimConfig(num_tasks=_MAX_VALUES // per_task)
+    with pytest.raises(InputError, match=f"more than the limit of {_MAX_VALUES}"):
+        SimConfig(num_tasks=_MAX_VALUES // per_task + 1)
 
 
 def test_scheme_layout():
