@@ -227,6 +227,21 @@ def _load_model(cfg: dict, scheme, table):
     return model
 
 
+def _forwards(model, table, rows, ns, featureless: str):
+    """head_forward of each of the table's rows at its count in ns, in row
+    order and one at a time.  A featureless task exits 2 ("task <id>
+    <featureless>"), a forward not positive and finite 3, naming the task."""
+    ids, has_x = table.task_ids, table.has_features.tolist()
+    for i, n in zip(rows, ns):
+        if not has_x[i]:
+            raise InputError(f"task {ids[i]} {featureless}")
+        try:
+            alpha = head_forward(model, table.features[i], n)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"task {ids[i]}: {exc}") from None
+        yield alpha
+
+
 def _load_task_ids(cfg: dict):
     """The scheme and the task ids, all the score stages read of the dataset."""
     return read_scheme(_path(cfg, "scheme")), read_tasks(_path(cfg, "tasks")).task_ids
@@ -318,18 +333,14 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_infer(cfg: dict) -> int:
     check_blend(cfg["blend"])   # refused with either prior, though only the model prior blends
     scheme, table, answers = _load_dataset(cfg)
-    by_model = cfg["prior"] == "model"
-    model = _load_model(cfg, scheme, table) if by_model else None
-    prior = uniform_prior(scheme)
-    records = []
-    for tid, x, has_x, row in zip(table.task_ids, table.features,
-                                  table.has_features.tolist(), answers):
-        counts = tally(row, scheme)
-        if by_model:
-            if not has_x:
-                raise InputError(f"task {tid} has no features for the model prior")
-            prior = blend_prior(head_forward(model, x, 0), cfg["blend"])
-        records.append((tid, posterior(prior, counts), int(counts.sum())))
+    if cfg["prior"] == "model":
+        forwards = _forwards(_load_model(cfg, scheme, table), table, range(len(table)),
+                             itertools.repeat(0), "has no features for the model prior")
+        priors = (blend_prior(alpha, cfg["blend"]) for alpha in forwards)
+    else:
+        priors = itertools.repeat(uniform_prior(scheme))
+    records = [(tid, posterior(prior, tally(row, scheme)), row.size)
+               for tid, row, prior in zip(table.task_ids, answers, priors)]
     write_alpha_records(_path(cfg, "posteriors"), records)
     print(f"inferred {len(records)} posteriors ({cfg['prior']} prior)")
     return 0
@@ -389,12 +400,8 @@ def cmd_predict(cfg: dict) -> int:
     scheme, table, answers = _load_dataset(cfg, with_responses=fixed_n is None)
     model = _load_model(cfg, scheme, table)
     ns = [fixed_n] * len(table) if fixed_n is not None else [row.size for row in answers]
-    records = []
-    for tid, x, has_x, n in zip(table.task_ids, table.features,
-                                table.has_features.tolist(), ns):
-        if not has_x:
-            raise InputError(f"task {tid} has no features to predict from")
-        records.append((tid, head_forward(model, x, n), n))
+    forwards = _forwards(model, table, range(len(table)), ns, "has no features to predict from")
+    records = list(zip(table.task_ids, forwards, ns))
     write_alpha_records(_path(cfg, "predictions"), records)
     print(f"predicted {len(records)} tasks")
     return 0
@@ -476,21 +483,18 @@ def cmd_repeats(cfg: dict) -> int:
             threshold = math.inf
 
     scored = [i for i, keep in enumerate(in_split.tolist()) if keep and answers[i].size > 0]
-    modes = []
-    for i in scored:
-        if not table.has_features[i]:
-            raise InputError(f"task {table.task_ids[i]} has no features")
-        n = cfg["inference_n"] if cfg["inference_n"] is not None else answers[i].size
-        modes.append(posterior_mode(head_forward(model, table.features[i], n)).q)
+    ns = ([cfg["inference_n"]] * len(scored) if cfg["inference_n"] is not None
+          else [answers[i].size for i in scored])
+    modes = [posterior_mode(alpha).q
+             for alpha in _forwards(model, table, scored, ns, "has no features")]
     conf = confidence(np.reshape(modes, (len(scored), scheme.num_categories)))
     kept = [i for i, c in zip(scored, conf) if c < threshold]
     if not kept:
         raise InputError("no non-automated tasks left for the repeats analysis")
-    kept.sort(key=table.task_ids.__getitem__)
 
     ids, answers = [table.task_ids[i] for i in kept], [answers[i] for i in kept]
-    informed = np.stack([blend_prior(head_forward(model, table.features[i], 0),
-                                     cfg["blend"]).alpha for i in kept])
+    informed = np.stack([blend_prior(alpha, cfg["blend"]).alpha for alpha in
+                         _forwards(model, table, kept, itertools.repeat(0), "has no features")])
     common = dict(max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],
                   seed=cfg["seed"])
     summaries = [

@@ -293,7 +293,10 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
         raise InputError("response count n must be non-negative")
     alpha, _, _, _ = _forward_batch(model.params, model.alpha0_sum, features[None, :],
                                     np.array([float(n)]))
-    return DirichletParams(alpha[0])
+    try:
+        return DirichletParams(alpha[0])
+    except InputError:   # features too large for the model's scores
+        raise FloatingPointError(f"forward alpha not positive and finite: {alpha[0].tolist()}")
 
 
 # ---------------------------------------------------------------------------

@@ -789,6 +789,24 @@ def test_per_task_stages_report_the_first_fault(pipeline, tmp_path, capsys, argv
     assert f"error: {message.format(ids[0])}\n" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")   # a numpy warning would reach stderr
+@pytest.mark.parametrize("argv", [("predict",), ("infer", "--prior", "model"),
+                                  ("repeats", "--split", "all", "--permutations", "2")])
+def test_forward_that_is_not_positive_and_finite_exit_3(pipeline, tmp_path, capsys, argv):
+    # finite features this large overflow the model's scores
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    records = read_jsonl(pipeline / "tasks.jsonl")
+    records[2]["features"] = [1e308] * len(records[2]["features"])
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: task {records[2]['task_id']}: forward alpha not "
+                          f"positive and finite: [")
+    assert err.endswith("]\n") and err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
+
+
 def test_repeats_ignores_featureless_tasks_outside_its_split(pipeline, tmp_path):
     argv = ("repeats", "--split", "test", "--permutations", "2", "--deployment-threshold", "2.0")
     assert run(pipeline, *argv, "--repeats-csv", str(tmp_path / "want.csv")) == 0

@@ -438,6 +438,9 @@ def test_head_forward_validates():
         head_forward(model, np.zeros(4), -1)
     with pytest.raises(ValueError):
         head_forward(model, np.array([np.nan, 0, 0, 0]), 1)
+    # finite features whose scores overflow: a numeric error, not a bad input
+    with pytest.raises(FloatingPointError, match="forward alpha not positive and finite"):
+        head_forward(model, np.full(4, 1e308), 1)
 
 
 def test_identity_mixer_can_express_any_interior_target():
