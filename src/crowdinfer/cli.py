@@ -91,8 +91,6 @@ DEFAULTS: Dict[str, object] = {
     "alpha0": None,
     "feature_dim": 8,
     "feature_noise": 0.1,
-    "predictor_temperature": 1.0,
-    "predictor_noise": 0.0,
     # dataset split
     "ratios": (0.8, 0.1, 0.1),
     # training
@@ -315,8 +313,6 @@ def cmd_simulate(cfg: dict) -> int:
         alpha0=cfg["alpha0"],
         feature_dim=cfg["feature_dim"],
         feature_noise=cfg["feature_noise"],
-        predictor_temperature=cfg["predictor_temperature"],
-        predictor_noise=cfg["predictor_noise"],
         seed=cfg["seed"],
     )
     scheme, table, answers = simulate_dataset(sim)
@@ -521,8 +517,6 @@ _HELP = {
     "ratios": "train,val,test fractions",
     "inference_n": "response count to predict at (default: observed per task)",
     "deployment_threshold": "override the calibrated threshold",
-    "predictor_temperature": "no effect on simulate's files; only sim.synthetic_predictor reads it",
-    "predictor_noise": "no effect on simulate's files; only sim.synthetic_predictor reads it",
 }
 
 # Each subcommand: its handler, its help, and the options it takes beyond
@@ -530,7 +524,7 @@ _HELP = {
 _COMMANDS = {
     "simulate": (cmd_simulate, "generate a synthetic crowd dataset", (
         "scheme", "tasks", "responses", "num_tasks", "categories", "repeats", "alpha0",
-        "feature_dim", "feature_noise", "predictor_temperature", "predictor_noise")),
+        "feature_dim", "feature_noise")),
     "infer": (cmd_infer, "conjugate posterior per task", (
         "scheme", "tasks", "responses", "posteriors", "model", "prior", "blend")),
     "train": (cmd_train, "fit the prediction head", (

@@ -386,15 +386,15 @@ def test_criterion_11_deterministic_reports(check, repeats500, pipeline_pair, sy
 # ---------------------------------------------------------------------------
 
 FROZEN_SHA256 = {
-    "bins.csv": "e7163f9941dc0fc0c4f409f446d6ba2e4feb83cc3883865e38f75b6404fff59d",
-    "calibration.json": "b2d3f4ff9578aac235d74531881486aee6f8a62d0c44af0a0369e94357fd9fb7",
-    "curve.csv": "350de2372dcdf7719234daba0dc7baa482dced640a753de1255b5faa8928dd09",
+    "bins.csv": "137dc63a9de494cd0051769cc132bf6a5f47ae5404bb56d342e27b1405063ba6",
+    "calibration.json": "8a80c840e71bbfda3ab636650f42e75d4f2dbce8509a93401df41c7898fbdf62",
+    "curve.csv": "4ae28ad1dd2a00aaf3ed7342a066f7a657ae4ad2458e14ee14464582e0e943ff",
     "model.json": "a368edb8968fd0c8e423f7af835d095bbcbd74d919da3e580250baf50f7e44cb",
     "posteriors.jsonl": "087be81ee4988848ba95833fdb85117769a23f98b1892cc6a95f4ee5d37d83b1",
     "predictions.jsonl": "6669e0673450450fed0fbeabbe10e68ba95dc286fb459d8380838d8e3e1f844b",
-    "repeats.csv": "3e3970badd9e59c28e1abd982bf2bbaf6536d92738cd4ba3a7ba2748ab499cc6",
+    "repeats.csv": "5e581f9ae78297f00ad0a4dc81dd159ad39406c3a124551ac78db9e780b0c1fb",
     "repeats500.csv": "3c1d4cfbf2d7c7a4cac0b1760d0d8247989d50b29b99cf6e2eaa1cb49745520b",
-    "report.json": "8226a9b74119f4e278065429025f9aff6e98cb80441aa92a3c5f53e4667bd18f",
+    "report.json": "ff52251e5e997c187064cd7e9a012450e124d5f31495b97aac1fc4469ea6fda9",
     "responses.jsonl": "a54d15dea657059c8a22a7d3f1f32a1a6fffc38b1d7b156da16e016b9124b25c",
     "scheme.json": "831f9c0c16c7fce4643c977dd04c30be78e9b4840851c9b10a75bc4d3ab5b71f",
     "tasks.jsonl": "9ee1e053bfeda4e9d3f32b14a7206225c5e6925e34a01bffb0b7831ea21713cf",
@@ -477,8 +477,8 @@ def test_wide_eval_digest_frozen(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in ("report.json", "bins.csv", "report_mean.json", "bins_mean.csv")}
     assert got == {
-        "report.json": "c16c57f63217b9c9e624fe577e69457dbf7c051a4d22da8f88a2a4d7e9835f8e",
-        "bins.csv": "b9da3fbe9eda74736bb6cf30857d1564c93fea6fa782033e15e7bf735af01cd1",
-        "report_mean.json": "5640d78821d34b16f3fb7709ce2d8b5a678934974f6f48b41e06217209a2f448",
-        "bins_mean.csv": "ca1cdfa3159380db2040c19602df8ee3f6c1243d756e7302db70fa24861dd9f7",
+        "report.json": "6598aa8dc60b8b7ab4ace8cf78c437fcb0da121bb80c91f6b872d5bcbe78ef3f",
+        "bins.csv": "9858f46eea75ce0835a681ad81383fe6aa39c263b86f51876973f3c621bc3cce",
+        "report_mean.json": "888240a7579d709cbf22c401a643cc609f6e5f14e98813d9ff68b0b699922623",
+        "bins_mean.csv": "5776daafcb9d3a0d204151269fd6d874e894a7a2045fa2c614cfe1f962f6bfe5",
     }

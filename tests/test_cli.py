@@ -199,11 +199,10 @@ def test_invalid_simulate_options_exit_2(tmp_path, capsys):
     assert run(tmp_path, "simulate", "--num-tasks", "0") == 2
     assert run(tmp_path, "simulate", "--repeats", "-1") == 2
     assert run(tmp_path, "simulate", "--alpha0", "1.0,1.0") == 2
-    for key in ("feature_noise", "predictor_noise", "predictor_temperature"):
-        for value in ("nan", "inf"):
-            capsys.readouterr()
-            assert run(tmp_path, "simulate", "--" + key.replace("_", "-"), value) == 2
-            assert f"error: {key} must be " in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        capsys.readouterr()
+        assert run(tmp_path, "simulate", "--feature-noise", value) == 2
+        assert "error: feature_noise must be " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []   # nothing written
 
 
@@ -256,6 +255,18 @@ def test_unknown_config_key_exit_2(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"num_task": 12}))
     assert run(tmp_path, "simulate", "--config", str(cfgfile)) == 2
+
+
+@pytest.mark.parametrize("key", ["predictor_temperature", "predictor_noise"])
+def test_synthetic_predictor_keys_are_not_options(tmp_path, capsys, key):
+    # only sim.synthetic_predictor reads them, through SimConfig; simulate's
+    # files never depended on them
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: 1.0}))
+    assert run(tmp_path, "simulate", "--config", str(cfgfile)) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
+    with pytest.raises(SystemExit):
+        run(tmp_path, "simulate", "--" + key.replace("_", "-"), "1.0")
 
 
 def test_orphan_responses_exit_2(tmp_path, capsys):
@@ -560,8 +571,6 @@ _SURFACE = {
         --alpha0 alpha0 - - -
         --feature-dim feature_dim int - -
         --feature-noise feature_noise float - -
-        --predictor-temperature predictor_temperature float - -
-        --predictor-noise predictor_noise float - -
     """),
     "infer": ("cmd_infer", """
         --scheme scheme - - PATH
