@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import InputError, check_seed, json_ready, write_csv
+from .core import InputError, check_seed, check_size, json_ready, write_csv
 
 
 def _as_curve_inputs(confidences, correct):
@@ -102,6 +102,14 @@ class BootstrapBands:
     acc_q975: np.ndarray
 
 
+def _check_resamples(B: int, n: int) -> None:
+    """Refuse a bootstrap size B below 1, or one whose resamples of n tasks
+    (and their accuracy rows, n + 1 grid slots at most) would not fit."""
+    if B < 1:
+        raise InputError("B must be at least 1")
+    check_size("B", B, n + 1, f"resamples of {n} tasks")
+
+
 def _realization_rngs(seed: int, B: int) -> List[np.random.Generator]:
     check_seed(seed)
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(B)]
@@ -139,8 +147,7 @@ def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBa
     per threshold.  Thresholds where a resample retains nothing are skipped
     in that realization's quantiles."""
     conf, corr = _as_curve_inputs(confidences, correct)
-    if B < 1:
-        raise InputError("B must be at least 1")
+    _check_resamples(B, conf.size)
     grid, slot, retained, _ = _curve(conf, corr)
     acc = np.empty((B, grid.size))
     has_nan = np.zeros(grid.size, dtype=bool)
@@ -182,8 +189,7 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
                      B: int, seed: int = 0) -> List[float]:
     """One realized threshold per bootstrap resample of the validation set."""
     conf, corr = _as_curve_inputs(val_confidences, val_correct)
-    if B < 1:
-        raise InputError("B must be at least 1")
+    _check_resamples(B, conf.size)
     if not 0.0 < target_accuracy <= 1.0:
         raise InputError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
     grid, slot, _, _ = _curve(conf, corr)
@@ -298,6 +304,7 @@ def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
     act = np.asarray(actual_amb, dtype=float)
     if pred.shape != act.shape or pred.ndim != 1:
         raise ValueError("predicted and actual ambiguity must be aligned vectors")
+    check_size("bins", bins, pred.size + 1, f"bins, each one row and a test of {pred.size} tasks")
     dist = None
     if distances is not None:
         dist = np.asarray(distances, dtype=float)

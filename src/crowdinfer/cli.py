@@ -37,6 +37,7 @@ from .core import (
     AlphaRecords,
     InputError,
     attach_responses,
+    brief,
     config_hash,
     count_matrix,
     is_numbers,
@@ -152,10 +153,11 @@ def _check_config_value(key: str, value) -> None:
     else:
         ok = isinstance(value, str)
     if not ok:
-        raise InputError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        raise InputError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
+                         f"got {brief.repr(value)}")
     if key in _CHOICES and value not in _CHOICES[key]:
         raise InputError(f"config key {key!r} must be one of {', '.join(_CHOICES[key])}, "
-                         f"got {value!r}")
+                         f"got {brief.repr(value)}")
 
 
 def _parse_floats(key: str, text) -> tuple:
@@ -225,6 +227,18 @@ def _load_model(cfg: dict, scheme, table):
     return model
 
 
+def _inference_counts(cfg: dict, answers, rows) -> list:
+    """The response count each of the rows is predicted at: inference_n,
+    which must fit an int64 as the record readers require, else its answers."""
+    n = cfg["inference_n"]
+    if n is None:
+        return [answers[i].size for i in rows]
+    if n > np.iinfo(np.int64).max:
+        raise InputError(f"inference_n must be at most {np.iinfo(np.int64).max}, "
+                         f"got {brief.repr(n)}")
+    return [n] * len(rows)
+
+
 def _forwards(model, table, rows, ns, featureless: str):
     """head_forward of each of the table's rows at its count in ns, in row
     order and one at a time.  A featureless task exits 2 ("task <id>
@@ -266,11 +280,11 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     A reference posterior of a task without responses (n = 0) is only its
     prior, so it exits 2 with its file line.
     """
-    missing = sorted(tid for tid in ids if tid not in preds or tid not in posts)
-    if missing:
-        raise InputError(
-            f"{len(missing)} tasks lack predictions or posteriors (first: {missing[0]!r})"
-        )
+    for records in (preds, posts):
+        missing = sorted(tid for tid in ids if tid not in records)
+        if missing:
+            raise InputError(f"{records.path}: no record of {len(missing)} of the tasks to "
+                             f"score (first: {missing[0]!r})")
     if not ids:
         raise InputError("no tasks to score in the requested split")
     ordered = sorted(ids)
@@ -392,10 +406,9 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_predict(cfg: dict) -> int:
-    fixed_n = cfg["inference_n"]
-    scheme, table, answers = _load_dataset(cfg, with_responses=fixed_n is None)
+    scheme, table, answers = _load_dataset(cfg, with_responses=cfg["inference_n"] is None)
     model = _load_model(cfg, scheme, table)
-    ns = [fixed_n] * len(table) if fixed_n is not None else [row.size for row in answers]
+    ns = _inference_counts(cfg, answers, range(len(table)))
     forwards = _forwards(model, table, range(len(table)), ns, "has no features to predict from")
     records = list(zip(table.task_ids, forwards, ns))
     write_alpha_records(_path(cfg, "predictions"), records)
@@ -470,8 +483,10 @@ def cmd_repeats(cfg: dict) -> int:
     in_split = _in_split(cfg, table.task_ids)
     model = _load_model(cfg, scheme, table)
 
+    source = "the deployment_threshold option"
     if threshold is None:
-        threshold = read_json_object(_path(cfg, "calibration"), "calibration results", {
+        source = _path(cfg, "calibration")
+        threshold = read_json_object(source, "calibration results", {
             "deployment_threshold": ("a number or null",
                                      lambda v: v is None or is_numbers(v) and not math.isnan(v)),
         })["deployment_threshold"]
@@ -479,14 +494,14 @@ def cmd_repeats(cfg: dict) -> int:
             threshold = math.inf
 
     scored = [i for i, keep in enumerate(in_split.tolist()) if keep and answers[i].size > 0]
-    ns = ([cfg["inference_n"]] * len(scored) if cfg["inference_n"] is not None
-          else [answers[i].size for i in scored])
+    ns = _inference_counts(cfg, answers, scored)
     modes = [posterior_mode(alpha).q
              for alpha in _forwards(model, table, scored, ns, "has no features")]
     conf = confidence(np.reshape(modes, (len(scored), scheme.num_categories)))
     kept = [i for i, c in zip(scored, conf) if c < threshold]
     if not kept:
-        raise InputError("no non-automated tasks left for the repeats analysis")
+        raise InputError(f"no non-automated tasks left for the repeats analysis "
+                         f"(deployment threshold {threshold} from {source})")
 
     ids, answers = [table.task_ids[i] for i in kept], [answers[i] for i in kept]
     informed = np.stack([blend_prior(alpha, cfg["blend"]).alpha for alpha in

@@ -29,6 +29,12 @@ class InputError(ValueError):
     option value out of range."""
 
 
+# a value as a message prints it on one short line: long numbers and strings
+# cut in the middle, six items of a list at most, nested lists elided
+brief = reprlib.Repr()
+brief.maxlevel = 1
+
+
 # ---------------------------------------------------------------------------
 # Answer space
 # ---------------------------------------------------------------------------
@@ -80,7 +86,8 @@ class CategoryScheme:
             raise InputError(f"answer must be a category name or an integer index, got {answer!r}")
         idx = int(answer)
         if not 0 <= idx < self.num_categories:
-            raise InputError(f"category index {idx} out of range [0, {self.num_categories})")
+            raise InputError(f"category index {brief.repr(idx)} out of range "
+                             f"[0, {self.num_categories})")
         return idx
 
 
@@ -110,17 +117,16 @@ def check_soft_labels(q) -> np.ndarray:
     """q as floats, each vector along its last axis checked as a soft label:
     non-negative, summing to 1.  The first failing one raises InputError."""
     q = np.asarray(q, dtype=float)
-    if q.ndim > 1:
-        ok = (q >= 0).all() and (abs(q.sum(axis=-1) - 1.0) <= SIMPLEX_ATOL).all()
-    else:   # scalar arithmetic: a few microseconds less per SoftLabel
-        ok = (q >= 0).all() and abs(q.sum() - 1.0) <= SIMPLEX_ATOL
-    if ok:
+    rows = q.reshape(-1, q.shape[-1]) if q.ndim > 1 else q.reshape(1, -1)
+    with np.errstate(over="ignore"):   # a sum past the float range is inf, and refused
+        sums = rows.sum(axis=1)
+    if (rows >= 0).all() and (abs(sums - 1.0) <= SIMPLEX_ATOL).all():
         return q
-    for row in q.reshape(-1, q.shape[-1]) if q.ndim > 1 else q.reshape(1, -1):
+    for row, total in zip(rows, sums.tolist()):
         if not (row >= 0).all():
             raise InputError(f"soft label has negative or NaN components: {row}")
-        if abs(row.sum() - 1.0) > SIMPLEX_ATOL:
-            raise InputError(f"soft label does not sum to 1: {row} (sum {row.sum()!r})")
+        if abs(total - 1.0) > SIMPLEX_ATOL:
+            raise InputError(f"soft label does not sum to 1: {row} (sum {total})")
 
 
 @dataclass(frozen=True)
@@ -208,6 +214,20 @@ def check_seed(seed: int) -> None:
     """Refuse a seed that numpy's generators cannot take: a negative one."""
     if seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed}")
+
+
+# most values one option may size (a simulated dataset, bootstrap resamples,
+# calibration bins, replayed permutations); far past any dataset written as
+# JSON lines, it refuses a mistyped size before anything is allocated
+MAX_VALUES = 2**30
+
+
+def check_size(name: str, value: int, per_unit: int, what: str) -> None:
+    """Refuse the value of option ``name`` when ``what``, per_unit values per
+    unit of it, would hold more than MAX_VALUES values."""
+    if value * per_unit > MAX_VALUES:
+        raise InputError(f"{name} = {brief.repr(value)}: {what} would hold more than "
+                         f"the limit of {MAX_VALUES} values")
 
 
 def split_dataset(
@@ -332,7 +352,7 @@ def read_json_object(path, what: str, keys: Optional[dict] = None) -> dict:
         if key not in data:
             raise InputError(f"{path}: missing key {key!r}")
         if not test(data[key]):
-            raise InputError(f"{path}: key {key!r} must be {kind}, got {reprlib.repr(data[key])}")
+            raise InputError(f"{path}: key {key!r} must be {kind}, got {brief.repr(data[key])}")
     return data
 
 
@@ -658,7 +678,7 @@ def read_tasks(path) -> TaskTable:
              lambda i: f"bad task record: soft label has negative or NaN components: {q.row(i)}"),
             (q.failing(lambda a: np.abs(a.sum(axis=-1) - 1.0) > SIMPLEX_ATOL),
              lambda i: f"bad task record: soft label does not sum to 1: {q.row(i)} "
-                       f"(sum {q.row(i).sum()!r})"),
+                       f"(sum {float(q.row(i).sum())})"),
             (f.faulty, lambda i: f"bad task record: {f.faults[i]}"),
             (f.sizes == 0, lambda i: f"bad task record: empty features in task {ids[i]!r}"),
             (f.failing(lambda a: ~np.isfinite(a).all(axis=-1)),
@@ -770,7 +790,7 @@ def _response_rows(task_ids: Sequence[str], responses: Responses) -> np.ndarray:
     if orphans.size:
         i = orphans[0]
         raise InputError(f"{responses.path}:{responses.lines[i]}: response references "
-                         f"unknown task {responses.task_ids[i]!r}")
+                         f"unknown task {brief.repr(responses.task_ids[i])}")
     return owner
 
 
@@ -863,7 +883,7 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
          lambda i: f"bad record: alpha components must be positive and finite, "
                    f"got {alpha.row(i)}"),
         (bad_n, lambda i: "bad record: 'n'" if ns[i] is _ABSENT
-         else f"bad record: n must be a non-negative integer, got {ns[i]!r}"),
+         else f"bad record: n must be a non-negative integer, got {brief.repr(ns[i])}"),
         (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
         (alpha.sizes != num_categories,
          lambda i: f"{alpha.sizes[i]} alpha components for a scheme of "

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DirichletParams, InputError, check_seed, is_numbers, read_json_object
+from .core import DirichletParams, InputError, brief, check_seed, is_numbers, read_json_object
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -504,7 +504,8 @@ def save_model(path, model: HeadModel) -> None:
 def load_model(path) -> HeadModel:
     """The model a model file holds; a malformed file raises InputError."""
     payload = read_json_object(path, "model parameters", {
-        "format_version": (str(_MODEL_FORMAT), lambda v: v == _MODEL_FORMAT),
+        "format_version": (str(_MODEL_FORMAT),
+                           lambda v: type(v) is int and v == _MODEL_FORMAT),
         "A": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
         "bias": ("a list of numbers", lambda v: is_numbers(v, 1)),
         "W": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
@@ -520,5 +521,6 @@ def load_model(path) -> HeadModel:
     for key, value, what in (("d", model.feature_dim, "the number of rows of A"),
                              ("C", model.num_categories - 1, "one less than the length of bias")):
         if payload[key] != value:
-            raise InputError(f"{path}: key {key!r} must be {value}, {what}, got {payload[key]}")
+            raise InputError(f"{path}: key {key!r} must be {value}, {what}, "
+                             f"got {brief.repr(payload[key])}")
     return model

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bayes import point_estimates
-from .core import DirichletParams, InputError, task_rng, write_csv
+from .core import DirichletParams, InputError, check_size, task_rng, write_csv
 
 _REPEATS_STREAM = "repeats"
 
@@ -112,6 +112,9 @@ def repeats_summary(
     if not len(task_ids) == len(answers) == len(priors):
         raise InputError(f"{len(task_ids)} task ids, {len(answers)} answer arrays and "
                          f"{len(priors)} prior rows")
+    k, steps = np.shape(priors)[-1], sum(len(a) + 1 for a in answers)
+    check_size("permutations", permutations, k * steps,
+               f"replays of {steps} steps in {k} categories")
     per_task: List[np.ndarray] = []
     for task_id, task_answers, prior in zip(task_ids, answers, priors):
         if len(task_answers) == 0:

@@ -22,6 +22,7 @@ from .core import (
     DirichletParams,
     InputError,
     TaskTable,
+    check_size,
     check_soft_labels,
     task_rng,
 )
@@ -29,10 +30,6 @@ from .head import softmax
 
 _FEATURE_MAP_KEY = "__feature_map__"
 _LOG_FLOOR = 1e-6
-# most values a simulated dataset may hold (per task: its answers, its
-# features and two rows of K); far past any dataset written as JSON lines,
-# it refuses a mistyped size before anything is allocated
-_MAX_VALUES = 2**30
 
 
 @dataclass(frozen=True)
@@ -56,11 +53,9 @@ class SimConfig:
             raise InputError("repeats must be non-negative")
         if self.feature_dim < 1:
             raise InputError("feature_dim must be at least 1")
-        size = self.num_tasks * (self.repeats + self.feature_dim + 2 * self.num_categories)
-        if size > _MAX_VALUES:
-            raise InputError(f"{self.num_tasks} tasks would hold {size} values (answers, "
-                             f"features and two rows of K per task), more than the limit "
-                             f"of {_MAX_VALUES}")
+        per_task = self.repeats + self.feature_dim + 2 * self.num_categories
+        check_size("num_tasks", self.num_tasks, per_task,
+                   "tasks of answers, features and two rows of K")
         for name, scale in (("feature_noise", self.feature_noise),
                             ("predictor_noise", self.predictor_noise)):
             if not 0 <= scale < math.inf:

@@ -688,14 +688,59 @@ def test_cli_surface_frozen(capsys):
     {"epochs": "5"}, {"epochs": 5.0}, {"epochs": True}, {"learning_rate": "fast"},
     {"tau": None}, {"select": 1}, {"ratios": [0.8, "x", 0.1]}, {"ratios": "0.8,x,0.1"},
     {"warmup_iters": 2.5}, {"learning_rate": 10**400}, {"ratios": [10**400, 0.1, 0.1]},
+    {"select": "x" * 500}, {"epochs": "9" * 500},
 ])
 def test_config_values_of_the_wrong_type_exit_2(pipeline, tmp_path, capsys, entry):
     _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "responses.jsonl")
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(entry))
     assert run(tmp_path, "train", "--config", str(cfgfile)) == 2
-    assert next(iter(entry)) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert next(iter(entry)) in err
+    assert err.count("\n") == 1 and len(err) < 160   # a long value is cut short
     assert not (tmp_path / "model.json").exists()
+
+
+_HUGE = "1" + "0" * 400
+_SHORT = "100000000000000000...0000000000000000000"   # as the messages print _HUGE
+
+
+@pytest.mark.parametrize("argv, unreachable, message", [
+    (("predict", "--inference-n", str(2**63)), "crowdinfer.cli._forwards",
+     f"inference_n must be at most {2**63 - 1}, got {2**63}"),
+    (("predict", "--inference-n", "1" + "0" * 330), "crowdinfer.cli._forwards",
+     f"inference_n must be at most {2**63 - 1}, got {_SHORT}"),
+    (("repeats", "--split", "all", "--inference-n", str(2**63)), "crowdinfer.cli._forwards",
+     f"inference_n must be at most {2**63 - 1}, got {2**63}"),
+    (("eval", "--bins", _HUGE), "crowdinfer.autothresh.CalibrationBin",
+     f"bins = {_SHORT}: bins, each one row and a test of "),
+    (("eval", "--split", "all", "--bins", str(2**30 // 121 + 1)),
+     "crowdinfer.autothresh.CalibrationBin", "more than the limit of 1073741824"),
+    (("curve", "--bootstrap", _HUGE), "crowdinfer.autothresh._realization_rngs",
+     f"B = {_SHORT}: resamples of "),
+    (("calibrate", "--bootstrap", _HUGE), "crowdinfer.autothresh._realization_rngs",
+     f"B = {_SHORT}: resamples of "),
+    (("repeats", "--permutations", _HUGE), "crowdinfer.priors.repeats_run",
+     f"permutations = {_SHORT}: replays of "),
+    (("simulate", "--num-tasks", _HUGE), "crowdinfer.cli.simulate_dataset",
+     f"num_tasks = {_SHORT}: tasks of answers, "),
+])
+def test_options_too_large_for_what_they_size_exit_2(pipeline, tmp_path, capsys, monkeypatch,
+                                                     argv, unreachable, message):
+    """Refused before the allocation or loop they size, which is never reached;
+    the message stays one short line."""
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{unreachable} reached")
+
+    monkeypatch.setattr(unreachable, fail)
+    if argv[0] != "simulate":
+        _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
 
 
 def test_config_values_of_the_right_type_are_taken(pipeline, tmp_path):

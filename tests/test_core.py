@@ -79,6 +79,38 @@ def test_soft_label_validation():
             SoftLabel(bad)
 
 
+def test_check_soft_labels_messages_and_shapes():
+    """One label, a 0-d value and a matrix take the same checks; a sum is
+    printed as a plain float."""
+    with pytest.raises(InputError, match=re.escape("does not sum to 1: [0.5 0.5 0.1] (sum 1.1)")):
+        core.check_soft_labels([0.5, 0.5, 0.1])
+    with pytest.raises(InputError, match=re.escape("does not sum to 1: [0.5] (sum 0.5)")):
+        core.check_soft_labels(0.5)
+    with pytest.raises(InputError, match=re.escape("negative or NaN components: [-1.]")):
+        core.check_soft_labels(-1.0)
+    with pytest.raises(InputError, match=re.escape("does not sum to 1: [] (sum 0.0)")):
+        core.check_soft_labels([])
+    with np.errstate(over="raise"):   # no overflow warning either
+        with pytest.raises(InputError, match=re.escape("(sum inf)")):
+            core.check_soft_labels([1e308, 1e308, 0.0])
+    assert core.check_soft_labels(1.0).shape == ()
+    rows = [[[0.5, 0.5]], [[0.25, 0.75]]]
+    assert core.check_soft_labels(rows).shape == (2, 1, 2)
+    rows[1][0][1] = 0.5
+    with pytest.raises(InputError, match=re.escape("[0.25 0.5 ] (sum 0.75)")):
+        core.check_soft_labels(rows)
+
+
+def test_check_size_refuses_past_the_limit():
+    core.check_size("x", core.MAX_VALUES // 7, 7, "rows of 7")
+    with pytest.raises(InputError, match=re.escape(
+            f"x = {core.MAX_VALUES // 7 + 1}: rows of 7 would hold more than the limit of "
+            f"{core.MAX_VALUES} values")):
+        core.check_size("x", core.MAX_VALUES // 7 + 1, 7, "rows of 7")
+    with pytest.raises(InputError, match=re.escape("x = 100000000000000000...00000000")):
+        core.check_size("x", 10**400, 1, "values")
+
+
 def test_soft_label_argmax_ties_break_low():
     assert SoftLabel([0.4, 0.4, 0.2]).argmax() == 0
     assert SoftLabel([0.0, 0.5, 0.5]).argmax() == 1  # cs loses the tie
@@ -1060,7 +1092,7 @@ def test_task_table_columns(tmp_path):
     (['{"task_id": "a"}', '{"task_id": {}}'],
      ":2: bad task record: task_id must be a string or an integer, got {}"),
     (['{"task_id": "a", "true_q": [1e308, 1e308, 0]}'],
-     ":1: bad task record: soft label does not sum to 1: [1.e+308 1.e+308 0.e+000] (sum "),
+     ":1: bad task record: soft label does not sum to 1: [1.e+308 1.e+308 0.e+000] (sum inf)"),
 ])
 def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path = tmp_path / "tasks.jsonl"

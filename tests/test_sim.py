@@ -7,10 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdinfer.bayes import posterior, posterior_mode, uniform_prior
-from crowdinfer.core import InputError, SoftLabel, empirical_soft_label, tally, task_rng
+from crowdinfer.core import (
+    MAX_VALUES,
+    InputError,
+    SoftLabel,
+    empirical_soft_label,
+    tally,
+    task_rng,
+)
 from crowdinfer.metrics import soft_distance
 from crowdinfer.sim import (
-    _MAX_VALUES,
     SimConfig,
     feature_map,
     scheme_for,
@@ -114,9 +120,9 @@ def test_config_validation():
 def test_config_size_limit():
     # constructing a config allocates nothing, so the boundary itself is tested
     per_task = 20 + 8 + 2 * 3   # repeats, features, two rows of K
-    SimConfig(num_tasks=_MAX_VALUES // per_task)
-    with pytest.raises(InputError, match=f"more than the limit of {_MAX_VALUES}"):
-        SimConfig(num_tasks=_MAX_VALUES // per_task + 1)
+    SimConfig(num_tasks=MAX_VALUES // per_task)
+    with pytest.raises(InputError, match=f"more than the limit of {MAX_VALUES}"):
+        SimConfig(num_tasks=MAX_VALUES // per_task + 1)
 
 
 def test_scheme_layout():
