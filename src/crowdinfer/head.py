@@ -280,7 +280,9 @@ def _forward_batch(params, alpha0_sum: float, X: np.ndarray, n: np.ndarray):
 def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletParams:
     """Predict Dirichlet parameters for one task at response count n.
 
-    By construction the components sum to alpha0_sum + n.
+    By construction the components sum to alpha0_sum + n.  Features too large
+    for the model's scores leave components that are not positive and finite:
+    that raises FloatingPointError.
     """
     features = np.asarray(features, dtype=float)
     if features.shape != (model.feature_dim,):
