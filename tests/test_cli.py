@@ -798,6 +798,26 @@ def test_reference_without_responses_exit_2(pipeline, tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 0
 
 
+@pytest.mark.parametrize("lacking, named", [
+    (("predictions.jsonl",), "predictions.jsonl"),
+    (("posteriors.jsonl",), "posteriors.jsonl"),
+    (("predictions.jsonl", "posteriors.jsonl"), "predictions.jsonl"),
+])
+def test_task_without_a_record_exit_2(pipeline, tmp_path, capsys, lacking, named):
+    """A test task missing from a record file exits naming the file and the
+    task; missing from both, predictions.jsonl is the one named."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "predictions.jsonl",
+                 "posteriors.jsonl")
+    ids = [r["task_id"] for r in read_jsonl(pipeline / "tasks.jsonl")]
+    missing = ids[int(np.flatnonzero(split_dataset(ids, seed=0) == 2)[0])]
+    for name in lacking:
+        records = [r for r in read_jsonl(pipeline / name) if r["task_id"] != missing]
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, "eval", "--split", "test") == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / named}: no record of 1 of the "
+                                       f"tasks to score (first: {missing!r})\n")
+
+
 def test_val_task_without_features_exit_2(pipeline, tmp_path, capsys):
     _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl")
     records = read_jsonl(pipeline / "tasks.jsonl")
