@@ -32,7 +32,7 @@ from .autothresh import (
     write_bins_csv,
     write_curve_csv,
 )
-from .bayes import point_estimates, posterior, posterior_mode, uniform_prior
+from .bayes import point_estimates, posterior, posterior_mean, posterior_mode, uniform_prior
 from .core import (
     AlphaRecords,
     InputError,
@@ -204,15 +204,12 @@ def provenance(cfg: dict) -> dict:
 # Shared loading helpers
 # ---------------------------------------------------------------------------
 
-def _load_dataset(cfg: dict, with_responses: bool = True):
-    """The scheme, the tasks table and each task's answers (None without responses)."""
+def _load_dataset(cfg: dict, responses: bool = True):
+    """The scheme, the tasks table and the responses file's columns (None
+    where the stage does not read that file)."""
     scheme = read_scheme(_path(cfg, "scheme"))
     table = read_tasks(_path(cfg, "tasks"))
-    answers = None
-    if with_responses:
-        answers = attach_responses(table.task_ids,
-                                   read_responses(_path(cfg, "responses"), scheme))
-    return scheme, table, answers
+    return scheme, table, read_responses(_path(cfg, "responses"), scheme) if responses else None
 
 
 def _load_model(cfg: dict, scheme, table):
@@ -227,12 +224,12 @@ def _load_model(cfg: dict, scheme, table):
     return model
 
 
-def _inference_counts(cfg: dict, answers, rows) -> list:
+def _inference_counts(cfg: dict, counts, rows) -> list:
     """The response count each of the rows is predicted at: inference_n,
-    which must fit an int64 as the record readers require, else its answers."""
+    which must fit an int64 as the record readers require, else its count."""
     n = cfg["inference_n"]
     if n is None:
-        return [answers[i].size for i in rows]
+        return [counts[i] for i in rows]
     if n > np.iinfo(np.int64).max:
         raise InputError(f"inference_n must be at most {np.iinfo(np.int64).max}, "
                          f"got {brief.repr(n)}")
@@ -254,11 +251,6 @@ def _forwards(model, table, rows, ns, featureless: str):
         yield alpha
 
 
-def _load_task_ids(cfg: dict):
-    """The scheme and the task ids, all the score stages read of the dataset."""
-    return read_scheme(_path(cfg, "scheme")), read_tasks(_path(cfg, "tasks")).task_ids
-
-
 def _in_split(cfg: dict, task_ids: List[str]) -> np.ndarray:
     """Mask of the task ids in the split that the split option names."""
     if cfg["split"] == "all":
@@ -275,20 +267,15 @@ def _read_pair(cfg: dict, scheme):
 
 def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     """The predictions' point estimates (per cfg) and the reference modes of
-    the ids, verified present in both record files, as rows in sorted id order.
+    the ids, which both record files must hold, as rows in sorted id order.
 
     A reference posterior of a task without responses (n = 0) is only its
     prior, so it exits 2 with its file line.
     """
-    for records in (preds, posts):
-        missing = sorted(tid for tid in ids if tid not in records)
-        if missing:
-            raise InputError(f"{records.path}: no record of {len(missing)} of the tasks to "
-                             f"score (first: {missing[0]!r})")
+    ordered = sorted(ids)
+    pred_rows, ref_rows = preds.rows(ordered), posts.rows(ordered)
     if not ids:
         raise InputError("no tasks to score in the requested split")
-    ordered = sorted(ids)
-    ref_rows = posts.rows(ordered)
     unanswered = ref_rows[posts.n[ref_rows] == 0]
     if unanswered.size:
         row = unanswered.min()
@@ -296,7 +283,7 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
             f"{posts.path}:{posts.lines[row]}: task {posts.task_ids[row]!r} has no "
             f"responses (n = 0), so it cannot be a scoring reference"
         )
-    q_hat = point_estimates(preds.alpha[preds.rows(ordered)], cfg["point_estimate"])
+    q_hat = point_estimates(preds.alpha[pred_rows], cfg["point_estimate"])
     q_ref = point_estimates(posts.alpha[ref_rows])
     return q_hat, q_ref
 
@@ -342,7 +329,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_infer(cfg: dict) -> int:
     check_blend(cfg["blend"])   # refused with either prior, though only the model prior blends
-    scheme, table, answers = _load_dataset(cfg)
+    scheme, table, responses = _load_dataset(cfg)
+    answers = attach_responses(table.task_ids, responses)
     if cfg["prior"] == "model":
         forwards = _forwards(_load_model(cfg, scheme, table), table, range(len(table)),
                              itertools.repeat(0), "has no features for the model prior")
@@ -375,9 +363,7 @@ def _training_set(scheme, table, counts: np.ndarray, labels: np.ndarray) -> list
 
 
 def cmd_train(cfg: dict) -> int:
-    scheme = read_scheme(_path(cfg, "scheme"))
-    table = read_tasks(_path(cfg, "tasks"))
-    responses = read_responses(_path(cfg, "responses"), scheme)
+    scheme, table, responses = _load_dataset(cfg)
     counts = count_matrix(table.task_ids, responses, scheme.num_categories)
     labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
     if not (labels == 0).any():
@@ -391,7 +377,6 @@ def cmd_train(cfg: dict) -> int:
         train_set,
         tc,
         val_dataset=val_set,
-        alpha0_sum=float(scheme.num_categories),
         callback=lambda e, tl, vl: history.append((e, tl, vl)),
         task_ids=train_ids,
     )
@@ -406,9 +391,11 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_predict(cfg: dict) -> int:
-    scheme, table, answers = _load_dataset(cfg, with_responses=cfg["inference_n"] is None)
+    scheme, table, responses = _load_dataset(cfg, responses=cfg["inference_n"] is None)
+    counts = None if responses is None else count_matrix(
+        table.task_ids, responses, scheme.num_categories).sum(axis=1).tolist()
     model = _load_model(cfg, scheme, table)
-    ns = _inference_counts(cfg, answers, range(len(table)))
+    ns = _inference_counts(cfg, counts, range(len(table)))
     forwards = _forwards(model, table, range(len(table)), ns, "has no features to predict from")
     records = list(zip(table.task_ids, forwards, ns))
     write_alpha_records(_path(cfg, "predictions"), records)
@@ -418,11 +405,11 @@ def cmd_predict(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     amb_cfg = AmbiguityConfig(cfg["eta0"], cfg["pi0"])
-    scheme, task_ids = _load_task_ids(cfg)
+    scheme, table, _ = _load_dataset(cfg, responses=False)
     if scheme.num_proper < 2:
         raise InputError(f"{_path(cfg, 'scheme')}: eval scores ambiguity, which needs at "
                          f"least two proper categories; the scheme has {scheme.num_proper}")
-    ids = list(itertools.compress(task_ids, _in_split(cfg, task_ids)))
+    ids = list(itertools.compress(table.task_ids, _in_split(cfg, table.task_ids)))
     preds, posts = _read_pair(cfg, scheme)
     q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
@@ -442,8 +429,8 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_curve(cfg: dict) -> int:
-    scheme, task_ids = _load_task_ids(cfg)
-    ids = list(itertools.compress(task_ids, _in_split(cfg, task_ids)))
+    scheme, table, _ = _load_dataset(cfg, responses=False)
+    ids = list(itertools.compress(table.task_ids, _in_split(cfg, table.task_ids)))
     preds, posts = _read_pair(cfg, scheme)
     conf, correct = _conf_correct(cfg, preds, posts, ids)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
@@ -456,9 +443,9 @@ def cmd_curve(cfg: dict) -> int:
 
 
 def cmd_calibrate(cfg: dict) -> int:
-    scheme, task_ids = _load_task_ids(cfg)
-    labels = split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"])
-    val_ids, test_ids = (list(itertools.compress(task_ids, labels == j)) for j in (1, 2))
+    scheme, table, _ = _load_dataset(cfg, responses=False)
+    labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
+    val_ids, test_ids = (list(itertools.compress(table.task_ids, labels == j)) for j in (1, 2))
     preds, posts = _read_pair(cfg, scheme)
     val_conf, val_corr = _conf_correct(cfg, preds, posts, val_ids)
     test_conf, test_corr = _conf_correct(cfg, preds, posts, test_ids)
@@ -479,7 +466,9 @@ def cmd_repeats(cfg: dict) -> int:
     threshold = cfg["deployment_threshold"]
     if threshold is not None and math.isnan(threshold):
         raise InputError(f"deployment_threshold must be a number or inf, got {threshold}")
-    scheme, table, answers = _load_dataset(cfg)
+    scheme, table, responses = _load_dataset(cfg)
+    answers = attach_responses(table.task_ids, responses)
+    counts = [row.size for row in answers]
     in_split = _in_split(cfg, table.task_ids)
     model = _load_model(cfg, scheme, table)
 
@@ -493,11 +482,12 @@ def cmd_repeats(cfg: dict) -> int:
         if threshold is None:   # serialized +inf: nothing is automated
             threshold = math.inf
 
-    scored = [i for i, keep in enumerate(in_split.tolist()) if keep and answers[i].size > 0]
-    ns = _inference_counts(cfg, answers, scored)
-    modes = [posterior_mode(alpha).q
-             for alpha in _forwards(model, table, scored, ns, "has no features")]
-    conf = confidence(np.reshape(modes, (len(scored), scheme.num_categories)))
+    # the rule calibrate gates with: the confidence of the point estimate it names
+    estimate = {"mode": posterior_mode, "mean": posterior_mean}[cfg["point_estimate"]]
+    scored = [i for i, keep in enumerate(in_split.tolist()) if keep and counts[i] > 0]
+    ns = _inference_counts(cfg, counts, scored)
+    q = [estimate(alpha).q for alpha in _forwards(model, table, scored, ns, "has no features")]
+    conf = confidence(np.reshape(q, (len(scored), scheme.num_categories)))
     kept = [i for i, c in zip(scored, conf) if c < threshold]
     if not kept:
         raise InputError(f"no non-automated tasks left for the repeats analysis "
@@ -558,7 +548,8 @@ _COMMANDS = {
         "target_accuracy", "bootstrap", "point_estimate")),
     "repeats": (cmd_repeats, "prediction-as-prior convergence analysis", (
         "scheme", "tasks", "responses", "model", "calibration", "repeats_csv", "split", "ratios",
-        "blend", "permutations", "max_repeats", "inference_n", "deployment_threshold")),
+        "blend", "permutations", "max_repeats", "inference_n", "deployment_threshold",
+        "point_estimate")),
 }
 
 

@@ -852,7 +852,11 @@ class AlphaRecords:
         return task_id in self._row
 
     def rows(self, task_ids) -> np.ndarray:
-        """Row index of each of the task ids."""
+        """Row index of each of the task ids, which must all have a record."""
+        missing = [tid for tid in task_ids if tid not in self._row]
+        if missing:
+            raise InputError(f"{self.path}: no record of {len(missing)} of the tasks to score "
+                             f"(first: {missing[0]!r})")
         return np.array([self._row[tid] for tid in task_ids], dtype=np.intp)
 
 

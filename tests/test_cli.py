@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdinfer.bayes import posterior, uniform_prior
+from crowdinfer.bayes import point_estimates, posterior, uniform_prior
 from crowdinfer.cli import _training_set, main
 from crowdinfer.core import (
     CategoryScheme,
@@ -15,10 +16,12 @@ from crowdinfer.core import (
     TaskTable,
     attach_responses,
     count_matrix,
+    read_alpha_records,
     split_dataset,
     tally,
 )
-from crowdinfer.metrics import hard_weights
+from crowdinfer.metrics import confidence, hard_weights
+from crowdinfer.priors import repeats_summary
 
 
 def run(tmp_path, *argv):
@@ -654,6 +657,7 @@ _SURFACE = {
         --max-repeats max_repeats int - -
         --inference-n inference_n int - -
         --deployment-threshold deployment_threshold float - -
+        --point-estimate point_estimate - mode,mean -
     """),
 }
 
@@ -888,6 +892,37 @@ def test_repeats_ignores_featureless_tasks_outside_its_split(pipeline, tmp_path)
     _without_features(pipeline, tmp_path, [int(np.flatnonzero(labels == 0)[0])])
     assert run(tmp_path, *argv) == 0
     assert (tmp_path / "repeats.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_repeats_gates_with_the_point_estimate_calibrate_used(tmp_path, monkeypatch):
+    """With point_estimate "mean" in the config file of both calibrate and
+    repeats, repeats replays exactly the answered test tasks whose mean
+    confidence in predictions.jsonl is below the calibrated threshold."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"point_estimate": "mean", "target_accuracy": 0.9}))
+    for argv in (("simulate", "--num-tasks", "200", "--repeats", "10"), ("infer",),
+                 ("train", "--epochs", "20", "--learning-rate", "0.05"), ("predict",),
+                 ("calibrate", "--bootstrap", "32", "--config", str(cfgfile))):
+        assert run(tmp_path, *argv) == 0, argv
+    replayed = []
+
+    def summary(ids, *args, **kwargs):
+        replayed.append(list(ids))
+        return repeats_summary(ids, *args, **kwargs)
+
+    monkeypatch.setattr("crowdinfer.cli.repeats_summary", summary)
+    assert run(tmp_path, "repeats", "--permutations", "2", "--config", str(cfgfile)) == 0
+
+    threshold = json.loads((tmp_path / "calibration.json").read_text())["deployment_threshold"]
+    preds = read_alpha_records(tmp_path / "predictions.jsonl", 3)
+    test = (split_dataset(preds.task_ids, seed=0) == 2) & (preds.n > 0)
+
+    def below(how):
+        conf = confidence(point_estimates(preds.alpha, how))
+        return list(itertools.compress(preds.task_ids, test & (conf < threshold)))
+
+    assert replayed == [below("mean")] * 2
+    assert below("mean") != below("mode")   # the posterior mode would replay other tasks
 
 
 # ---------------------------------------------------------------------------
