@@ -192,8 +192,9 @@ def task_rng(global_seed: int, task_id) -> np.random.Generator:
     task ids decorrelate through a stable byte-level hash, so streams do
     not depend on Python's per-process hash randomization.
     """
+    # surrogatepass takes a lone surrogate (a JSON "\ud800" escape); other ids keep their bytes
     digest = hashlib.blake2b(
-        f"{global_seed}\x1f{task_id}".encode(), digest_size=16
+        f"{global_seed}\x1f{task_id}".encode("utf-8", "surrogatepass"), digest_size=16
     ).digest()
     # the digest as four little-endian 32-bit entropy words
     return np.random.default_rng(np.random.SeedSequence(np.frombuffer(digest, "<u4")))

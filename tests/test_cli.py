@@ -925,6 +925,20 @@ def test_repeats_gates_with_the_point_estimate_calibrate_used(tmp_path, monkeypa
     assert below("mean") != below("mode")   # the posterior mode would replay other tasks
 
 
+def test_stages_take_a_surrogate_escaped_task_id(tmp_path):
+    """A JSON "\\ud800" escape decodes to a lone surrogate, a valid task id."""
+    assert run(tmp_path, "simulate", "--num-tasks", "30", "--repeats", "3") == 0
+    for name in ("tasks.jsonl", "responses.jsonl"):
+        path = tmp_path / name
+        path.write_text(path.read_text().replace('"t000000"', '"\\ud800"'))
+    assert '"\\ud800"' in (tmp_path / "tasks.jsonl").read_text()
+    for argv in (("infer",), ("train", "--epochs", "2"), ("predict",),
+                 ("repeats", "--split", "all", "--permutations", "2",
+                  "--deployment-threshold", "inf")):
+        assert run(tmp_path, *argv) == 0, argv
+    assert "\ud800" in read_alpha_records(tmp_path / "predictions.jsonl", 3).task_ids
+
+
 # ---------------------------------------------------------------------------
 # the training set: column arrays against the per-task builder
 # ---------------------------------------------------------------------------

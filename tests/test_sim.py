@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdinfer.bayes import posterior, posterior_mode, uniform_prior
@@ -47,7 +47,7 @@ def _per_task_oracle(config: SimConfig) -> list:
 def _task_rng_oracle(global_seed, task_id) -> np.random.Generator:
     """task_rng seeded with the digest as four Python integers."""
     digest = hashlib.blake2b(
-        f"{global_seed}\x1f{task_id}".encode(), digest_size=16
+        f"{global_seed}\x1f{task_id}".encode("utf-8", "surrogatepass"), digest_size=16
     ).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence(words))
@@ -57,6 +57,7 @@ def _task_rng_oracle(global_seed, task_id) -> np.random.Generator:
 @given(st.integers(0, 2**63), st.one_of(
     st.text(st.characters(max_codepoint=127)), st.text(st.characters(min_codepoint=128)),
     st.integers(-2**70, 2**70)))
+@example(0, "\ud800")   # a lone surrogate, as a JSON escape decodes
 def test_task_rng_equals_integer_word_seeding(seed, task_id):
     assert task_rng(seed, task_id).bit_generator.state == \
         _task_rng_oracle(seed, task_id).bit_generator.state
