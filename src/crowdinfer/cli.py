@@ -165,8 +165,8 @@ def _parse_floats(key: str, text) -> tuple:
         if isinstance(text, str):
             return tuple(float(x) for x in text.split(","))
         return tuple(float(x) for x in text)
-    except ValueError as exc:
-        raise InputError(f"{key}: {exc}") from exc
+    except ValueError:
+        raise InputError(f"{key} must be {_TYPE_NAMES[tuple]}, got {brief.repr(text)}") from None
 
 
 def resolve_options(args: argparse.Namespace) -> dict:

@@ -543,10 +543,11 @@ class _Column:
 
     They are rows of one matrix (zero rows where a value is absent) when they
     are lists of numbers that stack into one.  Otherwise ``matrix`` is None
-    and each value is converted on its own; the file then has a fault to
-    report.  ``sizes`` holds each vector's length (-1 where absent or faulty)
-    and ``faults`` the reason each faulty value, one that is not a flat list
-    of numbers, was refused.
+    and each value is checked on its own, its type before its conversion:
+    one that is not a list or that holds a list is refused for its shape,
+    one that holds another non-number for that item.  ``sizes`` holds each
+    vector's length (-1 where absent or faulty) and ``faults`` the reason
+    each faulty value was refused.
     """
 
     def __init__(self, values: list, present: np.ndarray, name: str, shape: str = "a vector"):
@@ -569,18 +570,18 @@ class _Column:
             self.matrix, self.vectors = None, {}
             self.sizes = np.full(len(values), -1)
             for i in rows:
-                try:
-                    vector = np.asarray(values[i], dtype=float)
-                except (ValueError, TypeError, OverflowError) as exc:
-                    self.faults[i] = str(exc)
-                    continue
-                if vector.ndim != 1:
+                value = values[i]
+                if type(value) is not list or list in map(type, value):
                     self.faults[i] = f"{name} must be {shape}"
-                elif not _only_numbers([values[i]]):
-                    item = next(v for v in values[i] if type(v) not in (int, float))
+                elif not _only_numbers([value]):
+                    item = next(v for v in value if type(v) not in (int, float))
                     self.faults[i] = f"{name} must hold numbers, got {json.dumps(item)}"
                 else:
-                    self.vectors[i], self.sizes[i] = vector, vector.size
+                    try:
+                        self.vectors[i] = np.array(value, dtype=float)
+                        self.sizes[i] = len(value)
+                    except OverflowError as exc:   # an integer past the float range
+                        self.faults[i] = str(exc)
         self.faulty = np.zeros(len(values), dtype=bool)
         self.faulty[list(self.faults)] = True
 

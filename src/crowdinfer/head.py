@@ -488,6 +488,11 @@ def train_head(
 _MODEL_FORMAT = 1
 
 
+def _is_matrix(value) -> bool:
+    """Whether a decoded JSON value is rows of numbers, all of one length."""
+    return is_numbers(value, 2) and len(set(map(len, value))) <= 1
+
+
 def save_model(path, model: HeadModel) -> None:
     payload = {
         "format_version": _MODEL_FORMAT,
@@ -508,9 +513,9 @@ def load_model(path) -> HeadModel:
     payload = read_json_object(path, "model parameters", {
         "format_version": (str(_MODEL_FORMAT),
                            lambda v: type(v) is int and v == _MODEL_FORMAT),
-        "A": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
+        "A": ("a matrix of numbers", _is_matrix),
         "bias": ("a list of numbers", lambda v: is_numbers(v, 1)),
-        "W": ("a matrix of numbers", lambda v: is_numbers(v, 2)),
+        "W": ("a matrix of numbers", _is_matrix),
         "alpha0_sum": ("a positive finite number",
                        lambda v: is_numbers(v) and 0 < v <= sys.float_info.max),
         "d": ("an integer", lambda v: type(v) is int),
@@ -518,7 +523,7 @@ def load_model(path) -> HeadModel:
     })
     try:
         model = HeadModel(payload["A"], payload["bias"], payload["W"], float(payload["alpha0_sum"]))
-    except ValueError as exc:   # ragged, mis-shaped or non-finite parameters
+    except ValueError as exc:   # mis-shaped or non-finite parameters
         raise InputError(f"{path}: {exc}") from None
     for key, value, what in (("d", model.feature_dim, "the number of rows of A"),
                              ("C", model.num_categories - 1, "one less than the length of bias")):

@@ -898,7 +898,13 @@ def _read_alpha_records_oracle(path, num_categories):
             try:
                 rec = json.loads(line)
                 task_id = _task_id_oracle(rec["task_id"])
-                record = (DirichletParams(np.asarray(rec["alpha"], dtype=float)), rec["n"])
+                alpha = rec["alpha"]
+                # a flat list's first non-number item is refused by itself
+                if isinstance(alpha, list) and not any(isinstance(v, list) for v in alpha):
+                    for v in alpha:
+                        if type(v) not in (int, float):
+                            raise TypeError(f"alpha must hold numbers, got {json.dumps(v)}")
+                record = (DirichletParams(np.asarray(alpha, dtype=float)), rec["n"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
             n = record[1]
@@ -1068,7 +1074,7 @@ def test_task_table_columns(tmp_path):
     (['{"task_id": "a", "features": 1.5}'], ":1: bad task record: features must be a vector"),
     (['{"task_id": "a", "true_q": [[0.5, 0.5]]}'], ":1: bad task record: true_q must be a vector"),
     (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b", "features": ["x"]}'],
-     ":2: bad task record: could not convert string to float: 'x'"),
+     ':2: bad task record: features must hold numbers, got "x"'),
     (['{"task_id": "a", "true_q": [0.5, 0.6]}'], ":1: bad task record: soft label does not sum"),
     (['{"task_id": "a", "features": [1.0]}', '{"task_id": "a", "features": [1.0, 2.0]}'],
      ":2: duplicate task_id 'a'"),
@@ -1093,6 +1099,8 @@ def test_task_table_columns(tmp_path):
      ":2: bad task record: task_id must be a string or an integer, got {}"),
     (['{"task_id": "a", "true_q": [1e308, 1e308, 0]}'],
      ":1: bad task record: soft label does not sum to 1: [1.e+308 1.e+308 0.e+000] (sum inf)"),
+    (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b", "features": [[1.0], 2.0]}'],
+     ":2: bad task record: features must be a vector"),
 ])
 def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path = tmp_path / "tasks.jsonl"
@@ -1101,10 +1109,11 @@ def test_task_table_reports_first_failing_line(tmp_path, lines, message):
         read_tasks(path)
 
 
-@pytest.mark.parametrize("item", ["true", "false", '"1.5"', "null"])
+@pytest.mark.parametrize("item", ["true", "false", '"1.5"', "null", '"x"', "{}"])
 def test_readers_refuse_non_numbers_at_the_first_failing_line(tmp_path, item):
-    """numpy reads true as 1.0 and "1.5" as 1.5; the readers refuse both.
-    An earlier record's fault of a later kind is still reported first."""
+    """numpy reads true as 1.0 and "1.5" as 1.5; the readers refuse both,
+    and every other non-number item in the same words.  An earlier record's
+    fault of a later kind is still reported first."""
     path = tmp_path / "records.jsonl"
     tasks = ['{"task_id": "a", "features": [1.0, 2.0], "true_q": [0.5, 0.5]}',
              '{"task_id": "b", "features": [ITEM, 2.0], "true_q": [0.5, 0.5]}',

@@ -34,6 +34,7 @@ _READERS = {
                          ("deployment_threshold",)),
     "cfg.json": (("eval", "--split", "all"), ("bins", "eta0", "ratios", "point_estimate")),
 }
+_FOREIGN = ("float() argument", "could not convert", "setting an array element")
 _CONFIG = {"bins": 4, "eta0": 0.4, "ratios": [0.8, 0.1, 0.1], "point_estimate": "mode"}
 _LISTS = {"features", "true_q", "alpha", "A", "bias", "W", "ratios"}   # keys holding lists
 
@@ -164,6 +165,8 @@ def test_one_fault_exits_cleanly(inputs, tmp_path, capsys, name, change, argv, n
         return
     assert err.count("\n") == 1 and err.startswith("numeric error: " if code == 3 else "error: ")
     assert len(err.replace(f"{tmp_path}/", "")) <= 200, err
+    # a fault is told in the program's words, not in numpy's or float()'s
+    assert not any(text in err for text in _FOREIGN), err
     if names is None:   # an input file (a record's with its line), a task or the key
         named = any(f in err for f in (*_INPUTS, "cfg.json")) or re.search(r"\btask '?\w", err)
         assert named or name == "cfg.json" and change[1] in err, err
