@@ -283,8 +283,6 @@ def json_ready(obj):
         return {k: json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [json_ready(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return round_sig(v) if math.isfinite(v) else None

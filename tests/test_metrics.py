@@ -410,6 +410,16 @@ def test_geometric_median_majority_of_duplicates():
     assert np.allclose(m, a, atol=1e-6)
 
 
+def test_geometric_median_started_on_a_data_point():
+    """The mean of these labels is the last of them, so the iteration starts
+    on a data point, stalls there and takes the correction; by symmetry that
+    point is the median."""
+    third = 1.0 / 3.0
+    m = geometric_median(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                   [third, third, third]]))
+    assert np.allclose(m, third, atol=1e-12)
+
+
 def test_geometric_median_against_grid_search():
     points = np.array([
         [0.7, 0.2, 0.1],
