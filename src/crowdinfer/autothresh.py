@@ -38,7 +38,8 @@ def _grid(conf: np.ndarray) -> np.ndarray:
 
 
 # Elements per block of the bootstrap work arrays (resample draws, their
-# per-slot counts, quantile columns), so memory stays flat in B and n.
+# keyed per-slot counts, the sorted accuracy rows each np.quantile call
+# copies), so memory beyond the one accuracy matrix stays flat in B and n.
 _BLOCK = 1 << 14
 _QUANTILES = (0.025, 0.5, 0.975)
 
@@ -47,16 +48,18 @@ def _suffix(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
 
 
-def _slot_totals(slot: np.ndarray, corr: np.ndarray, draws: np.ndarray, size: int):
+def _slot_totals(key: np.ndarray, draws: np.ndarray, size: int):
     """Per row of ``draws`` (task indices, one resample per row): the draws'
     counts per grid slot, and the retained and correct totals at every grid
-    threshold.  ``slot`` is each task's index in the grid; retention is
-    inclusive, so the totals are suffix sums of the integer counts."""
+    threshold.  ``key`` is each task's grid slot, plus ``size`` when it is
+    correct, so one bincount per row splits the wrong draws from the correct
+    ones; retention is inclusive, so the totals are suffix sums of the
+    integer counts."""
     rows = draws.shape[0]
-    flat = (slot[draws] + size * np.arange(rows)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=rows * size).reshape(rows, size)
-    hits = np.bincount(flat[corr[draws].ravel()], minlength=rows * size).reshape(rows, size)
-    return counts, _suffix(counts), _suffix(hits)
+    flat = (key[draws] + 2 * size * np.arange(rows)[:, None]).ravel()
+    halves = np.bincount(flat, minlength=rows * 2 * size).reshape(rows, 2, size)
+    counts = halves[:, 0] + halves[:, 1]
+    return counts, _suffix(counts), _suffix(halves[:, 1])
 
 
 def _accuracy(retained: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -65,12 +68,12 @@ def _accuracy(retained: np.ndarray, hits: np.ndarray) -> np.ndarray:
 
 
 def _curve(conf: np.ndarray, corr: np.ndarray):
-    """The threshold grid, each task's slot in it, and the retained counts
-    and accuracies at each grid threshold."""
+    """The threshold grid, each task's _slot_totals key, and the retained
+    counts and accuracies at each grid threshold."""
     grid = _grid(conf)
-    slot = np.searchsorted(grid, conf)
-    _, retained, hits = _slot_totals(slot, corr, np.arange(conf.size)[None], grid.size)
-    return grid, slot, retained[0], _accuracy(retained[0], hits[0])
+    key = np.searchsorted(grid, conf) + grid.size * corr
+    _, retained, hits = _slot_totals(key, np.arange(conf.size)[None], grid.size)
+    return grid, key, retained[0], _accuracy(retained[0], hits[0])
 
 
 @dataclass(frozen=True)
@@ -125,18 +128,18 @@ def _resamples(n: int, B: int, seed: int, width: int):
         yield b0, np.stack([rng.integers(0, n, size=n) for rng in rngs[b0:b0 + step]])
 
 
-def _column_quantiles(acc: np.ndarray, has_nan: np.ndarray) -> np.ndarray:
-    """2.5/50/97.5% quantiles of each column of acc over its finite entries
-    (NaN where it has none).  Columns without NaN take np.quantile a block
-    at a time; the ``has_nan`` ones are filtered one at a time."""
-    out = np.full((len(_QUANTILES), acc.shape[1]), np.nan)
-    whole = np.flatnonzero(~has_nan)
-    step = max(1, _BLOCK // acc.shape[0])
-    for c0 in range(0, whole.size, step):
-        cols = whole[c0:c0 + step]
-        out[:, cols] = np.quantile(acc[:, cols], _QUANTILES, axis=0)
-    for j in np.flatnonzero(has_nan):
-        finite = acc[np.isfinite(acc[:, j]), j]
+def _row_quantiles(acc: np.ndarray) -> np.ndarray:
+    """Sort each row of acc in place (NaN last) and return its 2.5/50/97.5%
+    quantiles over its finite entries (NaN where it has none).  Rows take
+    np.quantile a block at a time; the rows ending in NaN are then redone
+    over their finite entries."""
+    acc.sort(axis=1)
+    out = np.empty((len(_QUANTILES), acc.shape[0]))
+    step = max(1, _BLOCK // acc.shape[1])
+    for r0 in range(0, acc.shape[0], step):
+        out[:, r0:r0 + step] = np.quantile(acc[r0:r0 + step], _QUANTILES, axis=1)
+    for j in np.flatnonzero(np.isnan(acc[:, -1])):
+        finite = acc[j, np.isfinite(acc[j])]
         if finite.size:
             out[:, j] = np.quantile(finite, _QUANTILES)
     return out
@@ -148,14 +151,12 @@ def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBa
     in that realization's quantiles."""
     conf, corr = _as_curve_inputs(confidences, correct)
     _check_resamples(B, conf.size)
-    grid, slot, retained, _ = _curve(conf, corr)
-    acc = np.empty((B, grid.size))
-    has_nan = np.zeros(grid.size, dtype=bool)
+    grid, key, retained, _ = _curve(conf, corr)
+    acc = np.empty((grid.size, B))
     for b0, draws in _resamples(conf.size, B, seed, grid.size):
-        _, kept, hits = _slot_totals(slot, corr, draws, grid.size)
-        acc[b0:b0 + draws.shape[0]] = _accuracy(kept, hits)
-        has_nan |= (kept == 0).any(axis=0)
-    quantiles = _column_quantiles(acc, has_nan)
+        _, kept, hits = _slot_totals(key, draws, grid.size)
+        acc[:, b0:b0 + draws.shape[0]] = _accuracy(kept, hits).T
+    quantiles = _row_quantiles(acc)
     return BootstrapBands(
         thresholds=grid,
         automation=retained / conf.size,
@@ -192,10 +193,10 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
     _check_resamples(B, conf.size)
     if not 0.0 < target_accuracy <= 1.0:
         raise InputError(f"target_accuracy must lie in (0, 1], got {target_accuracy}")
-    grid, slot, _, _ = _curve(conf, corr)
+    grid, key, _, _ = _curve(conf, corr)
     out: List[float] = []
     for _, draws in _resamples(conf.size, B, seed, grid.size):
-        out += _first_thresholds(grid, *_slot_totals(slot, corr, draws, grid.size),
+        out += _first_thresholds(grid, *_slot_totals(key, draws, grid.size),
                                  target_accuracy)
     return out
 

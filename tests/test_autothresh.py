@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -344,6 +345,10 @@ def _scored_sets(draw):
     # a small pool makes ties; 0.0 is a value some sets hold and others lack
     pool = draw(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12))
     conf = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # distinct confidences: grids of up to n + 1 slots, whose top slots
+        # some resamples leave empty (NaN accuracies)
+        conf = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True)))
     kind = draw(st.sampled_from(["random", "all correct", "all wrong", "confident right"]))
     if kind == "random":
         corr = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -426,3 +431,40 @@ def test_bootstrap_blocks_stay_bounded():
         assert [b0 for b0, _ in blocks] == list(range(0, B, blocks[0][1].shape[0]))
         for _, draws in blocks:
             assert draws.shape[0] == 1 or draws.size <= autothresh._BLOCK
+
+
+def test_rescore_sized_set_equals_per_resample_oracles_bitwise():
+    """2500 distinct confidences, as on a rescore val split: 2501 grid
+    slots, resamples that leave top slots empty, and blocks of resamples
+    and of quantile rows that do not divide B or the grid evenly."""
+    rng = np.random.default_rng(19)
+    conf = rng.uniform(0.2, 1.0, size=2500)
+    corr = rng.uniform(size=2500) < conf
+    B, seed = 16, 7
+    with mock.patch.object(autothresh, "_BLOCK", 8000):
+        bands = bootstrap_curves(conf, corr, B, seed)
+        got = {t: select_threshold(conf, corr, t, B, seed) for t in (0.9, 0.99)}
+    grid, automation, quantiles = _bootstrap_oracle(conf, corr, B, seed)
+    assert grid.size == 2501
+    assert bands.thresholds.tobytes() == grid.tobytes()
+    assert bands.automation.tobytes() == automation.tobytes()
+    got_quantiles = np.stack([bands.acc_q025, bands.acc_q50, bands.acc_q975])
+    assert got_quantiles.tobytes() == quantiles.tobytes()
+    for target, thresholds in got.items():
+        assert thresholds == _select_threshold_oracle(conf, corr, target, B, seed)
+
+
+def test_bootstrap_holds_one_accuracy_matrix():
+    """Beyond the (n + 1) x B accuracy matrix, the bootstrap's memory is
+    bounded by its blocks: it makes no sorted or transposed copy."""
+    rng = np.random.default_rng(0)
+    n, B = 2500, 1024
+    conf = rng.uniform(size=n)
+    corr = rng.uniform(size=n) < conf
+    tracemalloc.start()
+    try:
+        bootstrap_curves(conf, corr, B, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (n + 1) * B * 8
