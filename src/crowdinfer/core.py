@@ -35,6 +35,12 @@ brief = reprlib.Repr()
 brief.maxlevel = 1
 
 
+def _brief_json(value) -> str:
+    """value's JSON text, cut in the middle to brief's string length."""
+    text = json.dumps(value)
+    return text if len(text) <= brief.maxstring else text[:13] + brief.fillvalue + text[-14:]
+
+
 # ---------------------------------------------------------------------------
 # Answer space
 # ---------------------------------------------------------------------------
@@ -381,7 +387,7 @@ def _task_ids(values: list) -> list:
     if kinds <= {str, int}:
         return list(map(str, values))
     bad = next(v for v in values if type(v) not in (str, int))
-    raise TypeError(f"task_id must be a string or an integer, got {json.dumps(bad)}")
+    raise TypeError(f"task_id must be a string or an integer, got {_brief_json(bad)}")
 
 
 def _decode_block(block: list) -> Optional[list]:
@@ -573,7 +579,7 @@ class _Column:
                     self.faults[i] = f"{name} must be {shape}"
                 elif not _only_numbers([value]):
                     item = next(v for v in value if type(v) not in (int, float))
-                    self.faults[i] = f"{name} must hold numbers, got {json.dumps(item)}"
+                    self.faults[i] = f"{name} must hold numbers, got {_brief_json(item)}"
                 else:
                     try:
                         self.vectors[i] = np.array(value, dtype=float)

@@ -361,6 +361,23 @@ def test_non_number_values_exit_2(pipeline, tmp_path, capsys, item):
             f"{json.dumps(item)}") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("features", ["x" * 1000, 1.0],
+     'features must hold numbers, got "xxxxxxxxxxxx...xxxxxxxxxxxxx"'),
+    ("task_id", ["x" * 1000],
+     'task_id must be a string or an integer, got ["xxxxxxxxxxx...xxxxxxxxxxxx"]'),
+])
+def test_long_bad_value_is_cut_short(pipeline, tmp_path, capsys, key, value, message):
+    """A 1000-character value is named by its line in a short message."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl", "model.json")
+    records = read_jsonl(pipeline / "tasks.jsonl")
+    records[2][key] = value
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, "predict") == 2
+    err = capsys.readouterr().err.strip()
+    assert f"tasks.jsonl:3: bad task record: {message}" in err and len(err) < 200
+
+
 @pytest.mark.parametrize("name, argv, what", [
     ("tasks.jsonl", ("infer",), "task record"),
     ("responses.jsonl", ("infer",), "response record"),
