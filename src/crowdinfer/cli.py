@@ -38,6 +38,7 @@ from .core import (
     InputError,
     attach_responses,
     brief,
+    brief_text,
     config_hash,
     count_matrix,
     is_numbers,
@@ -243,12 +244,17 @@ def _forwards(model, table, rows, ns, featureless: str):
     ids, has_x = table.task_ids, table.has_features.tolist()
     for i, n in zip(rows, ns):
         if not has_x[i]:
-            raise InputError(f"task {ids[i]} {featureless}")
+            raise InputError(f"task {brief_text(ids[i])} {featureless}")
         try:
             alpha = head_forward(model, table.features[i], n)
         except FloatingPointError as exc:
-            raise FloatingPointError(f"task {ids[i]}: {exc}") from None
+            raise FloatingPointError(f"task {brief_text(ids[i])}: {exc}") from None
         yield alpha
+
+
+def _stacked(params, k: int) -> np.ndarray:
+    """The alpha vectors of DirichletParams as the rows of an (N, k) matrix."""
+    return np.array([p.alpha for p in params]).reshape(-1, k)
 
 
 def _in_split(cfg: dict, task_ids: List[str]) -> np.ndarray:
@@ -280,7 +286,7 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     if unanswered.size:
         row = unanswered.min()
         raise InputError(
-            f"{posts.path}:{posts.lines[row]}: task {posts.task_ids[row]!r} has no "
+            f"{posts.path}:{posts.lines[row]}: task {brief.repr(posts.task_ids[row])} has no "
             f"responses (n = 0), so it cannot be a scoring reference"
         )
     q_hat = point_estimates(preds.alpha[pred_rows], cfg["point_estimate"])
@@ -330,17 +336,21 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_infer(cfg: dict) -> int:
     check_blend(cfg["blend"])   # refused with either prior, though only the model prior blends
     scheme, table, responses = _load_dataset(cfg)
-    answers = attach_responses(table.task_ids, responses)
+    k = scheme.num_categories
     if cfg["prior"] == "model":
+        # one count pass; forward and blend stay per task, as the benchmark's trace counts them
+        counts = count_matrix(table.task_ids, responses, k)
         forwards = _forwards(_load_model(cfg, scheme, table), table, range(len(table)),
                              itertools.repeat(0), "has no features for the model prior")
-        priors = (blend_prior(alpha, cfg["blend"]) for alpha in forwards)
+        alpha = _stacked((blend_prior(a, cfg["blend"]) for a in forwards), k) + counts
+        n = counts.sum(axis=1)
     else:
-        priors = itertools.repeat(uniform_prior(scheme))
-    records = [(tid, posterior(prior, tally(row, scheme)), row.size)
-               for tid, row, prior in zip(table.task_ids, answers, priors)]
-    write_alpha_records(_path(cfg, "posteriors"), records)
-    print(f"inferred {len(records)} posteriors ({cfg['prior']} prior)")
+        prior = uniform_prior(scheme)
+        answers = attach_responses(table.task_ids, responses)
+        alpha = _stacked((posterior(prior, tally(row, scheme)) for row in answers), k)
+        n = np.array([row.size for row in answers], dtype=np.int64)
+    write_alpha_records(_path(cfg, "posteriors"), table.task_ids, alpha, n)
+    print(f"inferred {len(table)} posteriors ({cfg['prior']} prior)")
     return 0
 
 
@@ -351,7 +361,8 @@ def _training_set(scheme, table, counts: np.ndarray, labels: np.ndarray) -> list
     ids = table.task_ids
     featureless = (labels < 2) & ~table.has_features
     if featureless.any():
-        raise InputError(f"task {ids[featureless.argmax()]} has no features; cannot train on it")
+        raise InputError(f"task {brief_text(ids[featureless.argmax()])} has no features; "
+                         f"cannot train on it")
     T = uniform_prior(scheme).alpha + counts
     refs = point_estimates(T)
     weights = hard_weights(np.bincount(refs[labels == 0].argmax(axis=1),
@@ -397,9 +408,9 @@ def cmd_predict(cfg: dict) -> int:
     model = _load_model(cfg, scheme, table)
     ns = _inference_counts(cfg, counts, range(len(table)))
     forwards = _forwards(model, table, range(len(table)), ns, "has no features to predict from")
-    records = list(zip(table.task_ids, forwards, ns))
-    write_alpha_records(_path(cfg, "predictions"), records)
-    print(f"predicted {len(records)} tasks")
+    write_alpha_records(_path(cfg, "predictions"), table.task_ids,
+                        _stacked(forwards, scheme.num_categories), np.array(ns, dtype=np.int64))
+    print(f"predicted {len(table)} tasks")
     return 0
 
 

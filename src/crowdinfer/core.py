@@ -17,7 +17,7 @@ import itertools
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +35,15 @@ brief = reprlib.Repr()
 brief.maxlevel = 1
 
 
-def _brief_json(value) -> str:
-    """value's JSON text, cut in the middle to brief's string length."""
-    text = json.dumps(value)
+def brief_text(text: str) -> str:
+    """text as it is, or cut in the middle to brief's string length."""
     return text if len(text) <= brief.maxstring else text[:13] + brief.fillvalue + text[-14:]
+
+
+def positive_finite(x: np.ndarray) -> bool:
+    """Whether every entry of a float array is positive and finite; a NaN fails both bounds."""
+    return not x.size or bool(np.minimum.reduce(x, axis=None) > 0
+                              and np.maximum.reduce(x, axis=None) < math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +92,10 @@ class CategoryScheme:
             try:
                 return self.names.index(answer)
             except ValueError:
-                raise InputError(f"unknown category name {answer!r}") from None
+                raise InputError(f"unknown category name {brief.repr(answer)}") from None
         if not isinstance(answer, (int, np.integer)) or isinstance(answer, bool):
-            raise InputError(f"answer must be a category name or an integer index, got {answer!r}")
+            raise InputError(f"answer must be a category name or an integer index, "
+                             f"got {brief.repr(answer)}")
         idx = int(answer)
         if not 0 <= idx < self.num_categories:
             raise InputError(f"category index {brief.repr(idx)} out of range "
@@ -107,7 +113,7 @@ class DirichletParams:
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.ndim != 1 or alpha.size == 0:
             raise InputError("alpha must be a non-empty vector")
-        if not np.isfinite(alpha).all() or (alpha <= 0).any():
+        if not positive_finite(alpha):
             raise InputError(f"alpha components must be positive and finite, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
@@ -387,7 +393,7 @@ def _task_ids(values: list) -> list:
     if kinds <= {str, int}:
         return list(map(str, values))
     bad = next(v for v in values if type(v) not in (str, int))
-    raise TypeError(f"task_id must be a string or an integer, got {_brief_json(bad)}")
+    raise TypeError(f"task_id must be a string or an integer, got {brief_text(json.dumps(bad))}")
 
 
 def _decode_block(block: list) -> Optional[list]:
@@ -579,7 +585,7 @@ class _Column:
                     self.faults[i] = f"{name} must be {shape}"
                 elif not _only_numbers([value]):
                     item = next(v for v in value if type(v) not in (int, float))
-                    self.faults[i] = f"{name} must hold numbers, got {_brief_json(item)}"
+                    self.faults[i] = f"{name} must hold numbers, got {brief_text(json.dumps(item))}"
                 else:
                     try:
                         self.vectors[i] = np.array(value, dtype=float)
@@ -686,10 +692,11 @@ def read_tasks(path) -> TaskTable:
              lambda i: f"bad task record: soft label does not sum to 1: {q.row(i)} "
                        f"(sum {float(q.row(i).sum())})"),
             (f.faulty, lambda i: f"bad task record: {f.faults[i]}"),
-            (f.sizes == 0, lambda i: f"bad task record: empty features in task {ids[i]!r}"),
+            (f.sizes == 0,
+             lambda i: f"bad task record: empty features in task {brief.repr(ids[i])}"),
             (f.failing(lambda a: ~np.isfinite(a).all(axis=-1)),
-             lambda i: f"bad task record: non-finite feature values in task {ids[i]!r}"),
-            (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
+             lambda i: f"bad task record: non-finite feature values in task {brief.repr(ids[i])}"),
+            (_repeated(ids), lambda i: f"duplicate task_id {brief.repr(ids[i])}"),
             (f.mismatched(), lambda i: f"feature dimension {f.sizes[i]} differs from earlier "
                                        f"records ({f.first_size})"),
             (q.mismatched(), lambda i: f"true_q dimension {q.sizes[i]} differs from earlier "
@@ -726,13 +733,15 @@ def write_responses(path, task_ids: Sequence[str], answers, scheme: CategorySche
         for task_id, row in zip(task_ids, answers):
             row = np.asarray(row)
             if row.size and row.dtype.kind not in "iu":
-                raise InputError(f"task {task_id!r}: answers are {row.dtype}, not integers")
+                raise InputError(f"task {brief.repr(task_id)}: answers are {row.dtype}, "
+                                 f"not integers")
             prefix = '{"task_id": ' + json.dumps(task_id) + ', "answer": '
             lines = {i: prefix + suffix for i, suffix in enumerate(suffixes)}
             try:
                 fh.write("".join([lines[a] for a in row.tolist()]))
             except KeyError as exc:
-                raise InputError(f"task {task_id!r}: invalid category index {exc}") from None
+                raise InputError(f"task {brief.repr(task_id)}: invalid category "
+                                 f"index {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -820,20 +829,20 @@ def attach_responses(task_ids: Sequence[str], responses: Responses) -> list:
     return [grouped[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def write_alpha_records(path, records: Iterable[tuple]) -> None:
-    """Write (task_id, DirichletParams, n) triples as JSON lines.
+def write_alpha_records(path, task_ids: Sequence[str], alpha: np.ndarray, n: np.ndarray) -> None:
+    """Write one JSON line per task id: its row of the (N, K) matrix alpha
+    (positive and finite) and its count in the (N,) integer array n.
 
     Shared format for posterior and prediction files.  Each line is filled
-    into a template, with the bytes of json.dumps of the record's dict: the
-    id through json.dumps, the alpha components (positive and finite) and
-    the integer n through their reprs, as json.dumps writes them.
+    into a template with the bytes json.dumps writes for the record's dict:
+    the id through json.dumps, alpha and n through their reprs.
     """
     with open(path, "w") as fh:
         fh.writelines([
             '{"task_id": ' + json.dumps(task_id) + ', "alpha": ['
-            + ", ".join(map(float.__repr__, params.alpha.tolist()))
-            + '], "n": ' + int.__repr__(n) + "}\n"
-            for task_id, params, n in records
+            + ", ".join(map(float.__repr__, row))
+            + '], "n": ' + int.__repr__(count) + "}\n"
+            for task_id, row, count in zip(task_ids, alpha.tolist(), n.tolist(), strict=True)
         ])
 
 
@@ -862,7 +871,7 @@ class AlphaRecords:
         missing = [tid for tid in task_ids if tid not in self._row]
         if missing:
             raise InputError(f"{self.path}: no record of {len(missing)} of the tasks to score "
-                             f"(first: {missing[0]!r})")
+                             f"(first: {brief.repr(missing[0])})")
         return np.array([self._row[tid] for tid in task_ids], dtype=np.intp)
 
 
@@ -894,7 +903,7 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
                    f"got {alpha.row(i)}"),
         (bad_n, lambda i: "bad record: 'n'" if ns[i] is _ABSENT
          else f"bad record: n must be a non-negative integer, got {brief.repr(ns[i])}"),
-        (_repeated(ids), lambda i: f"duplicate task_id {ids[i]!r}"),
+        (_repeated(ids), lambda i: f"duplicate task_id {brief.repr(ids[i])}"),
         (alpha.sizes != num_categories,
          lambda i: f"{alpha.sizes[i]} alpha components for a scheme of "
                    f"{num_categories} categories"),

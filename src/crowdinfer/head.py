@@ -21,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DirichletParams, InputError, brief, check_seed, is_numbers, read_json_object
+from .core import (DirichletParams, InputError, brief, brief_text, check_seed, is_numbers,
+                   positive_finite, read_json_object)
 
 # ---------------------------------------------------------------------------
 # Special functions
@@ -42,13 +43,8 @@ _LANCZOS_COEFS = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _positive_finite(x: np.ndarray) -> bool:
-    """Whether every entry of x is positive and finite; a NaN fails both bounds."""
-    return not x.size or bool(x.min() > 0 and x.max() < math.inf)
-
-
 def _check_positive(x: np.ndarray, name: str) -> None:
-    if not _positive_finite(x):
+    if not positive_finite(x):
         raise ValueError(f"{name} requires positive finite arguments")
 
 
@@ -370,7 +366,7 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     prediction makes the loss and its rows of J infinite, without gradients.
     """
     alpha, Z, S, Sigma = _forward_batch(params, alpha0_sum, X, n)
-    if not _positive_finite(alpha):
+    if not positive_finite(alpha):
         # softmax underflow or exploded weights leave zero/non-finite
         # components, where the loss is divergent
         bad = ~(np.isfinite(alpha) & (alpha > 0)).all(axis=-1)
@@ -461,7 +457,7 @@ def train_head(
             t += 1
             if not math.isfinite(loss):
                 bad = idx[~np.isfinite(J)]
-                bad_id = task_ids[bad[0]] if bad.size else "unknown"
+                bad_id = brief_text(str(task_ids[bad[0]])) if bad.size else "unknown"
                 raise RuntimeError(f"non-finite training loss at iteration {t}, example {bad_id}")
             _adam_step(theta, m, v, np.concatenate(grads, axis=None), t, cfg)
             if not np.isfinite(theta).all():

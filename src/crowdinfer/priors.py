@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .bayes import point_estimates
-from .core import DirichletParams, InputError, check_size, task_rng, write_csv
+from .core import DirichletParams, InputError, check_size, positive_finite, task_rng, write_csv
 
 _REPEATS_STREAM = "repeats"
 
@@ -53,7 +53,7 @@ def repeats_run(answers, prior_alpha, permutations: int,
     if permutations < 1:
         raise InputError("permutations must be at least 1")
     alpha = np.asarray(prior_alpha, dtype=float)
-    if alpha.ndim != 1 or not (np.isfinite(alpha) & (alpha > 0)).all():
+    if alpha.ndim != 1 or not positive_finite(alpha):
         raise InputError(f"prior must be a vector of positive finite numbers, got {alpha}")
     k = alpha.size
     if (answers.ndim != 1 or answers.dtype.kind not in "iu"

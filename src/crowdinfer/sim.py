@@ -22,6 +22,7 @@ from .core import (
     DirichletParams,
     InputError,
     TaskTable,
+    brief,
     check_size,
     check_soft_labels,
     task_rng,
@@ -126,7 +127,7 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
             x += config.feature_noise * noise
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
-        raise InputError(f"non-finite feature values in task {ids[bad.argmax()]!r}")
+        raise InputError(f"non-finite feature values in task {brief.repr(ids[bad.argmax()])}")
     present = np.ones(n, dtype=bool)
     return scheme_for(config), TaskTable(ids, x, present, q, present.copy()), _answers(q, u)
 

@@ -19,9 +19,14 @@ from crowdinfer.core import (
     read_alpha_records,
     split_dataset,
     tally,
+    write_responses,
+    write_scheme,
+    write_tasks,
 )
+from crowdinfer.head import HeadModel, head_forward, load_model, save_model
 from crowdinfer.metrics import confidence, hard_weights
-from crowdinfer.priors import repeats_summary
+from crowdinfer.priors import blend_prior, repeats_summary
+from test_core import _write_alpha_records_oracle
 
 
 def run(tmp_path, *argv):
@@ -290,6 +295,18 @@ def test_orphan_responses_exit_2(tmp_path, capsys):
     assert "responses.jsonl:3: response references unknown task 'ghost'" in capsys.readouterr().err
 
 
+def test_model_prior_reports_an_orphan_response_before_a_missing_model(tmp_path, capsys):
+    (tmp_path / "scheme.json").write_text(json.dumps({"proper": ["a", "b"], "cs": "cs"}))
+    (tmp_path / "tasks.jsonl").write_text(json.dumps({"task_id": "t0", "features": [1.0]}) + "\n")
+    (tmp_path / "responses.jsonl").write_text(
+        json.dumps({"task_id": "t0", "answer": "a"}) + "\n"
+        + json.dumps({"task_id": "ghost", "answer": "b"}) + "\n"
+    )
+    assert not (tmp_path / "model.json").exists()
+    assert run(tmp_path, "infer", "--prior", "model") == 2
+    assert "responses.jsonl:2: response references unknown task 'ghost'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("answer", [True, False, 1.9, 1.0])
 def test_bool_and_float_answers_exit_2(tmp_path, capsys, answer):
     (tmp_path / "scheme.json").write_text(json.dumps({"proper": ["a", "b"], "cs": "cs"}))
@@ -376,6 +393,31 @@ def test_long_bad_value_is_cut_short(pipeline, tmp_path, capsys, key, value, mes
     assert run(tmp_path, "predict") == 2
     err = capsys.readouterr().err.strip()
     assert f"tasks.jsonl:3: bad task record: {message}" in err and len(err) < 200
+
+
+_LONG = "x" * 1000
+_CUT = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
+
+
+@pytest.mark.parametrize("name, key, argv, message", [
+    ("responses.jsonl", "answer", ("infer",), f"bad response record: unknown category name {_CUT}"),
+    ("tasks.jsonl", "task_id", ("infer",), f"duplicate task_id {_CUT}"),
+    ("posteriors.jsonl", "task_id", ("eval", "--split", "all"), f"duplicate task_id {_CUT}"),
+], ids=["answer", "tasks-id", "posteriors-id"])
+def test_long_answer_or_task_id_is_cut_short(pipeline, tmp_path, capsys, name, key, argv,
+                                             message):
+    """A 1000-character answer, or a task id repeated on lines 3 and 4, is
+    named by its line in a short message."""
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    records = read_jsonl(pipeline / name)
+    records[2][key] = _LONG
+    if key == "task_id":
+        records[3][key] = _LONG
+    (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err.strip()
+    line = 4 if key == "task_id" else 3
+    assert f"{name}:{line}: {message}" in err and len(err) < 200
 
 
 @pytest.mark.parametrize("name, argv, what", [
@@ -1042,6 +1084,40 @@ def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered,
                 assert a.shape[0] == 0
                 continue
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 200), k=st.integers(2, 8), d=st.integers(1, 6),
+       blend=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_model_prior_posteriors_equal_per_task_oracle(tmp_path_factory, n, k, d, blend, seed):
+    """infer --prior model writes the bytes of one posterior per task of its
+    blended forward and its tally, whatever the order of the response lines."""
+    rng = np.random.default_rng(seed)
+    out = tmp_path_factory.mktemp("model_prior")
+    scheme = CategoryScheme(tuple(f"c{i}" for i in range(k - 1)))
+    ids = [f"t{i:03d}" for i in rng.permutation(n)]
+    features = rng.normal(0.0, 3.0, size=(n, d))
+    answers = [rng.integers(0, k, size=m) for m in rng.integers(0, 6, size=n)]  # some none
+    write_scheme(out / "scheme.json", scheme)
+    write_tasks(out / "tasks.jsonl", TaskTable(ids, features, np.ones(n, dtype=bool),
+                                               np.zeros((n, 0)), np.zeros(n, dtype=bool)))
+    write_responses(out / "responses.jsonl", ids, answers, scheme)
+    lines = (out / "responses.jsonl").read_text().splitlines(keepends=True)
+    (out / "responses.jsonl").write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    save_model(out / "model.json", HeadModel(A=rng.normal(0.0, 0.5, size=(d, k)),
+                                             bias=rng.normal(0.0, 0.5, size=k),
+                                             W=rng.normal(0.0, 0.5, size=(k, k)),
+                                             alpha0_sum=float(k)))
+
+    assert run(out, "infer", "--prior", "model", "--blend", repr(blend)) == 0
+    model = load_model(out / "model.json")
+    _write_alpha_records_oracle(out / "want.jsonl", [
+        (tid, posterior(blend_prior(head_forward(model, x, 0), blend), tally(row, scheme)),
+         row.size)
+        for tid, x, row in zip(ids, features, answers)
+    ])
+    assert (out / "posteriors.jsonl").read_bytes() == (out / "want.jsonl").read_bytes()
 
 
 _ALL_INPUTS = ("scheme.json", "tasks.jsonl", "responses.jsonl", "posteriors.jsonl",

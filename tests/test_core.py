@@ -125,6 +125,19 @@ def test_dirichlet_params_positive():
     assert p.alpha_sum == pytest.approx(5.0)
 
 
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                -1.0, 1.0, 1e308, -1e308]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(st.integers(0, 20)), st.tuples(st.integers(0, 4), st.integers(0, 5)))
+       .flatmap(lambda shape: st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                                       min_size=math.prod(shape), max_size=math.prod(shape))
+                .map(lambda values: np.array(values, dtype=float).reshape(shape))))
+def test_positive_finite_equals_elementwise_test(x):
+    assert core.positive_finite(x) is bool((np.isfinite(x) & (x > 0)).all())
+
+
 def test_tally_counts_per_category():
     s = CategoryScheme(("no", "yes"))
     c = tally([1, 1, 0, 2, 1], s)
@@ -819,7 +832,7 @@ def test_writer_rejects_answers_outside_the_scheme(tmp_path):
 
 def test_alpha_records_round_trip(tmp_path):
     path = tmp_path / "posteriors.jsonl"
-    write_alpha_records(path, [("t1", DirichletParams([1.0, 21.0, 1.0]), 20)])
+    write_alpha_records(path, ["t1"], np.array([[1.0, 21.0, 1.0]]), np.array([20]))
     back = read_alpha_records(path, 3)
     assert back.task_ids == ["t1"] and len(back) == 1 and "t1" in back
     assert back.alpha.tolist() == [[1.0, 21.0, 1.0]]
@@ -846,7 +859,9 @@ def test_templated_alpha_writer_equals_per_record_writer(tmp_path_factory, case)
     k, rows = case
     records = [(tid, DirichletParams(alpha), n) for tid, alpha, n in rows]
     folder = tmp_path_factory.mktemp("alpha_writer")
-    write_alpha_records(folder / "got.jsonl", records)
+    write_alpha_records(folder / "got.jsonl", [tid for tid, _, _ in rows],
+                        np.array([alpha for _, alpha, _ in rows]).reshape(-1, k),
+                        np.array([n for _, _, n in rows], dtype=np.int64))
     _write_alpha_records_oracle(folder / "want.jsonl", records)
     assert (folder / "got.jsonl").read_bytes() == (folder / "want.jsonl").read_bytes()
     back = read_alpha_records(folder / "got.jsonl", k)

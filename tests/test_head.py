@@ -617,6 +617,8 @@ def test_non_finite_loss_aborts_with_example_id():
         train_head(data, cfg, task_ids=["good-task", "bad-task"])
     with pytest.raises(RuntimeError, match="iteration 1, example row 1"):
         train_head(data, cfg)
+    with pytest.raises(RuntimeError, match="iteration 1, example xxxxxxxxxxxxx...x{14}$"):
+        train_head(data, cfg, task_ids=["good-task", "x" * 1000])
 
 
 def test_train_head_checks_array_shapes():

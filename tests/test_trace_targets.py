@@ -1,21 +1,29 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps crowdinfer functions
-by name.  A source change that renames or deletes one of them breaks every
-traced benchmark run; this test catches it in the unit suite."""
+by name, and its runner (perfbench/run.py) checks the calls each traced stage
+makes.  A source change that renames or deletes one of them, or that stops
+making a call the runner counts, fails every traced benchmark run; these tests
+catch it in the unit suite."""
 
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import crowdinfer.cli  # noqa: F401  imports every module the tracer patches
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module   # dataclasses look their module up while the file runs
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("perfbench_tracer", "tracer.py")
 
 
 def _bindings():
@@ -46,3 +54,26 @@ def test_tracer_wraps_every_target_and_uninstalls_cleanly():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_traced_stages_make_the_per_task_calls_the_benchmark_counts(tmp_path):
+    """Each stage runs inside the tracer's stage span under its benchmark
+    name, and the runner's check_trace must find every call it counts (one
+    tally, posterior, forward and blend per task where it counts them)."""
+    bench = _load("perfbench_run", "run.py")
+    tracer = _tracer_module().Tracer()
+    runner = bench.Runner(crowdinfer.cli, tmp_path, seed=0)
+    stages = [
+        ("simulate", ["simulate", "--num-tasks", "60", "--repeats", "5"]),
+        ("infer", ["infer"]),
+        ("train", ["train", "--epochs", "2"]),
+        ("predict", ["predict"]),
+        ("infer_model", ["infer", "--prior", "model", "--posteriors", "posteriors_model.jsonl"]),
+        ("repeats", ["repeats", "--split", "test", "--permutations", "2",
+                     "--deployment-threshold", "inf"]),
+    ]
+    with tracer.installed():
+        for label, argv in stages:
+            runner.run(label, argv, tracer)
+    bench.check_trace(runner, SimpleNamespace(num_tasks=60, replays=True), tracer, 1)
+    assert runner.failures == []
