@@ -31,24 +31,22 @@ informed = np.stack([informed_prior(tid, q) for tid, q in zip(tasks.task_ids, ta
 print("uniform prior :", np.ones(k))
 print("informed prior:", np.round(informed[0], 3))
 
-# identical seeds replay identical response orders, so the two variants
-# are compared on exactly the same draws
-uni = repeats_summary(tasks.task_ids, answers, np.ones((len(tasks), k)), permutations=16,
-                      seed=0, variant="uniform")
-inf = repeats_summary(tasks.task_ids, answers, informed, permutations=16, seed=0,
-                      variant="informed")
+# one call replays each task once from every prior, on the same response
+# orders, so the variants are compared on exactly the same draws; the same
+# machinery accepts any prior, e.g. a deliberately wrong one
+wrong = np.array([2.5, 0.25, 0.25])
+summary = repeats_summary(tasks.task_ids, answers, {
+    "uniform": np.ones((len(tasks), k)),
+    "informed": informed,
+    "wrong": np.tile(wrong, (len(tasks), 1)),
+}, permutations=16, seed=0)
+uni, inf = summary["uniform"], summary["informed"]
 
 print("\nstep  uniform median  informed median")
-for su, si in zip(uni.steps, inf.steps):
+for su, si in zip(uni, inf):
     print(f"{su.step:4d} {su.median:15.4f} {si.median:16.4f}")
 
-first_gain = uni.steps[0].median - inf.steps[0].median
+first_gain = uni[0].median - inf[0].median
 print(f"\nmedian distance saved at step 1: {first_gain:.4f}")
-print("final step is 0 for the uniform variant by construction:",
-      uni.steps[-1].median)
-
-# the same machinery accepts any prior; e.g. a deliberately wrong one
-wrong = np.array([2.5, 0.25, 0.25])
-bad = repeats_summary(tasks.task_ids, answers, np.tile(wrong, (len(tasks), 1)),
-                      permutations=16, seed=0, variant="wrong")
-print("step-1 median with a misleading prior:", round(bad.steps[0].median, 4))
+print("final step is 0 for the uniform variant by construction:", uni[-1].median)
+print("step-1 median with a misleading prior:", round(summary["wrong"][0].median, 4))

@@ -507,14 +507,12 @@ def cmd_repeats(cfg: dict) -> int:
     ids, answers = [table.task_ids[i] for i in kept], [answers[i] for i in kept]
     informed = np.stack([blend_prior(alpha, cfg["blend"]).alpha for alpha in
                          _forwards(model, table, kept, itertools.repeat(0), "has no features")])
-    common = dict(max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],
-                  seed=cfg["seed"])
-    summaries = [
-        repeats_summary(ids, answers, np.ones_like(informed), variant="uniform", **common),
-        repeats_summary(ids, answers, informed, variant="informed", **common),
-    ]
+    summaries = repeats_summary(ids, answers, {"uniform": np.ones_like(informed),
+                                               "informed": informed},
+                                max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],
+                                seed=cfg["seed"])
     write_repeats_csv(_path(cfg, "repeats_csv"), summaries, provenance(cfg))
-    s1 = {s.variant: s.steps[0].median for s in summaries}
+    s1 = {variant: steps[0].median for variant, steps in summaries.items()}
     print(
         f"repeats over {len(kept)} non-automated tasks "
         f"(step-1 median uniform {s1['uniform']:.4f}, informed {s1['informed']:.4f})"

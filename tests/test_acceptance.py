@@ -233,9 +233,9 @@ def repeats500(tmp_path_factory):
     elapsed = time.monotonic() - start
     paths = (out / "repeats_a.csv", out / "repeats_b.csv")
     for p in paths:
-        summary = repeats_summary(table.task_ids, answers, np.ones((len(table), 3)),
-                                  permutations=16, seed=cfg.seed, variant="uniform")
-        write_repeats_csv(p, [summary], provenance={"seed": cfg.seed})
+        summary = repeats_summary(table.task_ids, answers, {"uniform": np.ones((len(table), 3))},
+                                  permutations=16, seed=cfg.seed)
+        write_repeats_csv(p, summary, provenance={"seed": cfg.seed})
     return {"finals": np.array(finals), "elapsed": elapsed, "paths": paths}
 
 

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 from crowdinfer.bayes import posterior_mode
 from crowdinfer.core import DirichletParams, InputError, SoftLabel
 from crowdinfer.metrics import soft_distance
-from crowdinfer.priors import (
-    RepeatsSummary,
-    blend_prior,
-    repeats_run,
-    repeats_summary,
-    write_repeats_csv,
-)
+from crowdinfer.priors import blend_prior, repeats_run, repeats_summary, write_repeats_csv
 
 
 def _answers(answers):
@@ -136,7 +130,8 @@ def test_repeats_run_validation():
         with pytest.raises(ValueError, match="answers must be a vector of indices of the "
                                              "prior's 3 categories"):
             repeats_run(bad, prior, 4, np.random.default_rng(0))
-    for bad in ([1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [[1.0, 1.0, 1.0]]):
+    for bad in ([1.0, 0.0, 1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0],
+                [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]], [[[1.0, 1.0, 1.0]]]):
         with pytest.raises(InputError, match="prior must be a vector of positive finite numbers"):
             repeats_run(_answers([0, 1]), bad, 4, np.random.default_rng(0))
 
@@ -162,22 +157,30 @@ def _replay_cases(draw):
     k = draw(st.integers(2, 6))
     answers = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=30))
     # blended priors dip below 1 in some components; also cover the uniform one
-    prior = draw(st.one_of(
+    priors = draw(st.lists(st.one_of(
         st.just([1.0] * k),
         st.lists(st.floats(0.01, 4.0), min_size=k, max_size=k),
-    ))
-    return k, answers, prior, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1))
+    ), min_size=1, max_size=3))
+    return k, answers, priors, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_replay_cases())
 def test_repeats_run_equals_scalar_replay_bitwise(case):
-    k, answers, prior, permutations, seed = case
+    """A (K,) prior gives one replay and a (V, K) stack one per row, each
+    equal bit for bit to the scalar replay on the same seed."""
+    k, answers, priors, permutations, seed = case
     answers = _answers(answers)
-    prior = DirichletParams(prior)
-    got = repeats_run(answers, prior.alpha, permutations, np.random.default_rng(seed))
-    want = _replay_oracle(answers, prior, permutations, np.random.default_rng(seed))
-    assert np.array_equal(got, want)
+    priors = [DirichletParams(prior) for prior in priors]
+    wants = [_replay_oracle(answers, prior, permutations, np.random.default_rng(seed))
+             for prior in priors]
+    got = repeats_run(answers, priors[0].alpha, permutations, np.random.default_rng(seed))
+    assert np.array_equal(got, wants[0])
+    stack = np.stack([prior.alpha for prior in priors])
+    got = repeats_run(answers, stack, permutations, np.random.default_rng(seed))
+    assert got.shape == (len(priors), answers.size)
+    for row, want in zip(got, wants):
+        assert np.array_equal(row, want)
 
 
 def test_repeats_run_equals_scalar_replay_on_blended_priors():
@@ -205,17 +208,21 @@ def _toy_tasks(num=12, seed=4):
 
 
 def _uniform(answers):
-    return np.ones((len(answers), 3))
+    return {"uniform": np.ones((len(answers), 3))}
+
+
+def _steps(ids, answers, **kwargs):
+    """The steps of a summary from the uniform prior."""
+    return repeats_summary(ids, answers, _uniform(answers), **kwargs)["uniform"]
 
 
 def test_summary_steps_and_counts():
     ids, answers = _toy_tasks()
     out = repeats_summary(ids, answers, _uniform(answers), permutations=8, seed=0)
-    assert isinstance(out, RepeatsSummary)
-    assert out.variant == "uniform"
+    assert list(out) == ["uniform"]
     lengths = [len(a) for a in answers]
-    assert len(out.steps) == max(lengths)
-    for s in out.steps:
+    assert len(out["uniform"]) == max(lengths)
+    for s in out["uniform"]:
         assert s.step >= 1
         assert s.n_tasks == sum(1 for m in lengths if m >= s.step)
         assert s.q025 <= s.q25 <= s.median <= s.q75 <= s.q975
@@ -223,8 +230,8 @@ def test_summary_steps_and_counts():
 
 def test_summary_max_repeats_truncates():
     ids, answers = _toy_tasks()
-    out = repeats_summary(ids, answers, _uniform(answers), max_repeats=2, permutations=4, seed=0)
-    assert [s.step for s in out.steps] == [1, 2]
+    out = _steps(ids, answers, max_repeats=2, permutations=4, seed=0)
+    assert [s.step for s in out] == [1, 2]
 
 
 @pytest.mark.parametrize("max_repeats", [0, -1])
@@ -238,58 +245,53 @@ def test_summary_refuses_max_repeats_below_one(max_repeats):
 def test_summary_skips_empty_tasks():
     ids, answers = _toy_tasks(num=4)
     ids, answers = ids + ["empty"], answers + [_answers([])]
-    out = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=0)
-    assert out.steps[0].n_tasks == 4
+    assert _steps(ids, answers, permutations=4, seed=0)[0].n_tasks == 4
     with pytest.raises(ValueError):
-        repeats_summary(["empty"], [_answers([])], np.ones((1, 3)))
+        repeats_summary(["empty"], [_answers([])], {"uniform": np.ones((1, 3))})
 
 
 def test_summary_refuses_misaligned_columns():
     ids, answers = _toy_tasks(num=4)
     with pytest.raises(InputError, match="4 task ids, 3 answer arrays and 4 prior rows"):
         repeats_summary(ids, answers[:3], _uniform(answers))
-    with pytest.raises(InputError, match="4 task ids, 4 answer arrays and 5 prior rows"):
-        repeats_summary(ids, answers, np.ones((5, 3)))
+    with pytest.raises(InputError, match="4 task ids, 4 answer arrays and 5 prior rows of "
+                                         "'informed'"):
+        repeats_summary(ids, answers, {"uniform": np.ones((4, 3)), "informed": np.ones((5, 3))})
 
 
 def test_summary_pairs_draw_orders_across_variants():
-    # identical seeds replay identical orders, so a "different" variant with
-    # the same prior must reproduce the uniform summary exactly
+    # each task replays once for every prior, so a "different" variant with
+    # the same prior must reproduce the uniform summary exactly, in the
+    # order the variants were given
     ids, answers = _toy_tasks()
-    a = repeats_summary(ids, answers, _uniform(answers), permutations=8, seed=5,
-                        variant="uniform")
-    b = repeats_summary(ids, answers, np.full((len(ids), 3), 1.0),
-                        permutations=8, seed=5, variant="informed")
-    assert b.variant == "informed"
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.median == sb.median
-        assert sa.q025 == sb.q025
-        assert sa.q975 == sb.q975
+    out = repeats_summary(ids, answers, {"uniform": np.ones((len(ids), 3)),
+                                         "informed": np.full((len(ids), 3), 1.0)},
+                          permutations=8, seed=5)
+    assert list(out) == ["uniform", "informed"]
+    assert out["uniform"] == out["informed"]
+    assert out["uniform"] == _steps(ids, answers, permutations=8, seed=5)
 
 
 def test_summary_final_step_zero_with_equal_lengths():
     rng = np.random.default_rng(6)
     answers = [rng.integers(0, 3, size=5) for _ in range(6)]
-    out = repeats_summary([f"t{i}" for i in range(6)], answers, _uniform(answers),
-                          permutations=4, seed=0)
-    last = out.steps[-1]
+    last = _steps([f"t{i}" for i in range(6)], answers, permutations=4, seed=0)[-1]
     assert last.step == 5
     assert last.q975 == 0.0
 
 
 def test_summary_deterministic_in_seed():
     ids, answers = _toy_tasks()
-    a, b, c = (repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=seed)
-               for seed in (7, 7, 8))
-    assert [s.median for s in a.steps] == [s.median for s in b.steps]
-    assert [s.median for s in a.steps] != [s.median for s in c.steps]
+    a, b, c = (_steps(ids, answers, permutations=4, seed=seed) for seed in (7, 7, 8))
+    assert [s.median for s in a] == [s.median for s in b]
+    assert [s.median for s in a] != [s.median for s in c]
 
 
 def test_summary_stream_isolated_from_task_order():
     ids, answers = _toy_tasks()
-    a = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=9)
-    b = repeats_summary(ids[::-1], answers[::-1], _uniform(answers), permutations=4, seed=9)
-    assert [s.median for s in a.steps] == [s.median for s in b.steps]
+    a = _steps(ids, answers, permutations=4, seed=9)
+    b = _steps(ids[::-1], answers[::-1], permutations=4, seed=9)
+    assert [s.median for s in a] == [s.median for s in b]
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +301,18 @@ def test_summary_stream_isolated_from_task_order():
 
 def test_repeats_csv_layout(tmp_path):
     ids, answers = _toy_tasks(num=5)
-    u = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=0,
-                        variant="uniform")
-    i = repeats_summary(ids, answers, _uniform(answers), permutations=4, seed=0,
-                        variant="informed")
+    out = repeats_summary(ids, answers, {"uniform": np.ones((5, 3)), "informed": np.ones((5, 3))},
+                          permutations=4, seed=0)
+    u, i = out["uniform"], out["informed"]
     path = tmp_path / "repeats.csv"
-    write_repeats_csv(path, [u, i], provenance={"seed": 0})
+    write_repeats_csv(path, out, provenance={"seed": 0})
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# ") and "seed=0" in lines[0]
     assert lines[1] == "variant,step,q025,q25,median,q75,q975,n_tasks"
-    assert len(lines) == 2 + len(u.steps) + len(i.steps)
+    assert len(lines) == 2 + len(u) + len(i)
     assert lines[2].split(",")[0] == "uniform"
-    assert lines[2 + len(u.steps)].split(",")[0] == "informed"
+    assert lines[2 + len(u)].split(",")[0] == "informed"
     # byte stability
     path2 = tmp_path / "repeats2.csv"
-    write_repeats_csv(path2, [u, i], provenance={"seed": 0})
+    write_repeats_csv(path2, out, provenance={"seed": 0})
     assert path.read_bytes() == path2.read_bytes()

@@ -5,11 +5,14 @@ making a call the runner counts, fails every traced benchmark run; these tests
 catch it in the unit suite."""
 
 import importlib.util
+import itertools
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import crowdinfer.cli  # noqa: F401  imports every module the tracer patches
+from crowdinfer.core import split_dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -77,3 +80,10 @@ def test_traced_stages_make_the_per_task_calls_the_benchmark_counts(tmp_path):
             runner.run(label, argv, tracer)
     bench.check_trace(runner, SimpleNamespace(num_tasks=60, replays=True), tracer, 1)
     assert runner.failures == []
+    # priors.replay_steps: responses replayed, from both priors, times permutations
+    ids = [json.loads(line)["task_id"] for line in open(tmp_path / "tasks.jsonl")]
+    test = set(itertools.compress(ids, split_dataset(ids, seed=0) == 2))
+    replayed = sum(json.loads(line)["task_id"] in test
+                   for line in open(tmp_path / "responses.jsonl"))
+    assert replayed > 0
+    assert tracer.stats[("repeats", "priors.repeats_run")][3] == 2 * replayed * 2
