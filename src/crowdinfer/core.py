@@ -355,7 +355,7 @@ def read_json_object(path, what: str, keys: Optional[dict] = None) -> dict:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object of {what}")
@@ -437,14 +437,14 @@ def _decode_lines(block: list, start: int, what: str):
         text = line.strip(_JSON_SPACE)
         try:
             value, end = _scan_once(text, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(text):
             if not line.strip():
                 continue
             try:
                 value = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
                 return values, numbers, (lineno, f"bad {what}: {exc}")
         values.append(value)
         numbers.append(lineno)

@@ -547,6 +547,13 @@ _MALFORMED_DOCUMENTS = {
                         "cfg.json: invalid JSON: "),
     "config-not_object": ("cfg.json", ("train", "--config", "cfg.json"), '[["epochs", 2]]',
                           "cfg.json: expected a JSON object of options"),
+    # nested deeper than the decoder's recursion limit: exited 3 naming no file
+    "config-deep_json": ("cfg.json", ("train", "--config", "cfg.json"),
+                         '{"epochs": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                         "cfg.json: invalid JSON: maximum recursion depth exceeded"),
+    "calibration-deep_json": ("calibration.json", ("repeats",),
+                              '{"deployment_threshold": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                              "invalid JSON: maximum recursion depth exceeded"),
 }
 
 

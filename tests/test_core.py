@@ -451,6 +451,10 @@ def test_tally_rejects_non_integer_answers():
             tally(bad, s)
 
 
+# nested deeper than the JSON decoder's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def _task_id_oracle(value) -> str:
     """A record's task_id as the readers take it: a string as it is, an
     integer as its decimal string; any other value is refused."""
@@ -471,7 +475,7 @@ def _read_responses_oracle(path, scheme):
             try:
                 rec = json.loads(line)
                 out.append((_task_id_oracle(rec["task_id"]), scheme.index_of(rec["answer"])))
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise InputError(f"{path}:{lineno}: bad response record: {exc}") from exc
     return out
 
@@ -530,6 +534,7 @@ def _response_line(kind, tid, answer, names):
         "list_id": json.dumps({"task_id": [tid], "answer": names[answer]}),
         "object_id": json.dumps({"task_id": {"id": tid}, "answer": names[answer]}),
         "null_id_no_answer": json.dumps({"task_id": None}),
+        "deep": f'{{"task_id": {json.dumps(tid)}, "answer": {_DEEP}}}',
     }[kind]
 
 
@@ -539,7 +544,7 @@ _BAD_LINES = ["vt_pad", "vt_tail", "nbsp_pad", "bom", "extra", "trailing_comma",
               "truncated", "array", "scalar", "null_record", "no_task", "no_answer", "unknown",
               "range", "negative", "bool", "float", "integral_float", "nan", "list_answer",
               "null_answer", "null_id", "bool_id", "float_id", "list_id", "object_id",
-              "null_id_no_answer"]
+              "null_id_no_answer", "deep"]
 
 
 @st.composite
@@ -594,7 +599,7 @@ def _scan_oracle(path, pick, width, what):
             text = line.strip(" \t\n\r")
             try:
                 value, end = core._scan_once(text, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
@@ -604,7 +609,7 @@ def _scan_oracle(path, pick, width, what):
                     value = json.loads(line)
                 for column, values in zip(columns, pick([value])):
                     column.extend(values)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 stop = (lineno, f"bad {what}: {exc}")
                 break
             lines.append(lineno)
@@ -920,7 +925,7 @@ def _read_alpha_records_oracle(path, num_categories):
                         if type(v) not in (int, float):
                             raise TypeError(f"alpha must hold numbers, got {json.dumps(v)}")
                 record = (DirichletParams(np.asarray(alpha, dtype=float)), rec["n"])
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
             n = record[1]
             if type(n) is not int or n < 0:
@@ -991,7 +996,10 @@ def test_alpha_reader_equals_per_record_oracle(tmp_path_factory, case):
 
 
 def _mutate(record, kind, records, i):
-    """Record i of records with one fault of the given kind."""
+    """Record i of records with one fault of the given kind; a line that is
+    already not a record keeps its fault."""
+    if isinstance(record, str):
+        return record
     rec = json.loads(json.dumps(record))
     if kind == "value":
         rec["alpha"][0] = -1.0
@@ -1021,6 +1029,8 @@ def _mutate(record, kind, records, i):
         del rec["alpha"]
     elif kind == "json":
         return "{not json"
+    elif kind == "deep":
+        return '{"task_id": ' + json.dumps(rec["task_id"]) + ', "alpha": ' + _DEEP + ', "n": 1}'
     elif kind == "null_id":
         rec["task_id"] = None
     elif kind == "bool_id":
@@ -1032,10 +1042,10 @@ def _mutate(record, kind, records, i):
 
 _FAULTS = ["value", "nan", "inf", "string", "length", "short", "empty", "duplicate", "n",
            "bool_n", "no_n", "scalar", "nested", "no_alpha", "json", "null_id", "bool_id",
-           "list_id"]
+           "list_id", "deep"]
 
 
-@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n", "null_id"])
+@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n", "null_id", "deep"])
 @pytest.mark.parametrize("second", [None, "value", "length", "duplicate", "n", "null_id"])
 def test_alpha_reader_error_parity(tmp_path, first, second):
     """Each fault alone, and with a second one on an earlier line or on the same line."""
@@ -1116,6 +1126,10 @@ def test_task_table_columns(tmp_path):
      ":1: bad task record: soft label does not sum to 1: [1.e+308 1.e+308 0.e+000] (sum inf)"),
     (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b", "features": [[1.0], 2.0]}'],
      ":2: bad task record: features must be a vector"),
+    (['{"task_id": "a", "features": [1.0]}', '{"task_id": "b", "features": ' + _DEEP + '}'],
+     ":2: bad task record: maximum recursion depth exceeded"),
+    (['{"task_id": "a", "features": []}', '{"task_id": "b", "true_q": ' + _DEEP + '}'],
+     ":1: bad task record: empty features in task 'a'"),
 ])
 def test_task_table_reports_first_failing_line(tmp_path, lines, message):
     path = tmp_path / "tasks.jsonl"
