@@ -464,7 +464,9 @@ def cmd_calibrate(cfg: dict) -> int:
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
     )
-    _write_json(_path(cfg, "calibration"), {"provenance": provenance(cfg), **result.to_dict()})
+    _write_json(_path(cfg, "calibration"), {"provenance": provenance(cfg),
+                                            "point_estimate": cfg["point_estimate"],
+                                            **result.to_dict()})
     lo, hi = result.accuracy_ci
     print(
         f"calibrated threshold {result.deployment_threshold:.4f} "
@@ -486,10 +488,17 @@ def cmd_repeats(cfg: dict) -> int:
     source = "the deployment_threshold option"
     if threshold is None:
         source = _path(cfg, "calibration")
-        threshold = read_json_object(source, "calibration results", {
+        calibration = read_json_object(source, "calibration results", {
             "deployment_threshold": ("a number or null",
                                      lambda v: v is None or is_numbers(v) and not math.isnan(v)),
-        })["deployment_threshold"]
+            "point_estimate": ("one of " + ", ".join(_CHOICES["point_estimate"]),
+                               lambda v: v in _CHOICES["point_estimate"]),
+        })
+        if calibration["point_estimate"] != cfg["point_estimate"]:
+            raise InputError(f"{source}: the threshold was calibrated on point_estimate "
+                             f"{calibration['point_estimate']!r}, but repeats gates on "
+                             f"{cfg['point_estimate']!r}; give both stages the same one")
+        threshold = calibration["deployment_threshold"]
         if threshold is None:   # serialized +inf: nothing is automated
             threshold = math.inf
 

@@ -387,7 +387,7 @@ def test_criterion_11_deterministic_reports(check, repeats500, pipeline_pair, sy
 
 FROZEN_SHA256 = {
     "bins.csv": "137dc63a9de494cd0051769cc132bf6a5f47ae5404bb56d342e27b1405063ba6",
-    "calibration.json": "8a80c840e71bbfda3ab636650f42e75d4f2dbce8509a93401df41c7898fbdf62",
+    "calibration.json": "bfd582a201f39e623f15bc530313681e419e1b28f1e3da70b5dc8880fc3cf2bf",
     "curve.csv": "4ae28ad1dd2a00aaf3ed7342a066f7a657ae4ad2458e14ee14464582e0e943ff",
     "model.json": "a368edb8968fd0c8e423f7af835d095bbcbd74d919da3e580250baf50f7e44cb",
     "posteriors.jsonl": "087be81ee4988848ba95833fdb85117769a23f98b1892cc6a95f4ee5d37d83b1",

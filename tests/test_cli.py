@@ -531,6 +531,9 @@ _MALFORMED_DOCUMENTS = {
                                 "missing key 'deployment_threshold'"),
     "calibration-wrong_type": ("calibration.json", ("repeats",), '{"deployment_threshold": "x"}',
                                "key 'deployment_threshold' must be a number or null, got 'x'"),
+    "calibration-no_point_estimate": ("calibration.json", ("repeats",),
+                                      '{"deployment_threshold": 0.5}',
+                                      "missing key 'point_estimate'"),
     # integers too large for a float: float() raised OverflowError
     "model-huge_int": ("model.json", ("predict",), json.dumps({**_MODEL, "bias": [10**400, 0, 0]}),
                        "key 'bias' must be a list of numbers, got [1000"),
@@ -989,6 +992,25 @@ def test_repeats_gates_with_the_point_estimate_calibrate_used(tmp_path, monkeypa
 
     assert replayed == [below("mean")]   # one replay serves both priors
     assert below("mean") != below("mode")   # the posterior mode would replay other tasks
+
+
+def test_repeats_refuses_a_threshold_calibrated_on_another_point_estimate(pipeline, tmp_path,
+                                                                         capsys):
+    """calibration.json names the point estimate calibrate gated on, and
+    repeats takes the threshold from it only under the same one."""
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    assert json.loads((tmp_path / "calibration.json").read_text())["point_estimate"] == "mode"
+    argv = ("repeats", "--split", "test", "--permutations", "4")
+    assert run(tmp_path, *argv, "--point-estimate", "mean") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("calibration.json: the threshold was calibrated on point_estimate 'mode', but "
+            "repeats gates on 'mean'") in err
+    assert not (tmp_path / "repeats.csv").exists()
+    assert run(tmp_path, *argv, "--point-estimate", "mode") == 0
+    assert (tmp_path / "repeats.csv").read_bytes() == (pipeline / "repeats.csv").read_bytes()
+    # a threshold given as an option is taken under either point estimate
+    assert run(tmp_path, *argv, "--point-estimate", "mean", "--deployment-threshold", "inf") == 0
 
 
 def test_stages_take_a_surrogate_escaped_task_id(tmp_path):

@@ -31,7 +31,7 @@ _READERS = {
     "predictions.jsonl": (("eval", "--split", "all"), ("task_id", "alpha", "n")),
     "model.json": (("predict",), ("format_version", "d", "C", "alpha0_sum", "A", "bias", "W")),
     "calibration.json": (("repeats", "--split", "all", "--permutations", "2"),
-                         ("deployment_threshold",)),
+                         ("deployment_threshold", "point_estimate")),
     "cfg.json": (("eval", "--split", "all"), ("bins", "eta0", "ratios", "point_estimate")),
 }
 _FOREIGN = ("float() argument", "could not convert", "setting an array element")
