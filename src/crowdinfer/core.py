@@ -78,10 +78,6 @@ class CategoryScheme:
         return len(self.proper_names) + 1
 
     @property
-    def cs_index(self) -> int:
-        return len(self.proper_names)
-
-    @property
     def names(self) -> tuple:
         return self.proper_names + (self.cs_name,)
 
@@ -150,26 +146,10 @@ class SoftLabel:
     def __post_init__(self):
         object.__setattr__(self, "q", check_soft_labels(self.q))
 
-    @property
-    def solvability(self) -> float:
-        """Probability mass on the proper categories, 1 - q_cs."""
-        return float(1.0 - self.q[-1])
-
-    @property
-    def conditional(self) -> np.ndarray:
-        """Soft label renormalized over proper categories."""
-        pi = self.solvability
-        if pi <= 0.0:
-            raise ValueError("conditional probabilities undefined: all mass on cs")
-        return self.q[:-1] / pi
-
     def argmax(self) -> int:
         """Majority category; ties break toward the lowest index, so cs
         loses ties against proper categories."""
         return int(np.argmax(self.q))
-
-    def __len__(self) -> int:
-        return self.q.size
 
 
 # ---------------------------------------------------------------------------
@@ -862,9 +842,6 @@ class AlphaRecords:
 
     def __len__(self) -> int:
         return len(self.task_ids)
-
-    def __contains__(self, task_id) -> bool:
-        return task_id in self._row
 
     def rows(self, task_ids) -> np.ndarray:
         """Row index of each of the task ids, which must all have a record."""

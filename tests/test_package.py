@@ -12,7 +12,6 @@ from crowdinfer.core import (
     CategoryScheme,
     DirichletParams,
     InputError,
-    SoftLabel,
     read_scheme,
     split_dataset,
 )
@@ -50,8 +49,6 @@ def _scheme_file(tmp_path, text):
     (lambda _: marginal_conditional(DirichletParams([1.0])), ValueError,
      "need at least one proper category plus cs"),
     (lambda _: CategoryScheme(("a", 1)), InputError, "category names must be strings"),
-    (lambda _: SoftLabel([0.0, 0.0, 1.0]).conditional, ValueError,
-     "conditional probabilities undefined: all mass on cs"),
     (lambda _: split_dataset(["a", "b", "c"], (0.5, 0.5)), InputError,
      "expected three split ratios"),
     (lambda tmp: read_scheme(_scheme_file(tmp, '{"proper": ["a", "cs"]}')), InputError,
@@ -67,7 +64,7 @@ def _scheme_file(tmp_path, text):
     (lambda _: SimConfig(num_tasks=1, feature_dim=0), InputError,
      "feature_dim must be at least 1"),
 ], ids=["interval-order", "no-realization", "beta", "solvability", "conditional",
-        "category-name", "all-cs", "two-ratios", "duplicate-names", "chernoff-lengths",
+        "category-name", "two-ratios", "duplicate-names", "chernoff-lengths",
         "confidence-k1", "weights-k1", "weights-negative", "weights-length", "no-features"])
 def test_refusals(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -129,7 +129,6 @@ def test_config_size_limit():
 def test_scheme_layout():
     scheme = scheme_for(SimConfig(num_proper=3))
     assert scheme.names == ("c0", "c1", "c2", "cs")
-    assert scheme.cs_index == 3
 
 
 def test_latent_mean_matches_symmetric_prior():
