@@ -4,8 +4,8 @@ Observed responses are replayed one at a time in random order, updating the
 Dirichlet posterior after every draw and measuring how far its mode still
 is from the crowd's empirical soft label.  Replaying from the uniform prior
 and from a machine-informed prior, on the same draw orders, quantifies how
-many human labels the prediction is worth.  Tasks
-come as arrays: answers as category indices, and one prior row per task.
+many human labels the prediction is worth.  Tasks come as arrays: answers
+as category indices, and one prior row per task.
 """
 
 from __future__ import annotations
