@@ -81,9 +81,10 @@ def test_traced_stages_make_the_per_task_calls_the_benchmark_counts(tmp_path):
     bench.check_trace(runner, SimpleNamespace(num_tasks=60, replays=True), tracer, 1)
     assert runner.failures == []
     # priors.replay_steps: responses replayed, from both priors, times permutations
-    ids = [json.loads(line)["task_id"] for line in open(tmp_path / "tasks.jsonl")]
+    ids = [json.loads(line)["task_id"]
+           for line in (tmp_path / "tasks.jsonl").read_text().splitlines()]
     test = set(itertools.compress(ids, split_dataset(ids, seed=0) == 2))
     replayed = sum(json.loads(line)["task_id"] in test
-                   for line in open(tmp_path / "responses.jsonl"))
+                   for line in (tmp_path / "responses.jsonl").read_text().splitlines())
     assert replayed > 0
     assert tracer.stats[("repeats", "priors.repeats_run")][3] == 2 * replayed * 2
