@@ -383,16 +383,17 @@ def cmd_train(cfg: dict) -> int:
     (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, labels)
     # every TrainConfig field is the option of the same name
     tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
-    history = []
+    final = []
     model = train_head(
         train_set,
         tc,
         val_dataset=val_set,
-        callback=lambda e, tl, vl: history.append((e, tl, vl)),
+        callback=lambda *losses: final.extend(losses),
         task_ids=train_ids,
+        last_epoch_only=True,
     )
     save_model(_path(cfg, "model"), model)
-    epoch, train_loss, val_loss = history[-1]
+    epoch, train_loss, val_loss = final
     val_note = f", val loss {val_loss:.6f}" if val_loss is not None else ""
     print(
         f"trained on {len(train_ids)} tasks for {epoch} epochs "

@@ -407,6 +407,8 @@ def train_head(
     alpha0_sum: Optional[float] = None,
     callback: Optional[Callable[[int, float, Optional[float]], None]] = None,
     task_ids: Optional[Sequence[str]] = None,
+    *,
+    last_epoch_only: bool = False,
 ) -> HeadModel:
     """Fit the head by Adam on the weighted mean Bhattacharyya/Chernoff loss.
 
@@ -418,7 +420,10 @@ def train_head(
     Model selection keeps the epoch with the lowest monitored loss
     (validation loss when a validation set is given, else training loss);
     cfg.select="last" disables the snapshotting.  The optional callback
-    receives (epoch, train_loss, val_loss) after every epoch.
+    receives (epoch, train_loss, val_loss) after every epoch, or with
+    last_epoch_only=True after the last one only.  Each full-set loss costs a
+    forward and a Chernoff pass, so an epoch computes one only where model
+    selection monitors it or the callback receives it.
     """
     X, T, n, w = _arrays(data, "data")
     N, k = T.shape
@@ -446,6 +451,7 @@ def train_head(
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     t = 0
 
+    monitor = cfg.select == "best"
     best_loss = math.inf
     best_theta = theta.copy()
     for epoch in range(1, cfg.epochs + 1):
@@ -463,18 +469,21 @@ def train_head(
             if not np.isfinite(theta).all():
                 _check_finite_params(params)
 
-        train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
-        val_loss = (_loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
-                    if val_dataset is not None else None)
-        monitored = train_loss if val_loss is None else val_loss
-        if monitored < best_loss:
-            best_loss = monitored
-            best_theta = theta.copy()
-        if callback is not None:
+        report = callback is not None and (epoch == cfg.epochs or not last_epoch_only)
+        train_loss = val_loss = None
+        if report or (monitor and val_dataset is None):
+            train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
+        if val_dataset is not None and (report or monitor):
+            val_loss = _loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
+        if monitor:
+            monitored = train_loss if val_loss is None else val_loss
+            if monitored < best_loss:
+                best_loss = monitored
+                best_theta = theta.copy()
+        if report:
             callback(epoch, train_loss, val_loss)
 
-    return HeadModel(*_unflatten(best_theta if cfg.select == "best" else theta, d, k),
-                     alpha0_sum)
+    return HeadModel(*_unflatten(best_theta if monitor else theta, d, k), alpha0_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -418,36 +418,50 @@ def test_artifact_digests_frozen(repeats500, pipeline_pair):
     assert not changed, f"artifact bytes changed: {changed}"
 
 
-def test_wide_model_digest_frozen(tmp_path, monkeypatch):
+def test_wide_model_digest_frozen(tmp_path, monkeypatch, capsys):
     """model.json and the per-epoch losses of a small K = 5 run keep their bytes.
 
     The acceptance pipeline trains a K = 3 head with model selection; this run
     covers a wider head, several minibatches per epoch, a validation set and
-    select=last, so every Adam step reaches the file.  Same build caveat as
-    above.
+    select=last, so every Adam step reaches the file.  The first train run
+    records every epoch's losses through a wrapper; the second is train as it
+    runs, computing the full-set losses of the last epoch only, and must write
+    the same model and print the same line.  Same build caveat as above.
     """
     history = []
     train_head = cli.train_head
 
-    def recording(*args, callback, **kwargs):
+    def recording(*args, callback, last_epoch_only, **kwargs):
+        assert last_epoch_only
+
         def record(epoch, train_loss, val_loss):
             history.append(f"{epoch} {train_loss.hex()} {val_loss.hex()}")
-            callback(epoch, train_loss, val_loss)
+            if epoch == 40:
+                callback(epoch, train_loss, val_loss)
 
         return train_head(*args, callback=record, **kwargs)
 
-    monkeypatch.setattr(cli, "train_head", recording)
     out = str(tmp_path)
     assert main(["simulate", "--outdir", out, "--num-tasks", "300", "--categories", "4",
                  "--repeats", "12", "--seed", "3"]) == 0
     assert main(["infer", "--outdir", out]) == 0
-    assert main(["train", "--outdir", out, "--epochs", "40", "--batch-size", "64",
-                 "--learning-rate", "0.01", "--select", "last", "--seed", "3"]) == 0
+    train = ["train", "--outdir", out, "--epochs", "40", "--batch-size", "64",
+             "--learning-rate", "0.01", "--select", "last", "--seed", "3"]
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train_head", recording)
+    assert main(train) == 0
+    monkeypatch.undo()
     assert len(history) == 40
     model = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
     losses = hashlib.sha256("\n".join(history).encode()).hexdigest()
     assert model == "886be3871f5ca5b81a04252ce481831f6b57a91558e765d2c32f4586c2ad6eaf"
     assert losses == "796bd62dba141beba0514cfe59776093c722773fe6f4bba3a8d011f6d8491870"
+    recorded = capsys.readouterr().out
+    (tmp_path / "model.json").unlink()
+    assert main(train) == 0
+    model = hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest()
+    assert model == "886be3871f5ca5b81a04252ce481831f6b57a91558e765d2c32f4586c2ad6eaf"
+    assert capsys.readouterr().out == recorded
 
 
 def test_wide_eval_digest_frozen(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -544,6 +545,53 @@ def _trained(trainer, case):
 def test_training_equals_per_array_adam_oracle_bitwise(case):
     assert _trained(train_head, case) == _trained(_train_head_oracle, case)
 
+
+def _hex(losses):
+    """(epoch, train_loss, val_loss) entries with each loss's bits spelt out."""
+    return [(e, tl.hex(), vl if vl is None else vl.hex()) for e, tl, vl in losses]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_training_cases())
+def test_unread_full_set_losses_are_skipped_bitwise(case):
+    """Training with no callback, with the last epoch's losses only and with
+    every epoch's losses gives the same model, or the same error, and the last
+    epoch's losses bit for bit."""
+    every = _trained(train_head, case)
+    last = _trained(functools.partial(train_head, last_epoch_only=True), case)
+    silent = _trained(lambda *args, callback: train_head(*args), case)
+    assert last[0] == silent[0] == every[0]
+    assert silent[1] == []
+    assert _hex(last[1]) == ([] if isinstance(every[0], str) else _hex(every[1][-1:]))
+
+
+def test_full_set_losses_computed_only_where_read(monkeypatch):
+    from crowdinfer import head
+
+    loss_grads, passes = head._loss_grads, []
+
+    def counting(params, alpha0_sum, X, *args, grad=False, **kwargs):
+        if not grad:
+            passes.append(len(X))
+        return loss_grads(params, alpha0_sum, X, *args, grad=grad, **kwargs)
+
+    monkeypatch.setattr(head, "_loss_grads", counting)
+    rng = np.random.default_rng(11)
+    data, val = _toy_dataset(rng, n=48), _toy_dataset(rng, n=16)
+    epochs = 7
+    final = []
+    train_head(data, TrainConfig(epochs=epochs, batch_size=16), val_dataset=val,
+               callback=lambda *e: final.append(e), last_epoch_only=True)
+    # model selection reads the validation loss every epoch; the train loss
+    # only goes to the callback, once
+    assert sorted(passes) == [16] * epochs + [48]
+    assert [e[0] for e in final] == [epochs]
+    passes.clear()
+    train_head(data, TrainConfig(epochs=epochs, batch_size=16, select="last"), val_dataset=val)
+    assert passes == []
+    # without a validation set model selection reads the train loss
+    train_head(data, TrainConfig(epochs=epochs, batch_size=16))
+    assert passes == [48] * epochs
 
 def _toy_dataset(rng, n=64, d=6, k=3):
     X = rng.normal(size=(n, d))

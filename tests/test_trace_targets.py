@@ -80,10 +80,19 @@ def test_traced_stages_make_the_per_task_calls_the_benchmark_counts(tmp_path):
             runner.run(label, argv, tracer)
     bench.check_trace(runner, SimpleNamespace(num_tasks=60, replays=True), tracer, 1)
     assert runner.failures == []
-    # priors.replay_steps: responses replayed, from both priors, times permutations
+    # train: one log_gamma per target term (train and val), per minibatch step
+    # and per validation pass model selection reads, and one for the final
+    # train loss the stage prints; digamma only in the minibatch steps
     ids = [json.loads(line)["task_id"]
            for line in (tmp_path / "tasks.jsonl").read_text().splitlines()]
-    test = set(itertools.compress(ids, split_dataset(ids, seed=0) == 2))
+    labels = split_dataset(ids, seed=0)
+    assert (labels == 1).any()
+    epochs, batch = 2, 256
+    steps = epochs * -(-int((labels == 0).sum()) // batch)
+    assert tracer.stats[("train", "head.log_gamma")][2] == 2 + steps + epochs + 1
+    assert tracer.stats[("train", "head.digamma")][2] == steps
+    # priors.replay_steps: responses replayed, from both priors, times permutations
+    test = set(itertools.compress(ids, labels == 2))
     replayed = sum(json.loads(line)["task_id"] in test
                    for line in (tmp_path / "responses.jsonl").read_text().splitlines())
     assert replayed > 0
