@@ -259,6 +259,19 @@ def test_summary_refuses_misaligned_columns():
         repeats_summary(ids, answers, {"uniform": np.ones((4, 3)), "informed": np.ones((5, 3))})
 
 
+def test_summary_refuses_no_variants():
+    ids, answers = _toy_tasks(num=4)
+    with pytest.raises(InputError, match="^no prior variants to replay$"):
+        repeats_summary(ids, answers, {})
+
+
+def test_summary_refuses_variants_of_different_widths():
+    ids, answers = _toy_tasks(num=1)
+    with pytest.raises(InputError, match="^3 categories in the prior rows of 'uniform' and 4 "
+                                         "in those of 'informed'$"):
+        repeats_summary(ids, answers, {"uniform": np.ones((1, 3)), "informed": np.ones((1, 4))})
+
+
 def test_summary_pairs_draw_orders_across_variants():
     # each task replays once for every prior, so a "different" variant with
     # the same prior must reproduce the uniform summary exactly, in the
