@@ -112,6 +112,9 @@ def repeats_summary(
         if not len(task_ids) == len(answers) == len(rows):
             raise InputError(f"{len(task_ids)} task ids, {len(answers)} answer arrays and "
                              f"{len(rows)} prior rows of {name!r}")
+        if np.ndim(rows) != 2:
+            raise InputError(f"prior rows of {name!r} must form an (M, K) matrix, got shape "
+                             f"{np.shape(rows)}")
         if np.shape(rows)[-1] != width:
             raise InputError(f"{width} categories in the prior rows of {first!r} and "
                              f"{np.shape(rows)[-1]} in those of {name!r}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,11 +267,16 @@ def test_summary_refuses_no_variants():
         repeats_summary(ids, answers, {})
 
 
-def test_summary_refuses_variants_of_different_widths():
+def test_summary_refuses_variants_of_other_shapes():
     ids, answers = _toy_tasks(num=1)
     with pytest.raises(InputError, match="^3 categories in the prior rows of 'uniform' and 4 "
                                          "in those of 'informed'$"):
         repeats_summary(ids, answers, {"uniform": np.ones((1, 3)), "informed": np.ones((1, 4))})
+    for shape in ((1,), (1, 3, 1)):
+        with pytest.raises(InputError, match=re.escape(f"prior rows of 'informed' must form an "
+                                                       f"(M, K) matrix, got shape {shape}")):
+            repeats_summary(ids, answers, {"uniform": np.ones((1, 3)),
+                                           "informed": np.ones(shape)})
 
 
 def test_summary_pairs_draw_orders_across_variants():
