@@ -107,17 +107,17 @@ def repeats_summary(
     if not priors:
         raise InputError("no prior variants to replay")
     first = next(iter(priors))
-    width = np.shape(priors[first])[-1]
     for name, rows in priors.items():
-        if not len(task_ids) == len(answers) == len(rows):
-            raise InputError(f"{len(task_ids)} task ids, {len(answers)} answer arrays and "
-                             f"{len(rows)} prior rows of {name!r}")
         if np.ndim(rows) != 2:
             raise InputError(f"prior rows of {name!r} must form an (M, K) matrix, got shape "
                              f"{np.shape(rows)}")
-        if np.shape(rows)[-1] != width:
-            raise InputError(f"{width} categories in the prior rows of {first!r} and "
-                             f"{np.shape(rows)[-1]} in those of {name!r}")
+        if not len(task_ids) == len(answers) == len(rows):
+            raise InputError(f"{len(task_ids)} task ids, {len(answers)} answer arrays and "
+                             f"{len(rows)} prior rows of {name!r}")
+        width, first_width = np.shape(rows)[1], np.shape(priors[first])[1]
+        if width != first_width:
+            raise InputError(f"{first_width} categories in the prior rows of {first!r} and "
+                             f"{width} in those of {name!r}")
     stack = np.stack(list(priors.values()), axis=1)   # (M, V, K)
     (v, k), steps = stack.shape[1:], sum(len(a) + 1 for a in answers)
     check_size("permutations", permutations, v * k * steps,

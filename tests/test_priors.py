@@ -272,7 +272,7 @@ def test_summary_refuses_variants_of_other_shapes():
     with pytest.raises(InputError, match="^3 categories in the prior rows of 'uniform' and 4 "
                                          "in those of 'informed'$"):
         repeats_summary(ids, answers, {"uniform": np.ones((1, 3)), "informed": np.ones((1, 4))})
-    for shape in ((1,), (1, 3, 1)):
+    for shape in ((), (1,), (1, 3, 1)):
         with pytest.raises(InputError, match=re.escape(f"prior rows of 'informed' must form an "
                                                        f"(M, K) matrix, got shape {shape}")):
             repeats_summary(ids, answers, {"uniform": np.ones((1, 3)),
