@@ -15,13 +15,13 @@ from crowdinfer.autothresh import bootstrap_curves, calibrate, curve
 from crowdinfer.sim import SimConfig, simulate_dataset, synthetic_predictor
 
 # a synthetic predictor with mild noise stands in for a trained model
-cfg = SimConfig(num_tasks=3000, num_proper=2, repeats=0, predictor_noise=0.8, seed=0)
+cfg = SimConfig(num_tasks=3000, num_proper=2, repeats=0, seed=0)
 _, tasks, _ = simulate_dataset(cfg)
 rng = np.random.default_rng(0)
 
 conf, correct = [], []
 for q in tasks.true_q:
-    pred = posterior_mode(synthetic_predictor(q, 20, cfg, rng))
+    pred = posterior_mode(synthetic_predictor(q, 20, rng, noise=0.8))
     conf.append(confidence(pred.q))
     correct.append(int(pred.argmax() == q.argmax()))
 conf, correct = np.array(conf), np.array(correct)

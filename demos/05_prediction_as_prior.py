@@ -15,7 +15,7 @@ from crowdinfer import task_rng
 from crowdinfer.priors import blend_prior, repeats_summary
 from crowdinfer.sim import SimConfig, simulate_dataset, synthetic_predictor
 
-cfg = SimConfig(num_tasks=400, num_proper=2, repeats=12, predictor_noise=0.5, seed=0)
+cfg = SimConfig(num_tasks=400, num_proper=2, repeats=12, seed=0)
 scheme, tasks, answers = simulate_dataset(cfg)
 k = scheme.num_categories
 
@@ -23,7 +23,7 @@ k = scheme.num_categories
 # dominate; predictions are taken at n=0 (no responses seen)
 def informed_prior(task_id, q):
     rng = task_rng(cfg.seed, f"demo-pred:{task_id}")
-    return blend_prior(synthetic_predictor(q, 0, cfg, rng), blend=1.0 / 3.0).alpha
+    return blend_prior(synthetic_predictor(q, 0, rng, noise=0.5), blend=1.0 / 3.0).alpha
 
 
 # one prior row per task

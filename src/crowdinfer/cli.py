@@ -83,30 +83,29 @@ _PATHS = {
     "repeats_csv": "repeats.csv",
 }
 
+# The option of a settings field is the field's name, but for these.
+_OPTION_OF = {"num_proper": "categories"}
+
+
+def _field_options(settings) -> Dict[str, object]:
+    """{option: default} of the fields of a settings dataclass but its seed."""
+    return {_OPTION_OF.get(f.name, f.name): f.default
+            for f in dataclasses.fields(settings) if f.name != "seed"}
+
+
+def _settings(settings, cfg: dict):
+    """The settings dataclass built from the options of its fields."""
+    return settings(**{f.name: cfg[_OPTION_OF.get(f.name, f.name)]
+                       for f in dataclasses.fields(settings)})
+
+
 DEFAULTS: Dict[str, object] = {
-    "seed": 0,
+    "seed": 0,   # shared by every stage, so left out of the field options below
     **_PATHS,
-    # simulator
-    "num_tasks": 1000,
-    "categories": 2,
-    "repeats": 20,
-    "alpha0": None,
-    "feature_dim": 8,
-    "feature_noise": 0.1,
-    # dataset split
-    "ratios": (0.8, 0.1, 0.1),
-    # training
-    "learning_rate": 2e-4,
-    "beta1": 0.9,
-    "beta2": 0.995,
-    "warmup_iters": None,
-    "batch_size": 256,
-    "epochs": 200,
-    "select": "best",
+    **_field_options(SimConfig),
+    **_field_options(TrainConfig),
+    **_field_options(AmbiguityConfig),
     # metrics and calibration
-    "tau": 0.5,
-    "eta0": 0.4,
-    "pi0": 0.8,
     "bins": 10,
     "point_estimate": "mode",
     "target_accuracy": 0.99,
@@ -117,6 +116,7 @@ DEFAULTS: Dict[str, object] = {
     "max_repeats": None,
     "deployment_threshold": None,
     # shared
+    "ratios": (0.8, 0.1, 0.1),
     "inference_n": None,
     "prior": "uniform",
     "split": "test",
@@ -313,16 +313,7 @@ def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict) -> int:
-    sim = SimConfig(
-        num_tasks=cfg["num_tasks"],
-        num_proper=cfg["categories"],
-        repeats=cfg["repeats"],
-        alpha0=cfg["alpha0"],
-        feature_dim=cfg["feature_dim"],
-        feature_noise=cfg["feature_noise"],
-        seed=cfg["seed"],
-    )
-    scheme, table, answers = simulate_dataset(sim)
+    scheme, table, answers = simulate_dataset(_settings(SimConfig, cfg))
     write_scheme(_path(cfg, "scheme"), scheme)
     write_tasks(_path(cfg, "tasks"), table)
     write_responses(_path(cfg, "responses"), table.task_ids, answers, scheme)
@@ -381,12 +372,10 @@ def cmd_train(cfg: dict) -> int:
         ratios = ",".join(str(r) for r in cfg["ratios"])
         raise InputError(f"ratios {ratios} leave no training tasks among {len(table.task_ids)}")
     (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, labels)
-    # every TrainConfig field is the option of the same name
-    tc = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
     final = []
     model = train_head(
         train_set,
-        tc,
+        _settings(TrainConfig, cfg),
         val_dataset=val_set,
         callback=lambda *losses: final.extend(losses),
         task_ids=train_ids,
@@ -416,7 +405,7 @@ def cmd_predict(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    amb_cfg = AmbiguityConfig(cfg["eta0"], cfg["pi0"])
+    amb_cfg = _settings(AmbiguityConfig, cfg)
     scheme, table, _ = _load_dataset(cfg, responses=False)
     if scheme.num_proper < 2:
         raise InputError(f"{_path(cfg, 'scheme')}: eval scores ambiguity, which needs at "

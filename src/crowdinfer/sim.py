@@ -2,8 +2,8 @@
 
 Tasks carry a latent answer distribution drawn from a Dirichlet prior;
 annotators respond i.i.d. from it, features are a fixed noisy linear map
-of its log, and a controllable synthetic predictor exposes the accuracy
-knobs needed to exercise the downstream pipeline without training.  The
+of its log, and a synthetic predictor with a noise knob stands in for a
+trained head to exercise the downstream pipeline without training.  The
 dataset comes back as arrays: a TaskTable of ids, features and latent soft
 labels, and a matrix of answers, one row per task, which write_tasks and
 write_responses write as they are.
@@ -41,8 +41,6 @@ class SimConfig:
     alpha0: Optional[Tuple[float, ...]] = None   # None: 0.5 per category (sparse crowd)
     feature_dim: int = 8
     feature_noise: float = 0.1
-    predictor_temperature: float = 1.0
-    predictor_noise: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -57,13 +55,9 @@ class SimConfig:
         per_task = self.repeats + self.feature_dim + 2 * self.num_categories
         check_size("num_tasks", self.num_tasks, per_task,
                    "tasks of answers, features and two rows of K")
-        for name, scale in (("feature_noise", self.feature_noise),
-                            ("predictor_noise", self.predictor_noise)):
-            if not 0 <= scale < math.inf:
-                raise InputError(f"{name} must be non-negative and finite, got {scale}")
-        if not 0 < self.predictor_temperature < math.inf:
-            raise InputError(f"predictor_temperature must be positive and finite, "
-                             f"got {self.predictor_temperature}")
+        if not 0 <= self.feature_noise < math.inf:
+            raise InputError(f"feature_noise must be non-negative and finite, "
+                             f"got {self.feature_noise}")
         if self.alpha0 is not None:
             object.__setattr__(self, "alpha0", tuple(float(a) for a in self.alpha0))
             if len(self.alpha0) != self.num_proper + 1:
@@ -145,23 +139,25 @@ def _answers(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     return answers
 
 
-def synthetic_predictor(q, n: int, config: SimConfig,
-                        rng: np.random.Generator) -> DirichletParams:
+def synthetic_predictor(q, n: int, rng: np.random.Generator,
+                        noise: float = 0.0) -> DirichletParams:
     """Stand-in for a trained head on a task with latent soft label ``q``:
-    softmax of the perturbed, tempered log answer distribution, scaled so the
-    components sum to alpha0_sum + n.
+    softmax of the log answer distribution plus ``noise`` times standard
+    normal draws from ``rng``, scaled so the components sum to alpha0_sum + n.
 
-    Temperature 1 and noise 0 recover the latent distribution itself;
-    raising either degrades fidelity.
+    Noise 0 recovers the latent distribution itself and draws nothing;
+    raising it degrades fidelity.
     """
+    if not 0 <= noise < math.inf:
+        raise InputError(f"noise must be non-negative and finite, got {noise}")
     q = check_soft_labels(q)
     if q.ndim != 1:
         raise InputError(f"q must be one soft label, got shape {q.shape}")
     if n < 0:
         raise ValueError("response count n must be non-negative")
     k = len(q)
-    logits = np.log(q + _LOG_FLOOR) / config.predictor_temperature
-    if config.predictor_noise > 0:
-        logits = logits + config.predictor_noise * rng.standard_normal(k)
+    logits = np.log(q + _LOG_FLOOR)
+    if noise > 0:
+        logits = logits + noise * rng.standard_normal(k)
     alpha0_sum = float(k)
     return DirichletParams((alpha0_sum + n) * softmax(logits))

@@ -332,14 +332,13 @@ def test_criterion_09_informed_prior_starts_closer(check, pipeline_pair):
 @pytest.fixture(scope="module")
 def synthetic_bins(tmp_path_factory):
     out = tmp_path_factory.mktemp("synthbins")
-    cfg = SimConfig(num_tasks=3000, num_proper=2, repeats=0,
-                    predictor_noise=0.5, seed=0)
+    cfg = SimConfig(num_tasks=3000, num_proper=2, repeats=0, seed=0)
     _, table, _ = simulate_dataset(cfg)
     amb_cfg = AmbiguityConfig()
     pred, act = [], []
     for task_id, q in zip(table.task_ids, table.true_q):
         rng = task_rng(cfg.seed, f"pred:{task_id}")
-        alpha = synthetic_predictor(q, 20, cfg, rng)
+        alpha = synthetic_predictor(q, 20, rng, noise=0.5)
         pred.append(ambiguity(posterior_mode(alpha).q, amb_cfg))
         act.append(ambiguity(q, amb_cfg))
     bins_ = ambiguity_calibration(pred, act, bins=10)

@@ -267,8 +267,8 @@ def test_unknown_config_key_exit_2(tmp_path):
 
 @pytest.mark.parametrize("key", ["predictor_temperature", "predictor_noise"])
 def test_synthetic_predictor_keys_are_not_options(tmp_path, capsys, key):
-    # only sim.synthetic_predictor reads them, through SimConfig; simulate's
-    # files never depended on them
+    # SimConfig once carried them; synthetic_predictor now takes its noise as
+    # an argument, and neither was ever an option
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({key: 1.0}))
     assert run(tmp_path, "simulate", "--config", str(cfgfile)) == 2

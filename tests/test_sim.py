@@ -110,12 +110,12 @@ def test_config_validation():
         SimConfig(alpha0=(1.0, 1.0))  # needs num_proper + 1 = 3 entries
     with pytest.raises(ValueError):
         SimConfig(alpha0=(1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        SimConfig(predictor_temperature=0.0)
+    q = np.full(3, 1.0 / 3.0)
     for value in (math.nan, math.inf, -1.0):
-        for key in ("feature_noise", "predictor_noise", "predictor_temperature"):
-            with pytest.raises(InputError, match=key):
-                SimConfig(**{key: value})
+        with pytest.raises(InputError, match="feature_noise"):
+            SimConfig(feature_noise=value)
+        with pytest.raises(InputError, match="noise must be non-negative and finite"):
+            synthetic_predictor(q, 3, np.random.default_rng(0), noise=value)
 
 
 def test_config_size_limit():
@@ -252,11 +252,11 @@ def test_synthetic_predictor_requires_soft_label():
     rng = np.random.default_rng(0)
     for bad in ([0.5, 0.6, 0.1], [-0.5, 1.0, 0.5], [np.nan, 0.5, 0.5]):
         with pytest.raises(InputError, match="soft label"):
-            synthetic_predictor(np.array(bad), 3, SimConfig(), rng)
+            synthetic_predictor(np.array(bad), 3, rng)
     with pytest.raises(InputError, match="one soft label"):
-        synthetic_predictor(np.full((2, 3), 1.0 / 3.0), 3, SimConfig(), rng)
+        synthetic_predictor(np.full((2, 3), 1.0 / 3.0), 3, rng)
     with pytest.raises(ValueError, match="non-negative"):
-        synthetic_predictor(np.full(3, 1.0 / 3.0), -1, SimConfig(), rng)
+        synthetic_predictor(np.full(3, 1.0 / 3.0), -1, rng)
 
 
 def test_synthetic_predictor_sum_invariant():
@@ -265,17 +265,17 @@ def test_synthetic_predictor_sum_invariant():
     rng = np.random.default_rng(0)
     for q in table.true_q:
         for n in (0, 1, 20):
-            alpha = synthetic_predictor(q, n, cfg, rng)
+            alpha = synthetic_predictor(q, n, rng)
             assert abs(alpha.alpha_sum - (3.0 + n)) < 1e-9
 
 
 def test_synthetic_predictor_faithful_limit():
-    # temperature 1, zero noise, large n: the mode approaches the latent q
-    cfg = SimConfig(num_tasks=20, predictor_temperature=1.0, predictor_noise=0.0, seed=19)
+    # zero noise, large n: the mode approaches the latent q
+    cfg = SimConfig(num_tasks=20, seed=19)
     _, table, _ = simulate_dataset(cfg)
     rng = np.random.default_rng(0)
     for q in table.true_q:
-        alpha = synthetic_predictor(q, 10_000, cfg, rng)
+        alpha = synthetic_predictor(q, 10_000, rng)
         mode = posterior_mode(alpha)
         assert np.max(np.abs(mode.q - q)) < 1e-3
 
@@ -285,10 +285,9 @@ def test_predictor_noise_degrades_fidelity_monotonically():
     rng = np.random.default_rng(0)
     mean_d = []
     for noise in (0.0, 1.0, 10.0):
-        cfg = SimConfig(predictor_noise=noise, **base)
-        _, table, _ = simulate_dataset(cfg)
+        _, table, _ = simulate_dataset(SimConfig(**base))
         d = [
-            soft_distance(posterior_mode(synthetic_predictor(q, 20, cfg, rng)).q, q)
+            soft_distance(posterior_mode(synthetic_predictor(q, 20, rng, noise)).q, q)
             for q in table.true_q
         ]
         mean_d.append(float(np.mean(d)))
@@ -296,11 +295,10 @@ def test_predictor_noise_degrades_fidelity_monotonically():
 
 
 def test_predictor_uses_caller_rng_stream():
-    cfg = SimConfig(num_tasks=1, predictor_noise=0.5, seed=29)
-    q = simulate_dataset(cfg)[1].true_q[0]
-    a = synthetic_predictor(q, 5, cfg, np.random.default_rng(1))
-    b = synthetic_predictor(q, 5, cfg, np.random.default_rng(1))
-    c = synthetic_predictor(q, 5, cfg, np.random.default_rng(2))
+    q = simulate_dataset(SimConfig(num_tasks=1, seed=29))[1].true_q[0]
+    a = synthetic_predictor(q, 5, np.random.default_rng(1), noise=0.5)
+    b = synthetic_predictor(q, 5, np.random.default_rng(1), noise=0.5)
+    c = synthetic_predictor(q, 5, np.random.default_rng(2), noise=0.5)
     assert np.array_equal(a.alpha, b.alpha)
     assert not np.array_equal(a.alpha, c.alpha)
 
