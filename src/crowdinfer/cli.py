@@ -271,9 +271,10 @@ def _read_pair(cfg: dict, scheme):
     return preds, posts
 
 
-def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
+def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids, split: str):
     """The predictions' point estimates (per cfg) and the reference modes of
-    the ids, which both record files must hold, as rows in sorted id order.
+    the ids of the split, which both record files must hold, as rows in
+    sorted id order.
 
     A reference posterior of a task without responses (n = 0) is only its
     prior, so it exits 2 with its file line.
@@ -281,7 +282,7 @@ def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
     ordered = sorted(ids)
     pred_rows, ref_rows = preds.rows(ordered), posts.rows(ordered)
     if not ids:
-        raise InputError("no tasks to score in the requested split")
+        raise InputError(f"no tasks to score in split {split}")
     unanswered = ref_rows[posts.n[ref_rows] == 0]
     if unanswered.size:
         row = unanswered.min()
@@ -301,10 +302,10 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids):
-    """The confidence of each prediction, and whether its majority category
-    matches the reference's."""
-    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
+def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids, split: str):
+    """The confidence of each prediction of the split's ids, and whether its
+    majority category matches the reference's."""
+    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids, split)
     return confidence(q_hat), q_hat.argmax(axis=1) == q_ref.argmax(axis=1)
 
 
@@ -412,7 +413,7 @@ def cmd_eval(cfg: dict) -> int:
                          f"least two proper categories; the scheme has {scheme.num_proper}")
     ids = list(itertools.compress(table.task_ids, _in_split(cfg, table.task_ids)))
     preds, posts = _read_pair(cfg, scheme)
-    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids)
+    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids, cfg["split"])
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
     report = evaluate(q_hat, q_ref, weights)
     bins_ = ambiguity_calibration(ambiguity(q_hat, amb_cfg), ambiguity(q_ref, amb_cfg),
@@ -433,7 +434,7 @@ def cmd_curve(cfg: dict) -> int:
     scheme, table, _ = _load_dataset(cfg, responses=False)
     ids = list(itertools.compress(table.task_ids, _in_split(cfg, table.task_ids)))
     preds, posts = _read_pair(cfg, scheme)
-    conf, correct = _conf_correct(cfg, preds, posts, ids)
+    conf, correct = _conf_correct(cfg, preds, posts, ids, cfg["split"])
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
     write_curve_csv(_path(cfg, "curve"), bands, provenance(cfg))
     print(
@@ -448,8 +449,8 @@ def cmd_calibrate(cfg: dict) -> int:
     labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
     val_ids, test_ids = (list(itertools.compress(table.task_ids, labels == j)) for j in (1, 2))
     preds, posts = _read_pair(cfg, scheme)
-    val_conf, val_corr = _conf_correct(cfg, preds, posts, val_ids)
-    test_conf, test_corr = _conf_correct(cfg, preds, posts, test_ids)
+    val_conf, val_corr = _conf_correct(cfg, preds, posts, val_ids, "val")
+    test_conf, test_corr = _conf_correct(cfg, preds, posts, test_ids, "test")
     result = calibrate(
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
@@ -495,6 +496,8 @@ def cmd_repeats(cfg: dict) -> int:
     # the rule calibrate gates with: the confidence of the point estimate it names
     estimate = {"mode": posterior_mode, "mean": posterior_mean}[cfg["point_estimate"]]
     scored = [i for i, keep in enumerate(in_split.tolist()) if keep and counts[i] > 0]
+    if not scored:
+        raise InputError(f"no task in split {cfg['split']} has responses to replay")
     ns = _inference_counts(cfg, counts, scored)
     q = [estimate(alpha).q for alpha in _forwards(model, table, scored, ns, "has no features")]
     conf = confidence(np.reshape(q, (len(scored), scheme.num_categories)))

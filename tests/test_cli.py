@@ -170,6 +170,22 @@ def test_repeats_reads_deployment_threshold(pipeline, tmp_path):
     assert n_tasks == 12
 
 
+def test_repeats_without_answered_tasks_exit_2(pipeline, tmp_path, capsys):
+    """No task of the split has responses: the cause is named, not the threshold."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "model.json")
+    (tmp_path / "responses.jsonl").write_text("")
+    argv = ("repeats", "--permutations", "2")
+    assert run(tmp_path, *argv, "--deployment-threshold", "inf") == 2
+    assert capsys.readouterr().err == "error: no task in split test has responses to replay\n"
+    # answered tasks that the threshold automates, every one of them
+    _copy_inputs(pipeline, tmp_path, "responses.jsonl")
+    assert run(tmp_path, *argv, "--split", "val", "--deployment-threshold", "0") == 2
+    assert capsys.readouterr().err == (
+        "error: no non-automated tasks left for the repeats analysis "
+        "(deployment threshold 0.0 from the deployment_threshold option)\n")
+    assert not (tmp_path / "repeats.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # option layering
 # ---------------------------------------------------------------------------
@@ -461,7 +477,13 @@ def test_empty_split_exit_2(pipeline, tmp_path, capsys):
     ratios = ("--ratios", "0.99,0.005,0.005")   # 119/1/0 tasks: the test split is empty
     assert run(tmp_path, "eval", "--split", "test", *ratios) == 2
     assert run(tmp_path, "calibrate", "--bootstrap", "4", *ratios) == 2
-    assert capsys.readouterr().err.count("no tasks to score") == 2
+    err = capsys.readouterr().err
+    assert err.count("no tasks to score") == 2
+    # calibrate takes no --split: it names the split it scores
+    assert err.count("error: no tasks to score in split test\n") == 2
+    ratios = ("--ratios", "0.9,0.001,0.099")   # 108/0/12 tasks: the val split is empty
+    assert run(tmp_path, "calibrate", "--bootstrap", "4", *ratios) == 2
+    assert capsys.readouterr().err == "error: no tasks to score in split val\n"
 
 
 def test_empty_train_split_exit_2(pipeline, tmp_path, capsys):
