@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     CategoryScheme,
     DirichletParams,
+    SIMPLEX_ATOL,
     InputError,
     TaskTable,
     brief,
@@ -62,8 +63,9 @@ class SimConfig:
             object.__setattr__(self, "alpha0", tuple(float(a) for a in self.alpha0))
             if len(self.alpha0) != self.num_proper + 1:
                 raise InputError("alpha0 must have num_proper + 1 components")
-            if any(a <= 0 for a in self.alpha0):
-                raise InputError("alpha0 components must be positive")
+            if not all(0 < a < math.inf for a in self.alpha0):
+                raise InputError(f"alpha0 components must be positive and finite, "
+                                 f"got {brief.repr(self.alpha0)}")
 
     @property
     def num_categories(self) -> int:
@@ -94,8 +96,9 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     the config and its index.  Features and answers are then computed for
     all tasks at once, with the arithmetic the per-task draws implied: a
     task's answers are what ``rng.choice(K, size=repeats, p=q)`` makes of its
-    uniforms.  Non-finite features (a huge feature_noise) raise InputError
-    naming the first such task.
+    uniforms.  A latent draw that is not a soft label (a huge alpha0) and
+    non-finite features (a huge feature_noise) raise InputError naming the
+    first such task.
     """
     alpha = config.generation_prior().alpha
     fmap = feature_map(config)
@@ -111,7 +114,11 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
         if noisy:
             rng.standard_normal(out=noise[i])
         rng.random(out=u[i])
-    check_soft_labels(q)
+    soft = (q >= 0).all(axis=1) & (abs(q.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
+    if not soft.all():   # a huge alpha0 overflows the draws
+        i = soft.argmin()
+        raise InputError(f"the latent label drawn for task {brief.repr(ids[i])} from alpha0 "
+                         f"{brief.repr(tuple(alpha.tolist()))} is not a soft label: {q[i]}")
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is refused below
         # one product per task, stacked: it rounds as the per-task fmap @ log_q[i]
         # (bit for bit in every shape tried; tests/test_sim.py pins it), where

@@ -293,6 +293,19 @@ def test_synthetic_predictor_keys_are_not_options(tmp_path, capsys, key):
         run(tmp_path, "simulate", "--" + key.replace("_", "-"), "1.0")
 
 
+@pytest.mark.parametrize("alpha0, message", [
+    ("nan,1,1", "alpha0 components must be positive and finite, got (nan, 1.0, 1.0)"),
+    ("1,inf,1", "alpha0 components must be positive and finite, got (1.0, inf, 1.0)"),
+    # the gamma draws behind every latent label overflow to zeros
+    ("1e308,1e308,1", "the latent label drawn for task 't000000' from alpha0 "
+                      "(1e+308, 1e+308, 1.0) is not a soft label: [0. 0. 0.]"),
+])
+def test_simulate_alpha0_faults_name_alpha0(tmp_path, capsys, alpha0, message):
+    assert run(tmp_path, "simulate", "--num-tasks", "5", "--alpha0", alpha0) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []   # nothing written
+
+
 def test_orphan_responses_exit_2(tmp_path, capsys):
     (tmp_path / "scheme.json").write_text(json.dumps({"proper": ["a", "b"], "cs": "cs"}))
     (tmp_path / "tasks.jsonl").write_text(json.dumps({"task_id": "t0"}) + "\n")

@@ -118,6 +118,19 @@ def test_config_validation():
             synthetic_predictor(q, 3, np.random.default_rng(0), noise=value)
 
 
+def test_alpha0_must_be_finite():
+    for bad in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)):
+        with pytest.raises(InputError, match="alpha0 components must be positive and finite"):
+            SimConfig(alpha0=bad)
+
+
+def test_overflowing_latent_draw_names_task_and_alpha0():
+    cfg = SimConfig(num_tasks=3, alpha0=(1e308, 1e308, 1.0))
+    with pytest.raises(InputError, match=r"task 't000000' from alpha0 \(1e\+308, 1e\+308, 1\.0\) "
+                                         r"is not a soft label"):
+        simulate_dataset(cfg)
+
+
 def test_config_size_limit():
     # constructing a config allocates nothing, so the boundary itself is tested
     per_task = 20 + 8 + 2 * 3   # repeats, features, two rows of K
