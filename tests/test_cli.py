@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import json
 
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdinfer.bayes import point_estimates, posterior, uniform_prior
-from crowdinfer.cli import _training_set, main
+from crowdinfer.autothresh import ambiguity_calibration, calibrate
+from crowdinfer.cli import DEFAULTS, _training_set, main, provenance
 from crowdinfer.core import (
     CategoryScheme,
     InputError,
@@ -23,9 +26,10 @@ from crowdinfer.core import (
     write_scheme,
     write_tasks,
 )
-from crowdinfer.head import HeadModel, head_forward, load_model, save_model
+from crowdinfer.head import HeadModel, TrainConfig, head_forward, load_model, save_model
 from crowdinfer.metrics import confidence, hard_weights
 from crowdinfer.priors import blend_prior, repeats_summary
+from crowdinfer.sim import SimConfig
 from test_core import _write_alpha_records_oracle
 
 
@@ -189,6 +193,30 @@ def test_repeats_without_answered_tasks_exit_2(pipeline, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # option layering
 # ---------------------------------------------------------------------------
+
+
+def test_literal_defaults_agree_with_the_library():
+    """The defaults DEFAULTS writes out are those of the library parameters
+    the options feed; the default config hash pins every default at once."""
+    def keyword(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    seed_fields = [f.default for cls in (SimConfig, TrainConfig)
+                   for f in dataclasses.fields(cls) if f.name == "seed"]
+    library = {
+        "ratios": keyword(split_dataset, "ratios"),
+        "bins": keyword(ambiguity_calibration, "bins"),
+        "target_accuracy": keyword(calibrate, "target_accuracy"),
+        "bootstrap": keyword(calibrate, "B"),
+        "blend": keyword(blend_prior, "blend"),
+        "permutations": keyword(repeats_summary, "permutations"),
+        "max_repeats": keyword(repeats_summary, "max_repeats"),
+        "point_estimate": keyword(point_estimates, "how"),
+    }
+    for key, value in library.items():
+        assert (DEFAULTS[key], type(DEFAULTS[key])) == (value, type(value)), key
+    assert seed_fields == [DEFAULTS["seed"]] * 2
+    assert provenance(DEFAULTS)["config_hash"] == "312148b8160f0e99"
 
 
 def test_config_file_and_flag_precedence(tmp_path):
