@@ -18,9 +18,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (
+    SIMPLEX_ATOL,
     CategoryScheme,
     DirichletParams,
-    SIMPLEX_ATOL,
     InputError,
     TaskTable,
     brief,
@@ -114,8 +114,8 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
         if noisy:
             rng.standard_normal(out=noise[i])
         rng.random(out=u[i])
-    soft = (q >= 0).all(axis=1) & (abs(q.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
-    if not soft.all():   # a huge alpha0 overflows the draws
+    soft = abs(q.sum(axis=1) - 1.0) <= SIMPLEX_ATOL   # draws are non-negative
+    if not soft.all():   # a huge alpha0 overflows them to zeros or NaN
         i = soft.argmin()
         raise InputError(f"the latent label drawn for task {brief.repr(ids[i])} from alpha0 "
                          f"{brief.repr(tuple(alpha.tolist()))} is not a soft label: {q[i]}")
