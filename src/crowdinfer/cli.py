@@ -34,7 +34,6 @@ from .autothresh import (
 )
 from .bayes import point_estimates, posterior, posterior_mean, posterior_mode, uniform_prior
 from .core import (
-    AlphaRecords,
     InputError,
     attach_responses,
     brief,
@@ -257,42 +256,42 @@ def _stacked(params, k: int) -> np.ndarray:
     return np.array([p.alpha for p in params]).reshape(-1, k)
 
 
-def _in_split(cfg: dict, task_ids: List[str]) -> np.ndarray:
-    """Mask of the task ids in the split that the split option names."""
-    if cfg["split"] == "all":
-        return np.ones(len(task_ids), dtype=bool)
-    labels = split_dataset(task_ids, cfg["ratios"], seed=cfg["seed"])
-    return labels == _CHOICES["split"].index(cfg["split"])
+def _in_splits(cfg: dict, task_ids: List[str], splits: List[str]) -> list:
+    """Mask of the task ids in each of the named splits; split_dataset labels
+    the ids at most once, and not when every split is all."""
+    labels = None if set(splits) == {"all"} else split_dataset(task_ids, cfg["ratios"],
+                                                                   seed=cfg["seed"])
+    return [np.ones(len(task_ids), dtype=bool) if split == "all"
+            else labels == _CHOICES["split"].index(split) for split in splits]
 
 
-def _read_pair(cfg: dict, scheme):
-    preds = read_alpha_records(_path(cfg, "predictions"), scheme.num_categories)
-    posts = read_alpha_records(_path(cfg, "posteriors"), scheme.num_categories)
-    return preds, posts
-
-
-def _point_estimates(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids, split: str):
-    """The predictions' point estimates (per cfg) and the reference modes of
-    the ids of the split, which both record files must hold, as rows in
-    sorted id order.
+def _scored(cfg: dict, scheme, task_ids: List[str], splits: List[str]) -> list:
+    """Per named split, in order: the predictions' point estimates (per cfg)
+    and the reference modes of the split's ids, which both record files must
+    hold, as rows in sorted id order.  Each record file is read once.
 
     A reference posterior of a task without responses (n = 0) is only its
     prior, so it exits 2 with its file line.
     """
-    ordered = sorted(ids)
-    pred_rows, ref_rows = preds.rows(ordered), posts.rows(ordered)
-    if not ids:
-        raise InputError(f"no tasks to score in split {split}")
-    unanswered = ref_rows[posts.n[ref_rows] == 0]
-    if unanswered.size:
-        row = unanswered.min()
-        raise InputError(
-            f"{posts.path}:{posts.lines[row]}: task {brief.repr(posts.task_ids[row])} has no "
-            f"responses (n = 0), so it cannot be a scoring reference"
-        )
-    q_hat = point_estimates(preds.alpha[pred_rows], cfg["point_estimate"])
-    q_ref = point_estimates(posts.alpha[ref_rows])
-    return q_hat, q_ref
+    masks = _in_splits(cfg, task_ids, splits)
+    preds = read_alpha_records(_path(cfg, "predictions"), scheme.num_categories)
+    posts = read_alpha_records(_path(cfg, "posteriors"), scheme.num_categories)
+    scored = []
+    for split, mask in zip(splits, masks):
+        ordered = sorted(itertools.compress(task_ids, mask))
+        pred_rows, ref_rows = preds.rows(ordered), posts.rows(ordered)
+        if not ordered:
+            raise InputError(f"no tasks to score in split {split}")
+        unanswered = ref_rows[posts.n[ref_rows] == 0]
+        if unanswered.size:
+            row = unanswered.min()
+            raise InputError(
+                f"{posts.path}:{posts.lines[row]}: task {brief.repr(posts.task_ids[row])} has "
+                f"no responses (n = 0), so it cannot be a scoring reference"
+            )
+        scored.append((point_estimates(preds.alpha[pred_rows], cfg["point_estimate"]),
+                       point_estimates(posts.alpha[ref_rows])))
+    return scored
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -302,10 +301,9 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _conf_correct(cfg: dict, preds: AlphaRecords, posts: AlphaRecords, ids, split: str):
-    """The confidence of each prediction of the split's ids, and whether its
-    majority category matches the reference's."""
-    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids, split)
+def _conf_correct(q_hat: np.ndarray, q_ref: np.ndarray):
+    """The confidence of each prediction, and whether its majority category
+    matches the reference's."""
     return confidence(q_hat), q_hat.argmax(axis=1) == q_ref.argmax(axis=1)
 
 
@@ -411,9 +409,7 @@ def cmd_eval(cfg: dict) -> int:
     if scheme.num_proper < 2:
         raise InputError(f"{_path(cfg, 'scheme')}: eval scores ambiguity, which needs at "
                          f"least two proper categories; the scheme has {scheme.num_proper}")
-    ids = list(itertools.compress(table.task_ids, _in_split(cfg, table.task_ids)))
-    preds, posts = _read_pair(cfg, scheme)
-    q_hat, q_ref = _point_estimates(cfg, preds, posts, ids, cfg["split"])
+    [(q_hat, q_ref)] = _scored(cfg, scheme, table.task_ids, [cfg["split"]])
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
     report = evaluate(q_hat, q_ref, weights)
     bins_ = ambiguity_calibration(ambiguity(q_hat, amb_cfg), ambiguity(q_ref, amb_cfg),
@@ -432,9 +428,8 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_curve(cfg: dict) -> int:
     scheme, table, _ = _load_dataset(cfg, responses=False)
-    ids = list(itertools.compress(table.task_ids, _in_split(cfg, table.task_ids)))
-    preds, posts = _read_pair(cfg, scheme)
-    conf, correct = _conf_correct(cfg, preds, posts, ids, cfg["split"])
+    [scored] = _scored(cfg, scheme, table.task_ids, [cfg["split"]])
+    conf, correct = _conf_correct(*scored)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
     write_curve_csv(_path(cfg, "curve"), bands, provenance(cfg))
     print(
@@ -446,11 +441,8 @@ def cmd_curve(cfg: dict) -> int:
 
 def cmd_calibrate(cfg: dict) -> int:
     scheme, table, _ = _load_dataset(cfg, responses=False)
-    labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
-    val_ids, test_ids = (list(itertools.compress(table.task_ids, labels == j)) for j in (1, 2))
-    preds, posts = _read_pair(cfg, scheme)
-    val_conf, val_corr = _conf_correct(cfg, preds, posts, val_ids, "val")
-    test_conf, test_corr = _conf_correct(cfg, preds, posts, test_ids, "test")
+    (val_conf, val_corr), (test_conf, test_corr) = (
+        _conf_correct(*scored) for scored in _scored(cfg, scheme, table.task_ids, ["val", "test"]))
     result = calibrate(
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
@@ -473,7 +465,7 @@ def cmd_repeats(cfg: dict) -> int:
     scheme, table, responses = _load_dataset(cfg)
     answers = attach_responses(table.task_ids, responses)
     counts = [row.size for row in answers]
-    in_split = _in_split(cfg, table.task_ids)
+    [in_split] = _in_splits(cfg, table.task_ids, [cfg["split"]])
     model = _load_model(cfg, scheme, table)
 
     source = "the deployment_threshold option"
