@@ -201,18 +201,6 @@ def select_threshold(val_confidences, val_correct, target_accuracy: float,
     return out
 
 
-@dataclass(frozen=True)
-class ThresholdEvaluation:
-    automation_ci: Tuple[float, float]
-    accuracy_ci: Tuple[float, float]   # over realizations that retain anything
-    abstention_rate: float             # fraction of realizations retaining nothing
-
-    def __post_init__(self):
-        for lo, hi in (self.automation_ci, self.accuracy_ci):
-            if not (math.isnan(lo) or math.isnan(hi)) and lo > hi:
-                raise ValueError("interval bounds out of order")
-
-
 def _at_thresholds(conf: np.ndarray, corr: np.ndarray, thresholds):
     """Automation and accuracy at the first grid value >= each threshold (0, NaN past the end)."""
     grid, _, retained, acc = _curve(conf, corr)
@@ -220,10 +208,12 @@ def _at_thresholds(conf: np.ndarray, corr: np.ndarray, thresholds):
     return np.append(retained / conf.size, 0.0)[at], np.append(acc, np.nan)[at]
 
 
-def evaluate_thresholds(test_confidences, test_correct,
-                        thresholds: Sequence[float]) -> ThresholdEvaluation:
-    """Apply each realized threshold to the (unresampled) test set and report
-    marginal 95% intervals of automation and retained accuracy."""
+def evaluate_thresholds(test_confidences, test_correct, thresholds: Sequence[float]
+                        ) -> Tuple[Tuple[float, float], Tuple[float, float], float]:
+    """Apply each realized threshold to the (unresampled) test set: the
+    marginal 95% intervals of automation and of retained accuracy (over the
+    realizations that retain anything, NaN when none does), and the
+    abstention rate, the fraction of realizations retaining nothing."""
     conf, corr = _as_curve_inputs(test_confidences, test_correct)
     if len(thresholds) == 0:
         raise ValueError("no thresholds to evaluate")
@@ -232,11 +222,8 @@ def evaluate_thresholds(test_confidences, test_correct,
     acc_ci = (
         tuple(np.quantile(kept, (0.025, 0.975))) if kept.size else (math.nan, math.nan)
     )
-    return ThresholdEvaluation(
-        automation_ci=tuple(np.quantile(automation, (0.025, 0.975))),
-        accuracy_ci=acc_ci,
-        abstention_rate=float(np.mean(automation == 0.0)),
-    )
+    return (tuple(np.quantile(automation, (0.025, 0.975))), acc_ci,
+            float(np.mean(automation == 0.0)))
 
 
 @dataclass(frozen=True)
@@ -274,15 +261,9 @@ def calibrate(val_confidences, val_correct, test_confidences, test_correct,
               seed: int = 0) -> ThresholdCalibration:
     """Select thresholds on validation resamples, evaluate them on test."""
     thresholds = select_threshold(val_confidences, val_correct, target_accuracy, B, seed)
-    ev = evaluate_thresholds(test_confidences, test_correct, thresholds)
-    return ThresholdCalibration(
-        target_accuracy=target_accuracy,
-        thresholds=thresholds,
-        automation_ci=ev.automation_ci,
-        accuracy_ci=ev.accuracy_ci,
-        abstention_rate=ev.abstention_rate,
-        deployment_threshold=float(np.median(thresholds)),
-    )
+    return ThresholdCalibration(target_accuracy, thresholds,
+                                *evaluate_thresholds(test_confidences, test_correct, thresholds),
+                                deployment_threshold=float(np.median(thresholds)))
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,10 @@ def test_curve_retention_is_inclusive():
 
 
 def test_evaluate_single_midpoint_threshold():
-    ev = evaluate_thresholds(CONF, CORR, [0.5])
-    assert ev.automation_ci == (0.5, 0.5)
-    assert ev.accuracy_ci == (1.0, 1.0)
-    assert ev.abstention_rate == 0.0
+    automation_ci, accuracy_ci, abstention_rate = evaluate_thresholds(CONF, CORR, [0.5])
+    assert automation_ci == (0.5, 0.5)
+    assert accuracy_ci == (1.0, 1.0)
+    assert abstention_rate == 0.0
 
 
 def test_select_threshold_monotone_in_target():
@@ -81,17 +81,18 @@ def test_select_threshold_bootstrap_shape_and_determinism():
 
 
 def test_evaluate_handles_abstain_all_sentinel():
-    ev = evaluate_thresholds(CONF, CORR, [math.inf, math.inf, 0.5])
-    assert ev.abstention_rate == pytest.approx(2 / 3)
-    assert ev.automation_ci[0] == 0.0
+    automation_ci, accuracy_ci, abstention_rate = evaluate_thresholds(
+        CONF, CORR, [math.inf, math.inf, 0.5])
+    assert abstention_rate == pytest.approx(2 / 3)
+    assert automation_ci[0] == 0.0
     # accuracy interval uses only the realization that retains something
-    assert ev.accuracy_ci == (1.0, 1.0)
+    assert accuracy_ci == (1.0, 1.0)
 
 
 def test_evaluate_all_abstain_gives_nan_accuracy():
-    ev = evaluate_thresholds(CONF, CORR, [math.inf])
-    assert ev.abstention_rate == 1.0
-    assert math.isnan(ev.accuracy_ci[0]) and math.isnan(ev.accuracy_ci[1])
+    _, accuracy_ci, abstention_rate = evaluate_thresholds(CONF, CORR, [math.inf])
+    assert abstention_rate == 1.0
+    assert math.isnan(accuracy_ci[0]) and math.isnan(accuracy_ci[1])
 
 
 def test_evaluate_invariant_to_threshold_order():
