@@ -954,6 +954,55 @@ def test_task_without_a_record_exit_2(pipeline, tmp_path, capsys, lacking, named
                                        f"tasks to score (first: {missing!r})\n")
 
 
+@pytest.mark.parametrize("argv, labellings", [
+    (("eval", "--split", "test"), 1), (("eval", "--split", "all"), 0),
+    (("curve", "--split", "val", "--bootstrap", "4"), 1), (("calibrate", "--bootstrap", "4"), 1),
+])
+def test_score_stages_read_each_record_file_once(pipeline, tmp_path, monkeypatch, argv,
+                                                 labellings):
+    """Both record files are read once, and the split labels computed at
+    most once (not at all for split all), whatever splits a stage scores."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "predictions.jsonl",
+                 "posteriors.jsonl")
+    calls = []
+
+    def counted(func):
+        def call(*args, **kwargs):
+            calls.append(func.__name__)
+            return func(*args, **kwargs)
+        return call
+
+    for func in (read_alpha_records, split_dataset):
+        monkeypatch.setattr(f"crowdinfer.cli.{func.__name__}", counted(func))
+    assert run(tmp_path, *argv) == 0
+    assert calls.count("read_alpha_records") == 2
+    assert calls.count("split_dataset") == labellings
+
+
+def test_calibrate_reports_a_val_fault_before_a_test_fault(pipeline, tmp_path, capsys):
+    """An unanswered val reference is reported before a test task that has
+    no prediction record: val is checked in full before test."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl")
+    ids = [r["task_id"] for r in read_jsonl(pipeline / "tasks.jsonl")]
+    labels = split_dataset(ids, seed=0)
+    val_id, test_id = (ids[int(np.flatnonzero(labels == j)[-1])] for j in (1, 2))
+    posts = read_jsonl(pipeline / "posteriors.jsonl")
+    line = next(i + 1 for i, r in enumerate(posts) if r["task_id"] == val_id)
+    posts[line - 1]["n"] = 0
+    preds = [r for r in read_jsonl(pipeline / "predictions.jsonl") if r["task_id"] != test_id]
+    for name, records in (("posteriors.jsonl", posts), ("predictions.jsonl", preds)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, "calibrate", "--bootstrap", "4") == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'posteriors.jsonl'}:{line}: task {val_id!r} has no responses "
+        f"(n = 0), so it cannot be a scoring reference\n")
+    # the test fault alone is reported
+    _copy_inputs(pipeline, tmp_path, "posteriors.jsonl")
+    assert run(tmp_path, "calibrate", "--bootstrap", "4") == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'predictions.jsonl'}: no record of 1 "
+                                       f"of the tasks to score (first: {test_id!r})\n")
+
+
 def test_val_task_without_features_exit_2(pipeline, tmp_path, capsys):
     _copy_inputs(pipeline, tmp_path, "scheme.json", "responses.jsonl")
     records = read_jsonl(pipeline / "tasks.jsonl")
