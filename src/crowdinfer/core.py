@@ -332,7 +332,7 @@ def read_json_object(path, what: str, keys: Optional[dict] = None) -> dict:
     """The JSON object of ``what`` a file holds.  ``keys`` maps each key it
     must hold to (what its value must be, a test of the value).  Anything
     else raises InputError naming the file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
@@ -454,7 +454,7 @@ def _scan(path, pick, width: int, what: str):
     is not an object) for a list exactly when it raises for one of its
     records alone.  Lines are read _BLOCK_LINES at a time, decoded by
     _decode_block or else by _decode_lines.  Reading stops at the first line
-    that does not decode as text, is not JSON or holds a record ``pick``
+    that does not decode as UTF-8, is not JSON or holds a record ``pick``
     refuses.  Its (line, message) comes back as ``stop``, so a fault on an
     earlier record can still be reported first.
     """
@@ -462,12 +462,12 @@ def _scan(path, pick, width: int, what: str):
     lines = array.array("q")
     stop = None
     start = 1   # line number of the block's first line
-    with _collector_paused(), open(path) as fh:
+    with _collector_paused(), open(path, encoding="utf-8") as fh:
         while stop is None:
             try:
                 block = list(itertools.islice(fh, _BLOCK_LINES))
             except UnicodeDecodeError:
-                block, stop = _lines_before_undecodable(path, fh.encoding, start, what)
+                block, stop = _lines_before_undecodable(path, start, what)
             if not block:
                 break
             records = _decode_block(block)
@@ -490,18 +490,18 @@ def _scan(path, pick, width: int, what: str):
     return np.array(lines, dtype=np.int64), columns, stop
 
 
-def _lines_before_undecodable(path, encoding: str, start: int, what: str):
+def _lines_before_undecodable(path, start: int, what: str):
     """The lines of a file from line ``start`` up to the first line that does
-    not decode, and that line's (line, message).
+    not decode as UTF-8, and that line's (line, message).
 
     The file is read again with undecodable bytes escaped, so that it splits
     into the same lines, and each line's bytes are decoded on their own.
     """
     block = []
-    with open(path, encoding=encoding, errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(itertools.islice(fh, start - 1, None), start=start):
             try:
-                line.encode(encoding, "surrogateescape").decode(encoding)
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
                 return block, (lineno, f"bad {what}: {exc}")
             block.append(line)

@@ -2,6 +2,10 @@ import dataclasses
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1137,6 +1141,28 @@ def test_stages_take_a_surrogate_escaped_task_id(tmp_path):
                   "--deployment-threshold", "inf")):
         assert run(tmp_path, *argv) == 0, argv
     assert "\ud800" in read_alpha_records(tmp_path / "predictions.jsonl", 3).task_ids
+
+
+def test_inputs_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    """JSON text is UTF-8 (RFC 8259): a task id, category name and answer
+    outside ASCII are read the same under the C locale as in UTF-8 mode."""
+    assert run(tmp_path, "simulate", "--num-tasks", "30", "--repeats", "3") == 0
+    for name in ("scheme.json", "tasks.jsonl", "responses.jsonl"):
+        path = tmp_path / name
+        text = path.read_text().replace('"t000000"', '"café"').replace('"c0"', '"naïve"')
+        path.write_bytes(text.encode("utf-8"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    for out, mode in (("ascii.jsonl", {"LC_ALL": "C", "PYTHONUTF8": "0",
+                                       "PYTHONCOERCECLOCALE": "0"}),
+                      ("utf8.jsonl", {"PYTHONUTF8": "1"})):
+        done = subprocess.run([sys.executable, "-m", "crowdinfer", "infer", "--outdir",
+                               str(tmp_path), "--posteriors", out], env={**env, **mode},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "ascii.jsonl").read_bytes() == (tmp_path / "utf8.jsonl").read_bytes()
+    assert "café" in read_alpha_records(tmp_path / "ascii.jsonl", 3).task_ids
 
 
 # ---------------------------------------------------------------------------
