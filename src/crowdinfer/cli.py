@@ -63,7 +63,7 @@ from .metrics import (
     soft_distance,
     soft_weight,
 )
-from .priors import blend_prior, check_blend, repeats_summary, write_repeats_csv
+from .priors import blend_prior, check_blend, check_replay, repeats_summary, write_repeats_csv
 from .sim import SimConfig, simulate_dataset
 
 # Artifact paths, resolved against the output directory; provenance leaves
@@ -462,6 +462,8 @@ def cmd_repeats(cfg: dict) -> int:
     threshold = cfg["deployment_threshold"]
     if threshold is not None and math.isnan(threshold):
         raise InputError(f"deployment_threshold must be a number or inf, got {threshold}")
+    check_blend(cfg["blend"])
+    check_replay(cfg["max_repeats"], cfg["permutations"])
     scheme, table, responses = _load_dataset(cfg)
     answers = attach_responses(table.task_ids, responses)
     counts = [row.size for row in answers]

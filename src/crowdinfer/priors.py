@@ -27,6 +27,14 @@ def check_blend(blend: float) -> None:
         raise InputError(f"blend must lie in [0, 1], got {blend}")
 
 
+def check_replay(max_repeats: Optional[int], permutations: int) -> None:
+    """Refuse a replay of fewer than one step, or over fewer than one permutation."""
+    if max_repeats is not None and max_repeats < 1:
+        raise InputError(f"max_repeats must be at least 1, got {max_repeats}")
+    if permutations < 1:
+        raise InputError("permutations must be at least 1")
+
+
 def blend_prior(prediction_at_n0: DirichletParams, blend: float = 1.0 / 3.0) -> DirichletParams:
     """Mix the uniform prior with predicted parameters at n=0.
 
@@ -102,8 +110,7 @@ def repeats_summary(
     stream from (seed, task_id) only, so the variants are paired.  Tasks
     without responses are skipped.
     """
-    if max_repeats is not None and max_repeats < 1:
-        raise InputError(f"max_repeats must be at least 1, got {max_repeats}")
+    check_replay(max_repeats, permutations)
     if not priors:
         raise InputError("no prior variants to replay")
     first = next(iter(priors))

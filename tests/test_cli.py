@@ -1351,6 +1351,20 @@ def test_nan_deployment_threshold_from_config_exit_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("option, message", [
+    (("--blend", "2"), "blend must lie in [0, 1], got 2.0"),
+    (("--blend", "nan"), "blend must lie in [0, 1], got nan"),
+    (("--permutations", "0"), "permutations must be at least 1"),
+    (("--max-repeats", "0"), "max_repeats must be at least 1, got 0"),
+])
+def test_repeats_refuses_bad_replay_options_before_reading(tmp_path, capsys, option, message):
+    """Refused before any file is read (the directory holds no inputs), so a
+    threshold that automates every task is not blamed for them."""
+    assert run(tmp_path, "repeats", "--deployment-threshold=-inf", *option) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_on_one_proper_category_exit_2(tmp_path, capsys):
     assert run(tmp_path, "simulate", "--num-tasks", "30", "--categories", "1",
                "--repeats", "5") == 0
