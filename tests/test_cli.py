@@ -1152,13 +1152,13 @@ def test_inputs_are_read_as_utf8_under_an_ascii_locale(tmp_path):
         text = path.read_text().replace('"t000000"', '"café"').replace('"c0"', '"naïve"')
         path.write_bytes(text.encode("utf-8"))
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for out, mode in (("ascii.jsonl", {"LC_ALL": "C", "PYTHONUTF8": "0",
                                        "PYTHONCOERCECLOCALE": "0"}),
                       ("utf8.jsonl", {"PYTHONUTF8": "1"})):
         done = subprocess.run([sys.executable, "-m", "crowdinfer", "infer", "--outdir",
-                               str(tmp_path), "--posteriors", out], env={**env, **mode},
+                               str(tmp_path), "--posteriors", out],
+                              env={**os.environ, "PYTHONPATH": pythonpath, **mode},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
     assert (tmp_path / "ascii.jsonl").read_bytes() == (tmp_path / "utf8.jsonl").read_bytes()
