@@ -45,7 +45,8 @@ print("empirical     :", np.round(empirical_soft_label(counts).q, 4))
 # marginals: how solvable is the task, and which answer given solvable?
 solv = marginal_solvability(post)
 cond = marginal_conditional(post)
-print(f"solvability Beta(a={solv.a}, b={solv.b}), mean {solv.mean:.3f}")
+a, b = solv.alpha
+print(f"solvability Beta(a={a}, b={b}), mean {posterior_mean(solv).q[0]:.3f}")
 print("conditional answer distribution:", np.round(posterior_mean(cond).q, 4))
 
 # a single extra "yes" moves the posterior a little; twenty move it a lot

@@ -32,8 +32,9 @@ print(f"overall accuracy {correct.mean():.3f}; "
 # the automation-correctness tradeoff: raise the threshold, keep less,
 # get it right more often
 print("\nthreshold  automation  accuracy")
-for p in curve(conf[val], correct[val])[::12]:
-    print(f"  {p.threshold:9.3f} {p.automation:10.3f} {p.accuracy:9.3f}")
+thresholds, automation, accuracy = curve(conf[val], correct[val])
+for t, a, acc in zip(thresholds[::12], automation[::12], accuracy[::12]):
+    print(f"  {t:9.3f} {a:10.3f} {acc:9.3f}")
 
 # bootstrap bands show how much the curve wobbles under resampling
 bands = bootstrap_curves(conf[val], correct[val], B=256, seed=0)

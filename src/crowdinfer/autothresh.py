@@ -76,21 +76,12 @@ def _curve(conf: np.ndarray, corr: np.ndarray):
     return grid, key, retained[0], _accuracy(retained[0], hits[0])
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    threshold: float
-    automation: float
-    accuracy: Optional[float]   # None when the retained set is empty
-
-
-def curve(confidences, correct) -> List[CurvePoint]:
-    """Automation-correctness curve over the observed confidence grid."""
+def curve(confidences, correct) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Automation-correctness curve over the observed confidence grid: the
+    thresholds, and the automation and accuracy (NaN where nothing is retained)."""
     conf, corr = _as_curve_inputs(confidences, correct)
     grid, _, retained, acc = _curve(conf, corr)
-    return [
-        CurvePoint(float(c), r / conf.size, float(a) if r > 0 else None)
-        for c, r, a in zip(grid, retained, acc)
-    ]
+    return grid, retained / conf.size, acc
 
 
 @dataclass(frozen=True)
@@ -279,13 +270,20 @@ class CalibrationBin:
 def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
                           distances=None) -> List[CalibrationBin]:
     """Distribute tasks over equidistant bins of predicted ambiguity and
-    report per-bin means; empty bins carry count 0 and None means."""
+    report per-bin means; empty bins carry count 0 and None means.  An
+    ambiguity outside [0, 1], NaN included, raises InputError naming the
+    first one."""
     if bins < 2:
         raise InputError("need at least 2 bins")
     pred = np.asarray(predicted_amb, dtype=float)
     act = np.asarray(actual_amb, dtype=float)
     if pred.shape != act.shape or pred.ndim != 1:
         raise ValueError("predicted and actual ambiguity must be aligned vectors")
+    for name, amb in (("predicted", pred), ("actual", act)):
+        outside = ~((amb >= 0.0) & (amb <= 1.0))
+        if outside.any():
+            i = int(outside.argmax())
+            raise InputError(f"{name} ambiguity must lie in [0, 1], got {amb[i]} at index {i}")
     check_size("bins", bins, pred.size + 1, f"bins, each one row and a test of {pred.size} tasks")
     dist = None
     if distances is not None:
@@ -315,15 +313,9 @@ def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
 # ---------------------------------------------------------------------------
 
 def write_curve_csv(path, bands: BootstrapBands, provenance: Optional[dict] = None) -> None:
-    rows = zip(
-        (float(t) for t in bands.thresholds),
-        (float(a) for a in bands.automation),
-        (float(a) for a in bands.acc_q025),
-        (float(a) for a in bands.acc_q50),
-        (float(a) for a in bands.acc_q975),
-    )
+    columns = (bands.thresholds, bands.automation, bands.acc_q025, bands.acc_q50, bands.acc_q975)
     write_csv(path, ["threshold", "automation", "acc_q025", "acc_q50", "acc_q975"],
-              rows, provenance)
+              zip(*(c.tolist() for c in columns)), provenance)
 
 
 def write_bins_csv(path, bins_: Sequence[CalibrationBin],

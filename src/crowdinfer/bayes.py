@@ -9,25 +9,9 @@ estimators, the posterior mode and the posterior predictive mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CategoryScheme, DirichletParams, InputError, SoftLabel
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"Beta parameters must be positive, got ({self.a}, {self.b})")
-
-    @property
-    def mean(self) -> float:
-        return self.a / (self.a + self.b)
 
 
 def uniform_prior(scheme: CategoryScheme) -> DirichletParams:
@@ -51,11 +35,11 @@ def posterior(prior: DirichletParams, counts) -> DirichletParams:
     return DirichletParams(prior.alpha + counts)
 
 
-def marginal_solvability(alpha: DirichletParams) -> BetaParams:
-    """Marginal of the solvability probability: Beta(sum of proper, cs)."""
+def marginal_solvability(alpha: DirichletParams) -> DirichletParams:
+    """Marginal of the solvability probability: Beta(sum of proper, cs), a Dirichlet."""
     if len(alpha) < 2:
         raise ValueError("need at least one proper category plus cs")
-    return BetaParams(float(alpha.alpha[:-1].sum()), float(alpha.alpha[-1]))
+    return DirichletParams([alpha.alpha[:-1].sum(), alpha.alpha[-1]])
 
 
 def marginal_conditional(alpha: DirichletParams) -> DirichletParams:

@@ -224,16 +224,17 @@ def _load_model(cfg: dict, scheme, table):
     return model
 
 
-def _inference_counts(cfg: dict, counts, rows) -> list:
-    """The response count each of the rows is predicted at: inference_n,
+def _inference_counts(cfg: dict, counts: Optional[np.ndarray], rows) -> np.ndarray:
+    """The int64 response count each of the rows is predicted at: inference_n,
     which must fit an int64 as the record readers require, else its count."""
     n = cfg["inference_n"]
     if n is None:
-        return [counts[i] for i in rows]
+        return counts[rows]
     if n > np.iinfo(np.int64).max:
         raise InputError(f"inference_n must be at most {np.iinfo(np.int64).max}, "
                          f"got {brief.repr(n)}")
-    return [n] * len(rows)
+    # head_forward refuses every negative n alike, task by task, so -1 stands for them all
+    return np.full(len(rows), max(n, -1), dtype=np.int64)
 
 
 def _forwards(model, table, rows, ns, featureless: str):
@@ -251,9 +252,9 @@ def _forwards(model, table, rows, ns, featureless: str):
         yield alpha
 
 
-def _stacked(params, k: int) -> np.ndarray:
-    """The alpha vectors of DirichletParams as the rows of an (N, k) matrix."""
-    return np.array([p.alpha for p in params]).reshape(-1, k)
+def _stacked(vectors, k: int) -> np.ndarray:
+    """Per-task (k,) vectors as the rows of an (N, k) matrix."""
+    return np.array(list(vectors)).reshape(-1, k)
 
 
 def _in_splits(cfg: dict, task_ids: List[str], splits: List[str]) -> list:
@@ -332,45 +333,45 @@ def cmd_infer(cfg: dict) -> int:
         counts = count_matrix(table.task_ids, responses, k)
         forwards = _forwards(_load_model(cfg, scheme, table), table, range(len(table)),
                              itertools.repeat(0), "has no features for the model prior")
-        alpha = _stacked((blend_prior(a, cfg["blend"]) for a in forwards), k) + counts
+        alpha = _stacked((blend_prior(a, cfg["blend"]).alpha for a in forwards), k) + counts
         n = counts.sum(axis=1)
     else:
         prior = uniform_prior(scheme)
         answers = attach_responses(table.task_ids, responses)
-        alpha = _stacked((posterior(prior, tally(row, scheme)) for row in answers), k)
+        alpha = _stacked((posterior(prior, tally(row, scheme)).alpha for row in answers), k)
         n = np.array([row.size for row in answers], dtype=np.int64)
     write_alpha_records(_path(cfg, "posteriors"), table.task_ids, alpha, n)
     print(f"inferred {len(table)} posteriors ({cfg['prior']} prior)")
     return 0
 
 
-def _training_set(scheme, table, counts: np.ndarray, labels: np.ndarray) -> list:
+def _training_set(scheme, table, counts: np.ndarray, train: np.ndarray, val: np.ndarray) -> list:
     """(X, T, n, w) arrays and task ids of the train and of the val tasks
-    (split labels 0 and 1) in file order: uniform-prior posteriors T,
+    (masks train and val) in file order: uniform-prior posteriors T,
     weighted by train label rarity."""
     ids = table.task_ids
-    featureless = (labels < 2) & ~table.has_features
+    featureless = (train | val) & ~table.has_features
     if featureless.any():
         raise InputError(f"task {brief_text(ids[featureless.argmax()])} has no features; "
                          f"cannot train on it")
     T = uniform_prior(scheme).alpha + counts
     refs = point_estimates(T)
-    weights = hard_weights(np.bincount(refs[labels == 0].argmax(axis=1),
+    weights = hard_weights(np.bincount(refs[train].argmax(axis=1),
                                        minlength=scheme.num_categories))
     w = soft_weight(refs, weights)
     n = counts.sum(axis=1).astype(float)
     return [((table.features[rows], T[rows], n[rows], w[rows]), [ids[i] for i in rows])
-            for rows in (np.flatnonzero(labels == 0), np.flatnonzero(labels == 1))]
+            for rows in (np.flatnonzero(train), np.flatnonzero(val))]
 
 
 def cmd_train(cfg: dict) -> int:
     scheme, table, responses = _load_dataset(cfg)
     counts = count_matrix(table.task_ids, responses, scheme.num_categories)
-    labels = split_dataset(table.task_ids, cfg["ratios"], seed=cfg["seed"])
-    if not (labels == 0).any():
+    train, val = _in_splits(cfg, table.task_ids, ["train", "val"])
+    if not train.any():
         ratios = ",".join(str(r) for r in cfg["ratios"])
         raise InputError(f"ratios {ratios} leave no training tasks among {len(table.task_ids)}")
-    (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, labels)
+    (train_set, train_ids), (val_set, _) = _training_set(scheme, table, counts, train, val)
     final = []
     model = train_head(
         train_set,
@@ -393,12 +394,12 @@ def cmd_train(cfg: dict) -> int:
 def cmd_predict(cfg: dict) -> int:
     scheme, table, responses = _load_dataset(cfg, responses=cfg["inference_n"] is None)
     counts = None if responses is None else count_matrix(
-        table.task_ids, responses, scheme.num_categories).sum(axis=1).tolist()
+        table.task_ids, responses, scheme.num_categories).sum(axis=1)
     model = _load_model(cfg, scheme, table)
     ns = _inference_counts(cfg, counts, range(len(table)))
     forwards = _forwards(model, table, range(len(table)), ns, "has no features to predict from")
     write_alpha_records(_path(cfg, "predictions"), table.task_ids,
-                        _stacked(forwards, scheme.num_categories), np.array(ns, dtype=np.int64))
+                        _stacked((a.alpha for a in forwards), scheme.num_categories), ns)
     print(f"predicted {len(table)} tasks")
     return 0
 
@@ -466,7 +467,7 @@ def cmd_repeats(cfg: dict) -> int:
     check_replay(cfg["max_repeats"], cfg["permutations"])
     scheme, table, responses = _load_dataset(cfg)
     answers = attach_responses(table.task_ids, responses)
-    counts = [row.size for row in answers]
+    counts = np.array([row.size for row in answers], dtype=np.int64)
     [in_split] = _in_splits(cfg, table.task_ids, [cfg["split"]])
     model = _load_model(cfg, scheme, table)
 
@@ -489,20 +490,21 @@ def cmd_repeats(cfg: dict) -> int:
 
     # the rule calibrate gates with: the confidence of the point estimate it names
     estimate = {"mode": posterior_mode, "mean": posterior_mean}[cfg["point_estimate"]]
-    scored = [i for i, keep in enumerate(in_split.tolist()) if keep and counts[i] > 0]
-    if not scored:
+    scored = np.flatnonzero(in_split & (counts > 0))
+    if not scored.size:
         raise InputError(f"no task in split {cfg['split']} has responses to replay")
     ns = _inference_counts(cfg, counts, scored)
-    q = [estimate(alpha).q for alpha in _forwards(model, table, scored, ns, "has no features")]
-    conf = confidence(np.reshape(q, (len(scored), scheme.num_categories)))
-    kept = [i for i, c in zip(scored, conf) if c < threshold]
-    if not kept:
+    forwards = _forwards(model, table, scored, ns, "has no features")
+    conf = confidence(_stacked((estimate(a).q for a in forwards), scheme.num_categories))
+    kept = scored[conf < threshold]
+    if not kept.size:
         raise InputError(f"no non-automated tasks left for the repeats analysis "
                          f"(deployment threshold {threshold} from {source})")
 
     ids, answers = [table.task_ids[i] for i in kept], [answers[i] for i in kept]
-    informed = np.stack([blend_prior(alpha, cfg["blend"]).alpha for alpha in
-                         _forwards(model, table, kept, itertools.repeat(0), "has no features")])
+    forwards = _forwards(model, table, kept, itertools.repeat(0), "has no features")
+    informed = _stacked((blend_prior(a, cfg["blend"]).alpha for a in forwards),
+                        scheme.num_categories)
     summaries = repeats_summary(ids, answers, {"uniform": np.ones_like(informed),
                                                "informed": informed},
                                 max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],

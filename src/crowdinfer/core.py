@@ -144,7 +144,10 @@ class SoftLabel:
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", check_soft_labels(self.q))
+        q = np.asarray(self.q, dtype=float)
+        if q.ndim != 1 or q.size == 0:
+            raise InputError(f"q must be a non-empty vector, got shape {q.shape}")
+        object.__setattr__(self, "q", check_soft_labels(q))
 
     def argmax(self) -> int:
         """Majority category; ties break toward the lowest index, so cs

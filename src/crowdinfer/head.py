@@ -287,7 +287,7 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
         )
     if not np.isfinite(features).all():
         raise ValueError("non-finite feature values")
-    if n < 0:
+    if not n >= 0:   # NaN too
         raise InputError("response count n must be non-negative")
     alpha, _, _, _ = _forward_batch(model.params, model.alpha0_sum, features[None, :],
                                     np.array([float(n)]))
@@ -363,7 +363,9 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     the gradients (dA, dbias, dW).
 
     target is _target_term(T, tau) when the caller has it.  A degenerate
-    prediction makes the loss and its rows of J infinite, without gradients.
+    prediction makes the loss and its rows of J infinite, without gradients;
+    so does, with grad=True, a row whose gradient is not finite (digamma of
+    a subnormal component is -inf while the loss stays finite).
     """
     alpha, Z, S, Sigma = _forward_batch(params, alpha0_sum, X, n)
     if not positive_finite(alpha):
@@ -376,6 +378,9 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
         J = _chernoff(alpha, T, tau, target)
         return float(J @ wn), J, None
     J, G = _chernoff(alpha, T, tau, target, grad=True)
+    finite = np.isfinite(G).all(axis=-1)
+    if not finite.all():
+        return math.inf, np.where(finite, J, np.inf), None
     G = G * wn[:, None]
     W = params[2]
     dS = alpha0_sum * G

@@ -71,11 +71,6 @@ class SimConfig:
     def num_categories(self) -> int:
         return self.num_proper + 1
 
-    def generation_prior(self) -> DirichletParams:
-        if self.alpha0 is None:
-            return DirichletParams(np.full(self.num_categories, 0.5))
-        return DirichletParams(np.array(self.alpha0))
-
 
 def scheme_for(config: SimConfig) -> CategoryScheme:
     return CategoryScheme(tuple(f"c{i}" for i in range(config.num_proper)))
@@ -100,7 +95,7 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     non-finite features (a huge feature_noise) raise InputError naming the
     first such task.
     """
-    alpha = config.generation_prior().alpha
+    alpha = np.array(config.alpha0 or (0.5,) * config.num_categories)
     fmap = feature_map(config)
     n, d = config.num_tasks, config.feature_dim
     noisy = config.feature_noise > 0

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -19,6 +20,7 @@ from crowdinfer.autothresh import (
     write_bins_csv,
     write_curve_csv,
 )
+from crowdinfer.core import InputError
 
 # hand-checkable toy set: four tasks, the least confident one is wrong
 CONF = [0.2, 0.4, 0.6, 0.8]
@@ -26,22 +28,22 @@ CORR = [False, True, True, True]
 
 
 def test_curve_on_toy_set():
-    pts = curve(CONF, CORR)
-    assert [p.threshold for p in pts] == [0.0, 0.2, 0.4, 0.6, 0.8]
-    assert [p.automation for p in pts] == [1.0, 1.0, 0.75, 0.5, 0.25]
-    assert [p.accuracy for p in pts] == [0.75, 0.75, 1.0, 1.0, 1.0]
+    thresholds, automation, accuracy = curve(CONF, CORR)
+    assert thresholds.tolist() == [0.0, 0.2, 0.4, 0.6, 0.8]
+    assert automation.tolist() == [1.0, 1.0, 0.75, 0.5, 0.25]
+    assert accuracy.tolist() == [0.75, 0.75, 1.0, 1.0, 1.0]
 
 
 def test_curve_without_sub_minimum_sentinel():
     # a zero-confidence task makes the 0.0 sentinel redundant
-    pts = curve([0.0, 0.5], [True, True])
-    assert [p.threshold for p in pts] == [0.0, 0.5]
+    thresholds, _, _ = curve([0.0, 0.5], [True, True])
+    assert thresholds.tolist() == [0.0, 0.5]
 
 
 def test_curve_retention_is_inclusive():
     # tasks at exactly the threshold stay automated
-    pts = {p.threshold: p for p in curve(CONF, CORR)}
-    assert pts[0.4].automation == 0.75
+    thresholds, automation, _ = curve(CONF, CORR)
+    assert automation[thresholds == 0.4].tolist() == [0.75]
 
 
 def test_evaluate_single_midpoint_threshold():
@@ -241,6 +243,18 @@ def test_bins_validation():
         ambiguity_calibration([0.5, 0.6], [0.5], bins=4)
     with pytest.raises(ValueError):
         ambiguity_calibration([0.5], [0.5], bins=4, distances=[0.1, 0.2])
+
+
+@pytest.mark.parametrize("pred, act, message", [
+    ([0.5, math.nan], [0.5, 0.5], "predicted ambiguity must lie in [0, 1], got nan at index 1"),
+    ([7.0, 0.5], [0.5, 0.5], "predicted ambiguity must lie in [0, 1], got 7.0 at index 0"),
+    ([0.5, 0.5], [-3.0, math.inf], "actual ambiguity must lie in [0, 1], got -3.0 at index 0"),
+    ([0.5, 0.5], [0.5, math.inf], "actual ambiguity must lie in [0, 1], got inf at index 1"),
+], ids=["nan", "above", "below", "inf"])
+def test_bins_refuse_ambiguity_outside_the_unit_interval(pred, act, message):
+    """Not clamped into an end bin, nor cast from NaN into bin 0."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        ambiguity_calibration(pred, act, bins=4)
 
 
 # ---------------------------------------------------------------------------

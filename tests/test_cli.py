@@ -1240,10 +1240,10 @@ def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered,
         want = _training_set_oracle(scheme, tasks, train, val)
     except InputError as exc:
         with pytest.raises(InputError) as got:
-            _training_set(scheme, table, count_matrix(ids, responses, k), part)
+            _training_set(scheme, table, count_matrix(ids, responses, k), part == 0, part == 1)
         assert str(got.value) == str(exc)
         return
-    got = _training_set(scheme, table, count_matrix(ids, responses, k), part)
+    got = _training_set(scheme, table, count_matrix(ids, responses, k), part == 0, part == 1)
     for (arrays, got_ids), (want_arrays, want_ids) in zip(got, want):
         assert got_ids == want_ids
         for a, b in zip(arrays, want_arrays):

@@ -76,6 +76,13 @@ def test_soft_label_validation():
             SoftLabel(bad)
 
 
+def test_soft_label_is_one_non_empty_vector():
+    # check_soft_labels takes these, but a SoftLabel is one (K,) label
+    for bad in (1.0, [], [[0.5, 0.5], [0.2, 0.8]]):
+        with pytest.raises(InputError, match=re.escape("q must be a non-empty vector, got shape")):
+            SoftLabel(bad)
+
+
 def test_check_soft_labels_messages_and_shapes():
     """One label, a 0-d value and a matrix take the same checks; a sum is
     printed as a plain float."""

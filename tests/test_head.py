@@ -444,6 +444,12 @@ def test_head_forward_validates():
         head_forward(model, np.full(4, 1e308), 1)
 
 
+def test_head_forward_refuses_a_nan_count():
+    model = init_model(4, 3, 3.0, np.random.default_rng(0))
+    with pytest.raises(InputError, match="response count n must be non-negative"):
+        head_forward(model, np.zeros(4), math.nan)
+
+
 def test_identity_mixer_can_express_any_interior_target():
     # with W = I the prediction is (alpha0_sum + n) * softmax(z): picking
     # z = log(target / sum) reproduces any strictly positive target exactly
@@ -667,6 +673,21 @@ def test_non_finite_loss_aborts_with_example_id():
         train_head(data, cfg)
     with pytest.raises(RuntimeError, match="iteration 1, example xxxxxxxxxxxxx...x{14}$"):
         train_head(data, cfg, task_ids=["good-task", "x" * 1000])
+
+
+def test_non_finite_gradient_aborts_like_a_non_finite_loss():
+    """A subnormal alpha component is positive and finite, and its loss is
+    finite, but digamma of it is -inf: training stops there, naming the
+    example, before the backward pass meets inf - inf."""
+    cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
+    start = init_model(3, 3, 3.0, np.random.default_rng(cfg.seed))   # as train_head's
+    # the initial scores of the second example are about (0, -740, 0)
+    X = np.array([[0.0, 0.0, 0.0], [0.0, -740.0, 0.0]]) @ np.linalg.inv(start.A)
+    data = (X, np.ones((2, 3)), np.zeros(2), np.ones(2))
+    loss, J, grads = _loss_grads(start.params, 3.0, *data, cfg.tau, grad=True)
+    assert (loss, np.isfinite(J).tolist(), grads) == (math.inf, [True, False], None)
+    with pytest.raises(RuntimeError, match="iteration 1, example subnormal$"):
+        train_head(data, cfg, task_ids=["plain", "subnormal"])
 
 
 def test_train_head_checks_array_shapes():

@@ -7,7 +7,7 @@ import pytest
 
 import crowdinfer
 from crowdinfer.autothresh import ThresholdCalibration
-from crowdinfer.bayes import BetaParams, marginal_conditional, marginal_solvability
+from crowdinfer.bayes import marginal_conditional, marginal_solvability
 from crowdinfer.core import (
     CategoryScheme,
     DirichletParams,
@@ -41,7 +41,6 @@ def _scheme_file(tmp_path, text):
 @pytest.mark.parametrize("call, error, message", [
     (lambda _: ThresholdCalibration(0.9, [], (0.0, 0.0), (0.0, 0.0), 0.0, 0.5), ValueError,
      "calibration needs at least one realization"),
-    (lambda _: BetaParams(0.0, 1.0), ValueError, "Beta parameters must be positive, got (0.0, 1.0)"),
     (lambda _: marginal_solvability(DirichletParams([1.0])), ValueError,
      "need at least one proper category plus cs"),
     (lambda _: marginal_conditional(DirichletParams([1.0])), ValueError,
@@ -61,7 +60,7 @@ def _scheme_file(tmp_path, text):
      "weight vector length must match the label"),
     (lambda _: SimConfig(num_tasks=1, feature_dim=0), InputError,
      "feature_dim must be at least 1"),
-], ids=["no-realization", "beta", "solvability", "conditional",
+], ids=["no-realization", "solvability", "conditional",
         "category-name", "two-ratios", "duplicate-names", "chernoff-lengths",
         "confidence-k1", "weights-k1", "weights-negative", "weights-length", "no-features"])
 def test_refusals(tmp_path, call, error, message):

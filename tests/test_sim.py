@@ -29,13 +29,13 @@ def _per_task_oracle(config: SimConfig) -> list:
     """The per-task generator the array simulator replaced, as (task id,
     features, latent soft label, answers) per task: each task's own stream
     draws its latent label, its feature noise, then its responses."""
-    prior = config.generation_prior()
+    alpha0 = np.array(config.alpha0 or (0.5,) * config.num_categories)
     fmap = feature_map(config)
     tasks = []
     for i in range(config.num_tasks):
         tid = f"t{i:06d}"
         rng = task_rng(config.seed, tid)
-        q = SoftLabel(rng.dirichlet(prior.alpha))
+        q = SoftLabel(rng.dirichlet(alpha0))
         x = fmap @ np.log(q.q + 1e-6)
         if config.feature_noise > 0:
             x = x + config.feature_noise * rng.standard_normal(config.feature_dim)
