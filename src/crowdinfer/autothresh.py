@@ -38,8 +38,9 @@ def _grid(conf: np.ndarray) -> np.ndarray:
 
 
 # Elements per block of the bootstrap work arrays (resample draws, their
-# keyed per-slot counts, the sorted accuracy rows each np.quantile call
-# copies), so memory beyond the one accuracy matrix stays flat in B and n.
+# keyed per-slot counts, the accuracy rows each np.quantile call sorts and
+# copies), so memory beyond the two integer (grid, B) totals matrices stays
+# flat in B and n.
 _BLOCK = 1 << 14
 _QUANTILES = (0.025, 0.5, 0.975)
 
@@ -119,35 +120,45 @@ def _resamples(n: int, B: int, seed: int, width: int):
         yield b0, np.stack([rng.integers(0, n, size=n) for rng in rngs[b0:b0 + step]])
 
 
-def _row_quantiles(acc: np.ndarray) -> np.ndarray:
-    """Sort each row of acc in place (NaN last) and return its 2.5/50/97.5%
-    quantiles over its finite entries (NaN where it has none).  Rows take
-    np.quantile a block at a time; the rows ending in NaN are then redone
-    over their finite entries."""
-    acc.sort(axis=1)
-    out = np.empty((len(_QUANTILES), acc.shape[0]))
-    step = max(1, _BLOCK // acc.shape[1])
-    for r0 in range(0, acc.shape[0], step):
-        out[:, r0:r0 + step] = np.quantile(acc[r0:r0 + step], _QUANTILES, axis=1)
-    for j in np.flatnonzero(np.isnan(acc[:, -1])):
-        finite = acc[j, np.isfinite(acc[j])]
-        if finite.size:
-            out[:, j] = np.quantile(finite, _QUANTILES)
+def _row_quantiles(retained: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """The 2.5/50/97.5% quantiles of each row of _accuracy(retained, hits)
+    over its finite entries (NaN where it has none).  The accuracy rows are
+    built, sorted (NaN last) and passed to np.quantile a block of about
+    _BLOCK entries at a time, so beyond the two totals matrices memory is
+    bounded by one block; a block's rows ending in NaN are then redone over
+    their finite entries."""
+    out = np.empty((len(_QUANTILES), retained.shape[0]))
+    step = max(1, _BLOCK // retained.shape[1])
+    for r0 in range(0, retained.shape[0], step):
+        acc = _accuracy(retained[r0:r0 + step], hits[r0:r0 + step])
+        acc.sort(axis=1)
+        out[:, r0:r0 + step] = np.quantile(acc, _QUANTILES, axis=1)
+        for j in np.flatnonzero(np.isnan(acc[:, -1])):
+            finite = acc[j, np.isfinite(acc[j])]
+            if finite.size:
+                out[:, r0 + j] = np.quantile(finite, _QUANTILES)
     return out
 
 
 def bootstrap_curves(confidences, correct, B: int, seed: int = 0) -> BootstrapBands:
     """Task-level bootstrap of the curve: 2.5/50/97.5% accuracy quantiles
     per threshold.  Thresholds where a resample retains nothing are skipped
-    in that realization's quantiles."""
+    in that realization's quantiles.
+
+    Each resample's retained and correct totals at every threshold are kept
+    in two (grid, B) matrices of the smallest unsigned type that holds n (2
+    bytes each below 65 536 tasks); the accuracies are built from them one
+    block of rows at a time."""
     conf, corr = _as_curve_inputs(confidences, correct)
     _check_resamples(B, conf.size)
     grid, key, retained, _ = _curve(conf, corr)
-    acc = np.empty((grid.size, B))
+    kept_all = np.empty((grid.size, B), np.min_scalar_type(conf.size))
+    hits_all = np.empty_like(kept_all)
     for b0, draws in _resamples(conf.size, B, seed, grid.size):
         _, kept, hits = _slot_totals(key, draws, grid.size)
-        acc[:, b0:b0 + draws.shape[0]] = _accuracy(kept, hits).T
-    quantiles = _row_quantiles(acc)
+        kept_all[:, b0:b0 + draws.shape[0]] = kept.T
+        hits_all[:, b0:b0 + draws.shape[0]] = hits.T
+    quantiles = _row_quantiles(kept_all, hits_all)
     return BootstrapBands(
         thresholds=grid,
         automation=retained / conf.size,
@@ -271,8 +282,8 @@ def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
                           distances=None) -> List[CalibrationBin]:
     """Distribute tasks over equidistant bins of predicted ambiguity and
     report per-bin means; empty bins carry count 0 and None means.  An
-    ambiguity outside [0, 1], NaN included, raises InputError naming the
-    first one."""
+    ambiguity outside [0, 1], or a distance that is negative or not finite,
+    raises InputError naming the first one."""
     if bins < 2:
         raise InputError("need at least 2 bins")
     pred = np.asarray(predicted_amb, dtype=float)
@@ -290,6 +301,10 @@ def ambiguity_calibration(predicted_amb, actual_amb, bins: int = 10,
         dist = np.asarray(distances, dtype=float)
         if dist.shape != pred.shape:
             raise ValueError("distances must align with the ambiguity vectors")
+        outside = ~((dist >= 0.0) & (dist < math.inf))
+        if outside.any():
+            i = int(outside.argmax())
+            raise InputError(f"distance must be non-negative and finite, got {dist[i]} at index {i}")
     idx = np.clip((pred * bins).astype(int), 0, bins - 1)
     out = []
     for b in range(bins):

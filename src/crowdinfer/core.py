@@ -175,6 +175,9 @@ def tally(answers, scheme: CategoryScheme) -> np.ndarray:
 def empirical_soft_label(counts) -> SoftLabel:
     """Observed response frequencies (a row of counts) as a soft label."""
     counts = np.asarray(counts)
+    outside = ~((counts >= 0) & (counts < math.inf))
+    if outside.any():
+        raise InputError(f"counts must be non-negative and finite, got {counts[outside][0]}")
     if counts.sum() == 0:
         raise ValueError("no responses to normalize")
     return SoftLabel(counts / counts.sum())

@@ -137,6 +137,9 @@ def hard_weights(class_counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(class_counts, dtype=float)
     if counts.ndim != 1 or counts.size < 2:
         raise ValueError("class_counts must be a vector of at least two categories")
+    bad = ~np.isfinite(counts)
+    if bad.any():
+        raise InputError(f"class counts must be finite, got {counts[bad][0]}")
     if (counts < 0).any():
         raise ValueError("negative class counts")
     t = counts.sum()

@@ -155,8 +155,8 @@ def synthetic_predictor(q, n: int, rng: np.random.Generator,
     q = check_soft_labels(q)
     if q.ndim != 1:
         raise InputError(f"q must be one soft label, got shape {q.shape}")
-    if n < 0:
-        raise ValueError("response count n must be non-negative")
+    if not 0 <= n < math.inf:
+        raise InputError(f"response count n must be non-negative and finite, got {n}")
     k = len(q)
     logits = np.log(q + _LOG_FLOOR)
     if noise > 0:

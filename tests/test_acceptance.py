@@ -405,9 +405,11 @@ def test_artifact_digests_frozen(repeats500, pipeline_pair):
 
     Criterion 11 compares two runs of the same code; these digests pin the
     bytes themselves.  Frozen with Python 3.11, numpy 2.4.6 and OpenBLAS
-    0.3.31 (scipy-openblas build): model.json and the files derived from it
-    carry full-precision floats from BLAS matrix products, so another numpy
-    or BLAS build may legitimately move them by an ULP.
+    0.3.31 (scipy-openblas build) on a CPU whose OpenBLAS kernel is SkylakeX
+    (AVX-512): model.json and the files derived from it carry full-precision
+    floats from BLAS matrix products, so another numpy or BLAS build, or the
+    same build on a CPU that gets another kernel (Haswell, Zen, ...), may
+    legitimately move them by an ULP.
     """
     paths = {p.name: p for p in pipeline_pair["a"].iterdir()}
     paths["repeats500.csv"] = repeats500["paths"][0]

@@ -257,6 +257,18 @@ def test_bins_refuse_ambiguity_outside_the_unit_interval(pred, act, message):
         ambiguity_calibration(pred, act, bins=4)
 
 
+@pytest.mark.parametrize("distances, message", [
+    ([math.nan, 1.0], "distance must be non-negative and finite, got nan at index 0"),
+    ([0.5, math.inf], "distance must be non-negative and finite, got inf at index 1"),
+    ([0.5, -0.25], "distance must be non-negative and finite, got -0.25 at index 1"),
+], ids=["nan", "inf", "negative"])
+def test_bins_refuse_distance_not_finite_or_negative(distances, message):
+    """A NaN distance would make its bin's mean an empty bins.csv cell, as
+    an empty bin's is."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        ambiguity_calibration([0.1, 0.2], [0.1, 0.2], bins=4, distances=distances)
+
+
 # ---------------------------------------------------------------------------
 # CSV artifacts
 # ---------------------------------------------------------------------------
@@ -469,9 +481,56 @@ def test_rescore_sized_set_equals_per_resample_oracles_bitwise():
         assert thresholds == _select_threshold_oracle(conf, corr, target, B, seed)
 
 
+def _bootstrap_float_matrix_oracle(conf, corr, B, seed):
+    """The bootstrap that held one float64 (grid, B) accuracy matrix, sorted
+    its rows in place once and took np.quantile a block of rows at a time."""
+    grid, key, retained, _ = autothresh._curve(conf, corr)
+    acc = np.empty((grid.size, B))
+    for b0, draws in autothresh._resamples(conf.size, B, seed, grid.size):
+        _, kept, hits = autothresh._slot_totals(key, draws, grid.size)
+        acc[:, b0:b0 + draws.shape[0]] = autothresh._accuracy(kept, hits).T
+    acc.sort(axis=1)
+    quantiles = np.empty((3, grid.size))
+    step = max(1, autothresh._BLOCK // B)
+    for r0 in range(0, grid.size, step):
+        quantiles[:, r0:r0 + step] = np.quantile(acc[r0:r0 + step], (0.025, 0.5, 0.975), axis=1)
+    for j in np.flatnonzero(np.isnan(acc[:, -1])):
+        finite = acc[j, np.isfinite(acc[j])]
+        if finite.size:
+            quantiles[:, j] = np.quantile(finite, (0.025, 0.5, 0.975))
+    return grid, retained / conf.size, quantiles
+
+
+@pytest.mark.parametrize("n", [255, 256, 65535, 65536])
+def test_integer_totals_equal_float_matrix_oracle_bitwise_at_dtype_edges(n):
+    """The totals matrices switch from uint8 to uint16 above 255 tasks and
+    to uint32 above 65 535, where the retain-all slot holds n; a _BLOCK of
+    1000 splits the rows into blocks that do not divide the grid."""
+    rng = np.random.default_rng(n)
+    # a pool of values makes ties, so the grid is shorter than n + 1; the
+    # one most confident task is left out of some resamples, whose top
+    # accuracy is then NaN
+    conf = rng.choice(rng.uniform(0.1, 0.9, size=n // 3 + 2), size=n)
+    conf[0] = 0.95
+    corr = rng.uniform(size=n) < conf
+    B, seed = 7, 7
+    assert any((draws != 0).all(axis=1).any()
+               for _, draws in autothresh._resamples(n, B, seed, 1))
+    with mock.patch.object(autothresh, "_BLOCK", 1000):
+        bands = bootstrap_curves(conf, corr, B, seed)
+        grid, automation, quantiles = _bootstrap_float_matrix_oracle(conf, corr, B, seed)
+    assert grid.size % (1000 // B) != 0
+    assert bands.thresholds.tobytes() == grid.tobytes()
+    assert bands.automation.tobytes() == automation.tobytes()
+    got = np.stack([bands.acc_q025, bands.acc_q50, bands.acc_q975])
+    assert got.tobytes() == quantiles.tobytes()
+
+
 def test_bootstrap_holds_one_accuracy_matrix():
-    """Beyond the (n + 1) x B accuracy matrix, the bootstrap's memory is
-    bounded by its blocks: it makes no sorted or transposed copy."""
+    """Beyond the two (n + 1) x B matrices of retained and correct totals
+    (uint16 for 2500 tasks, so 2 bytes a cell), the bootstrap's memory is
+    bounded by its blocks: it makes no float, sorted or transposed copy of
+    them."""
     rng = np.random.default_rng(0)
     n, B = 2500, 1024
     conf = rng.uniform(size=n)
@@ -482,4 +541,4 @@ def test_bootstrap_holds_one_accuracy_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * (n + 1) * B * 8
+    assert peak <= 1.25 * (n + 1) * B * 2 * 2

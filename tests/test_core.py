@@ -160,6 +160,11 @@ def test_empirical_soft_label():
     assert np.allclose(q.q, [0.25, 0.75, 0.0])
     with pytest.raises(ValueError):
         empirical_soft_label(np.array([0, 0, 0]))
+    for counts, shown in (([math.nan, 1.0, 1.0], "nan"), ([1.0, math.inf, 1.0], "inf"),
+                          ([1, -2, 4], "-2")):
+        with pytest.raises(InputError, match=re.escape(
+                f"counts must be non-negative and finite, got {shown}")):
+            empirical_soft_label(np.array(counts))
 
 
 def test_task_rng_deterministic_and_decorrelated():

@@ -1,6 +1,7 @@
 """The package's public names: each one listed in __all__ must import, and
 the refusals of its types and functions that no stage reaches still raise."""
 
+import math
 import re
 
 import pytest
@@ -56,13 +57,18 @@ def _scheme_file(tmp_path, text):
     (lambda _: hard_weights([1.0]), ValueError,
      "class_counts must be a vector of at least two categories"),
     (lambda _: hard_weights([1.0, -1.0]), ValueError, "negative class counts"),
+    (lambda _: hard_weights([math.nan, 1.0, 1.0]), InputError,
+     "class counts must be finite, got nan"),
+    (lambda _: hard_weights([1.0, math.inf, 1.0]), InputError,
+     "class counts must be finite, got inf"),
     (lambda _: soft_weight([[0.5, 0.5]], [1.0, 1.0, 1.0]), ValueError,
      "weight vector length must match the label"),
     (lambda _: SimConfig(num_tasks=1, feature_dim=0), InputError,
      "feature_dim must be at least 1"),
 ], ids=["no-realization", "solvability", "conditional",
         "category-name", "two-ratios", "duplicate-names", "chernoff-lengths",
-        "confidence-k1", "weights-k1", "weights-negative", "weights-length", "no-features"])
+        "confidence-k1", "weights-k1", "weights-negative", "weights-nan", "weights-inf",
+        "weights-length", "no-features"])
 def test_refusals(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(tmp_path)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,8 +269,11 @@ def test_synthetic_predictor_requires_soft_label():
             synthetic_predictor(np.array(bad), 3, rng)
     with pytest.raises(InputError, match="one soft label"):
         synthetic_predictor(np.full((2, 3), 1.0 / 3.0), 3, rng)
-    with pytest.raises(ValueError, match="non-negative"):
-        synthetic_predictor(np.full(3, 1.0 / 3.0), -1, rng)
+    # refused as a count, not as the alpha components it would make
+    for n in (math.nan, math.inf, -1):
+        with pytest.raises(InputError, match=re.escape(
+                f"response count n must be non-negative and finite, got {n}")):
+            synthetic_predictor(np.full(3, 1.0 / 3.0), n, rng)
 
 
 def test_synthetic_predictor_sum_invariant():
