@@ -105,19 +105,24 @@ def _check_resamples(B: int, n: int) -> None:
     check_size("B", B, n + 1, f"resamples of {n} tasks")
 
 
-def _realization_rngs(seed: int, B: int) -> List[np.random.Generator]:
+def _realization_rngs(seed: int, B: int, step: int):
+    """The B realization generators of ``seed``, ``step`` at a time as
+    (first realization, generators).  Each block's are spawned as it is
+    drawn, so only one block of them is alive; successive spawns of one
+    SeedSequence continue its children, the streams of one spawn(B)."""
     check_seed(seed)
-    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(B)]
+    root = np.random.SeedSequence(seed)
+    for b0 in range(0, B, step):
+        yield b0, [np.random.default_rng(ss) for ss in root.spawn(min(step, B - b0))]
 
 
 def _resamples(n: int, B: int, seed: int, width: int):
     """Blocks of bootstrap draws as (first realization, draws): row b of a
     block is realization b's ``rng.integers(0, n, size=n)``.  Blocks hold
     about _BLOCK draws or grid slots per array."""
-    rngs = _realization_rngs(seed, B)
     step = max(1, _BLOCK // max(n, width))
-    for b0 in range(0, B, step):
-        yield b0, np.stack([rng.integers(0, n, size=n) for rng in rngs[b0:b0 + step]])
+    for b0, rngs in _realization_rngs(seed, B, step):
+        yield b0, np.stack([rng.integers(0, n, size=n) for rng in rngs])
 
 
 def _row_quantiles(retained: np.ndarray, hits: np.ndarray) -> np.ndarray:

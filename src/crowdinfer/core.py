@@ -367,6 +367,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 _scan_once = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"   # str.strip() would also take \x0b, \xa0, ...
 _BLOCK_LINES = 1024   # lines _scan decodes with one json.loads
+_PROBE_LINES = 64     # leading lines of a block that must repeat for _pick_distinct
 
 
 def _task_ids(values: list) -> list:
@@ -391,7 +392,10 @@ def _decode_block(block: list) -> Optional[list]:
     span a joined comma: a line ends in a newline, which no string may hold,
     and after a comma inside an object the parser needs a key, not ``{``.
     Each line starts a value, so the values map one to a line exactly when
-    there are as many as lines.
+    there are as many as lines.  The same holds for a block's distinct
+    lines in order of first appearance (see _pick_distinct): the one line
+    that may lack its newline, a file's last, differs from every line that
+    has one and so stays last.
     """
     # the first line is tested before the join, so that files whose lines
     # hold arrays (tasks, alpha records) pay almost nothing here
@@ -407,6 +411,40 @@ def _decode_block(block: list) -> Optional[list]:
     except (ValueError, RecursionError):
         return None
     return values if len(values) == len(block) else None
+
+
+def _pick_distinct(block: list, pick) -> Optional[list]:
+    """``pick``'s columns for a block whose lines repeat, from one
+    _decode_block and one ``pick`` of its distinct lines, each value given
+    to every line of the same text; None where no line repeats, or where
+    _decode_block or ``pick`` refuses the distinct lines, and the block is
+    read whole instead.
+
+    A line's text fixes its value, and ``pick`` maps each record on its
+    own, so the columns are those of the whole block, one value per line.
+    """
+    # the first-line test of _decode_block, so that files whose lines hold
+    # arrays skip the dict too
+    if block[0][:1] != "{" or "[" in block[0]:
+        return None
+    # a line repeats only among its task's responses, which write_responses
+    # (and most exports) list together, so a block whose first lines are
+    # distinct is read whole without hashing the rest (str caches its hash:
+    # the probe's lines are not hashed again below)
+    head = block[:_PROBE_LINES]
+    if len(dict.fromkeys(head)) == len(head):
+        return None
+    distinct = dict.fromkeys(block)
+    records = _decode_block(list(distinct))
+    if records is None:
+        return None
+    try:
+        picked = pick(records)
+    except (KeyError, TypeError):
+        return None
+    row = dict(zip(distinct, range(len(distinct))))
+    rows = list(map(row.__getitem__, block))
+    return [list(map(values.__getitem__, rows)) for values in picked]
 
 
 def _decode_lines(block: list, start: int, what: str):
@@ -458,11 +496,14 @@ def _scan(path, pick, width: int, what: str):
     ``pick`` maps a list of records to ``width`` columns, lists of one value
     per record; it raises KeyError or TypeError (a missing key, a record that
     is not an object) for a list exactly when it raises for one of its
-    records alone.  Lines are read _BLOCK_LINES at a time, decoded by
-    _decode_block or else by _decode_lines.  Reading stops at the first line
-    that does not decode as UTF-8, is not JSON or holds a record ``pick``
-    refuses.  Its (line, message) comes back as ``stop``, so a fault on an
-    earlier record can still be reported first.
+    records alone.  Lines are read _BLOCK_LINES at a time.  A block whose
+    lines repeat is decoded and picked once per distinct line by
+    _pick_distinct, which gives each line the values of its text; any other
+    block, and one whose distinct lines hold a fault, is decoded whole by
+    _decode_block or else by _decode_lines, and picked.  Reading stops at
+    the first line that does not decode as UTF-8, is not JSON or holds a
+    record ``pick`` refuses.  Its (line, message) comes back as ``stop``, so
+    a fault on an earlier record can still be reported first.
     """
     columns: list = [[] for _ in range(width)]
     lines = array.array("q")
@@ -476,19 +517,20 @@ def _scan(path, pick, width: int, what: str):
                 block, stop = _lines_before_undecodable(path, start, what)
             if not block:
                 break
-            records = _decode_block(block)
-            if records is not None:
-                numbers = range(start, start + len(block))
-            else:
-                records, numbers, not_json = _decode_lines(block, start, what)
-                stop = not_json or stop
-            try:
-                picked = pick(records)
-            except (KeyError, TypeError):
-                i, exc = _first_refused(pick, records)
-                stop = (numbers[i], f"bad {what}: {exc}")
-                records, numbers = records[:i], numbers[:i]
-                picked = pick(records)
+            numbers = range(start, start + len(block))
+            picked = _pick_distinct(block, pick)
+            if picked is None:
+                records = _decode_block(block)
+                if records is None:
+                    records, numbers, not_json = _decode_lines(block, start, what)
+                    stop = not_json or stop
+                try:
+                    picked = pick(records)
+                except (KeyError, TypeError):
+                    i, exc = _first_refused(pick, records)
+                    stop = (numbers[i], f"bad {what}: {exc}")
+                    records, numbers = records[:i], numbers[:i]
+                    picked = pick(records)
             for column, values in zip(columns, picked):
                 column.extend(values)
             lines.extend(numbers)

@@ -460,6 +460,19 @@ def test_bootstrap_blocks_stay_bounded():
             assert draws.shape[0] == 1 or draws.size <= autothresh._BLOCK
 
 
+@pytest.mark.parametrize("B", [1, 16, 17, 1024])
+def test_blockwise_generators_draw_like_one_spawn(B):
+    """Each block's generators are spawned as it is drawn (16 resamples of
+    1000 tasks a block): the draws are those of one SeedSequence.spawn(B),
+    at B = 1, at a block edge and at B = 1024."""
+    n, seed = 1000, 5
+    blocks = list(autothresh._resamples(n, B, seed, n + 1))
+    assert [b0 for b0, _ in blocks] == list(range(0, B, 16))
+    want = np.stack([np.random.default_rng(ss).integers(0, n, size=n)
+                     for ss in np.random.SeedSequence(seed).spawn(B)])
+    assert np.concatenate([draws for _, draws in blocks]).tobytes() == want.tobytes()
+
+
 def test_rescore_sized_set_equals_per_resample_oracles_bitwise():
     """2500 distinct confidences, as on a rescore val split: 2501 grid
     slots, resamples that leave top slots empty, and blocks of resamples

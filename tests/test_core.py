@@ -794,6 +794,79 @@ def test_response_ids_are_one_string_per_task(tmp_path):
     assert len({id(tid) for tid in got}) == len(set(got))
 
 
+# ---------------------------------------------------------------------------
+# Repeated lines of a block, decoded and picked once each
+# ---------------------------------------------------------------------------
+
+def _assert_repeats_read_like_lines(path, lines):
+    """Blocks of 2 to 8 lines, with the probe of _pick_distinct over the
+    whole block and over its first two lines only, in files with LF, CRLF
+    and no final newline."""
+    for ending, final in (("\n", True), ("\r\n", True), ("\n", False)):
+        _write_lines(path, lines, ending, final)
+        for probe in (2, core._PROBE_LINES):
+            with mock.patch.object(core, "_PROBE_LINES", probe):
+                for size in range(2, 9):
+                    _assert_blocks_read_like_lines(path, _NAMES, size)
+
+
+_G0, _G1 = (_response_line("name", "t0", 0, _NAMES), _response_line("index", "t1", 1, _NAMES))
+
+
+@pytest.mark.parametrize("lines", [
+    # good lines repeat before and after one distinct line
+    [_G0, _G0, _G1, _G0, _response_line("annotated", "t2", 2, _NAMES), _G0, _G1, _G1, _G0],
+    # a refused record repeats, after repeats of good lines
+    *([_G0, _G1, _G0, _G1, bad, _G0, bad, bad, _G1]
+      for bad in (_response_line(kind, "t1", 1, _NAMES)
+                  for kind in ("no_answer", "bool_id", "list_answer"))),
+    # two lines that join into one value, and a line of two values, repeat
+    [_G0, _G0, _OTHER_LINES["merge_a"], _OTHER_LINES["merge_b"], _G0,
+     _OTHER_LINES["merge_a"], _OTHER_LINES["merge_b"], _OTHER_LINES["split"], _G0,
+     _OTHER_LINES["split"]],
+    # the last line, which may lack its newline, repeats an earlier line's text
+    [_G1, _G0, _G0, _G0, _G1],
+], ids=["around_distinct", "no_answer", "bool_id", "list_answer", "merge_split", "last_line"])
+def test_repeated_lines_read_like_lines(tmp_path, lines):
+    _assert_repeats_read_like_lines(tmp_path / "responses.jsonl", lines)
+
+
+@st.composite
+def _repeating_lines(draw):
+    pool = draw(st.lists(st.tuples(
+        st.sampled_from(_GOOD_LINES * 4 + _BAD_LINES + list(_OTHER_LINES)),
+        st.sampled_from(["t0", "t1", 'q"\\ü']), st.integers(0, 2)), min_size=3, max_size=6))
+    return [_line(*draw(st.sampled_from(pool)), _NAMES)
+            for _ in range(draw(st.integers(0, 20)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_lines())
+def test_lines_drawn_from_a_small_pool_read_like_lines(tmp_path_factory, lines):
+    """Lines drawn from a pool of three to six, so that most of them repeat."""
+    _assert_repeats_read_like_lines(tmp_path_factory.mktemp("pool") / "records.jsonl", lines)
+
+
+def test_pick_distinct_decodes_and_picks_each_distinct_line_once():
+    def pick(recs):
+        picked.append(len(recs))
+        return [rec["a"] for rec in recs], [rec["b"] for rec in recs]
+
+    a, b, c = '{"a": 1, "b": "x"}\n', '{"a": 2, "b": "y"}\n', '{"a": 1, "b": "x"}'
+    picked = []
+    assert core._pick_distinct([a, b, a, a, b, c], pick) == [[1, 2, 1, 1, 2, 1],
+                                                             ["x", "y", "x", "x", "y", "x"]]
+    assert picked == [3]
+    # no repeat, or a probe of distinct lines: the block is read whole
+    assert core._pick_distinct([a, b, c], pick) is None
+    with mock.patch.object(core, "_PROBE_LINES", 2):
+        assert core._pick_distinct([a, b, a], pick) is None
+    # a line the block decoder refuses, or a record pick refuses
+    for block in ([a, a, ' {"a": 3, "b": "z"}\n'], [a, a, '{"a": [3], "b": "z"}\n'],
+                  ['[1]\n', '[1]\n'], [a, a, '{"b": "z"}\n']):
+        assert core._pick_distinct(block, pick) is None, block
+
+
 def _write_responses_oracle(path, task_answers, scheme):
     """The per-record responses writer: json.dumps of each record."""
     names = scheme.names
