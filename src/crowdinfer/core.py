@@ -7,7 +7,6 @@ vectors over the answer space follow the ordering (proper..., cs).
 
 from __future__ import annotations
 
-import array
 import contextlib
 import csv
 import gc
@@ -416,9 +415,10 @@ def _decode_block(block: list) -> Optional[list]:
 def _pick_distinct(block: list, pick) -> Optional[list]:
     """``pick``'s columns for a block whose lines repeat, from one
     _decode_block and one ``pick`` of its distinct lines, each value given
-    to every line of the same text; None where no line repeats, or where
-    _decode_block or ``pick`` refuses the distinct lines, and the block is
-    read whole instead.
+    to every line of the same text (one take of an array column, one list
+    of a list column); None where no line repeats, or where _decode_block
+    or ``pick`` refuses the distinct lines, and the block is read whole
+    instead.
 
     A line's text fixes its value, and ``pick`` maps each record on its
     own, so the columns are those of the whole block, one value per line.
@@ -443,14 +443,15 @@ def _pick_distinct(block: list, pick) -> Optional[list]:
     except (KeyError, TypeError):
         return None
     row = dict(zip(distinct, range(len(distinct))))
-    rows = list(map(row.__getitem__, block))
-    return [list(map(values.__getitem__, rows)) for values in picked]
+    rows = np.fromiter(map(row.__getitem__, block), dtype=np.intp, count=len(block))
+    return [values[rows] if isinstance(values, np.ndarray)
+            else list(map(values.__getitem__, rows.tolist())) for values in picked]
 
 
 def _decode_lines(block: list, start: int, what: str):
     """The values of a block's non-blank lines decoded one at a time, their
-    line numbers, and the (line, message) of the first line that is not
-    JSON, where decoding stops, or None.
+    line numbers (an int64 array), and the (line, message) of the first line
+    that is not JSON, where decoding stops, or None.
 
     A line is decoded by the json scanner when it consumes the line whole
     (JSON whitespace aside); any other line goes to json.loads, so a line
@@ -469,10 +470,10 @@ def _decode_lines(block: list, start: int, what: str):
             try:
                 value = json.loads(line)
             except (ValueError, RecursionError) as exc:   # RecursionError: nested too deep
-                return values, numbers, (lineno, f"bad {what}: {exc}")
+                return values, np.array(numbers, dtype=np.int64), (lineno, f"bad {what}: {exc}")
         values.append(value)
         numbers.append(lineno)
-    return values, numbers, None
+    return values, np.array(numbers, dtype=np.int64), None
 
 
 @contextlib.contextmanager
@@ -493,20 +494,22 @@ def _scan(path, pick, width: int, what: str):
     """Line numbers (an int64 array) and value columns of a JSONL file's
     records (its non-blank lines) in file order.
 
-    ``pick`` maps a list of records to ``width`` columns, lists of one value
-    per record; it raises KeyError or TypeError (a missing key, a record that
-    is not an object) for a list exactly when it raises for one of its
-    records alone.  Lines are read _BLOCK_LINES at a time.  A block whose
-    lines repeat is decoded and picked once per distinct line by
-    _pick_distinct, which gives each line the values of its text; any other
-    block, and one whose distinct lines hold a fault, is decoded whole by
-    _decode_block or else by _decode_lines, and picked.  Reading stops at
-    the first line that does not decode as UTF-8, is not JSON or holds a
-    record ``pick`` refuses.  Its (line, message) comes back as ``stop``, so
-    a fault on an earlier record can still be reported first.
+    ``pick`` maps a list of records to ``width`` columns of one value per
+    record, each a list or a 1-d array; it raises KeyError or TypeError (a
+    missing key, a record that is not an object) for a list exactly when it
+    raises for one of its records alone.  A column comes back as one array
+    where ``pick`` gives arrays and as one list where it gives lists.  Lines
+    are read _BLOCK_LINES at a time.  A block whose lines repeat is decoded
+    and picked once per distinct line by _pick_distinct, which gives each
+    line the values of its text; any other block, and one whose distinct
+    lines hold a fault, is decoded whole by _decode_block or else by
+    _decode_lines, and picked.  Reading stops at the first line that does
+    not decode as UTF-8, is not JSON or holds a record ``pick`` refuses.
+    Its (line, message) comes back as ``stop``, so a fault on an earlier
+    record can still be reported first.
     """
-    columns: list = [[] for _ in range(width)]
-    lines = array.array("q")
+    parts: list = [[] for _ in range(width)]   # each column's values, a block at a time
+    lines = [np.zeros(0, dtype=np.int64)]
     stop = None
     start = 1   # line number of the block's first line
     with _collector_paused(), open(path, encoding="utf-8") as fh:
@@ -517,7 +520,7 @@ def _scan(path, pick, width: int, what: str):
                 block, stop = _lines_before_undecodable(path, start, what)
             if not block:
                 break
-            numbers = range(start, start + len(block))
+            numbers = np.arange(start, start + len(block), dtype=np.int64)
             picked = _pick_distinct(block, pick)
             if picked is None:
                 records = _decode_block(block)
@@ -528,14 +531,22 @@ def _scan(path, pick, width: int, what: str):
                     picked = pick(records)
                 except (KeyError, TypeError):
                     i, exc = _first_refused(pick, records)
-                    stop = (numbers[i], f"bad {what}: {exc}")
+                    stop = (int(numbers[i]), f"bad {what}: {exc}")
                     records, numbers = records[:i], numbers[:i]
                     picked = pick(records)
-            for column, values in zip(columns, picked):
-                column.extend(values)
-            lines.extend(numbers)
+            for column, values in zip(parts, picked):
+                column.append(values)
+            lines.append(numbers)
             start += len(block)
-    return np.array(lines, dtype=np.int64), columns, stop
+    return np.concatenate(lines), [_joined(column) for column in parts], stop
+
+
+def _joined(parts: list):
+    """One column from its blocks' values: one array where they are arrays,
+    else one list."""
+    if parts and isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return list(itertools.chain.from_iterable(parts))
 
 
 def _lines_before_undecodable(path, start: int, what: str):
@@ -774,66 +785,84 @@ def write_responses(path, task_ids: Sequence[str], answers, scheme: CategorySche
 
 @dataclass(frozen=True, eq=False)
 class Responses:
-    """A responses file as columns in file order: task ids, their file
-    lines and the answers as category indices."""
+    """A responses file as integer columns in file order.  ``ids`` holds
+    each task id once (read_responses lists them in order of first
+    appearance); ``codes`` gives each response's task as an index into
+    ``ids``, ``lines`` its file line and ``answers`` its category index,
+    int64 arrays of one entry per response."""
 
     path: object
-    task_ids: list
+    ids: list
+    codes: np.ndarray
     lines: np.ndarray
     answers: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.task_ids)
+        return len(self.codes)
+
+    @property
+    def task_ids(self) -> list:
+        """Each response's task id, built from ``codes`` on each access."""
+        return list(map(self.ids.__getitem__, self.codes.tolist()))
 
 
 def read_responses(path, scheme: CategoryScheme) -> Responses:
-    """Read a responses file as columns.
+    """Read a responses file as integer columns.
 
     An answer is a category name or an integer index; an ``annotator_id``
-    is accepted and ignored.  The first failing record exits as
+    is accepted and ignored.  Task ids are coded and answers resolved once
+    per distinct line of a block (see _scan), so the file's responses take
+    no Python pass of their own.  The first failing record exits as
     ``file:line``: a bad JSON line, a missing task_id or answer, a task_id
     that is not a string or an integer, or an answer the scheme does not
     resolve (an unknown name, an index out of range, a bool, a float or any
     other value).
     """
-    index = {name: i for i, name in enumerate(scheme.names)}
-    known: dict = {}
+    k = scheme.num_categories
+    # names and in-range integer indices; a bool or a float equal to a key
+    # is kept out by its type below, before the lookup
+    index = {name: i for i, name in enumerate(scheme.names)} | {i: i for i in range(k)}
+    code: dict = {}     # task id -> its code, in order of first appearance
+    faults: dict = {}   # the message of an answer coded -1 - j -> j
 
     def pick(recs):
-        # one string object per task id, and a known name's index in place
-        # of its string: the file's per-response strings do not pile up
         ids = _task_ids([rec["task_id"] for rec in recs])
         answers = [rec["answer"] for rec in recs]
-        return (list(map(known.setdefault, ids, ids)),
-                [index.get(a, a) if a.__class__ is str else a for a in answers])
+        new = [tid for tid in dict.fromkeys(ids) if tid not in code]
+        code.update(zip(new, range(len(code), len(code) + len(new))))
+        keys = answers if set(map(type, answers)) <= {str, int} else [
+            a if type(a) in (str, int) else None for a in answers]
+        resolved = np.fromiter(map(index.get, keys, itertools.repeat(-1)),
+                               dtype=np.int64, count=len(keys))
+        # an unknown name or an integer out of range, of any size, goes to
+        # index_of for its message: no int64 conversion comes before its check
+        for i in np.flatnonzero(resolved < 0).tolist():
+            try:
+                resolved[i] = scheme.index_of(answers[i])
+            except InputError as exc:
+                resolved[i] = -1 - faults.setdefault(str(exc), len(faults))
+        return np.fromiter(map(code.__getitem__, ids), dtype=np.int64, count=len(ids)), resolved
 
-    lines, (ids, values), stop = _scan(path, pick, 2, "response record")
-    k = scheme.num_categories
-    answers = np.fromiter((v if type(v) is int and 0 <= v < k else -1 for v in values),
-                          dtype=np.int64, count=len(values))
-    faults: dict = {}
-    for i in np.flatnonzero(answers < 0).tolist():
-        try:
-            answers[i] = scheme.index_of(values[i])
-        except InputError as exc:
-            faults[i] = str(exc)
-    faulty = np.zeros(len(values), dtype=bool)
-    faulty[list(faults)] = True
-    _raise_first(path, lines, stop, [(faulty, lambda i: f"bad response record: {faults[i]}")])
-    return Responses(path, ids, lines, answers)
+    lines, columns, stop = _scan(path, pick, 2, "response record")
+    codes, answers = (np.asarray(column, dtype=np.int64) for column in columns)
+    messages = list(faults)
+    _raise_first(path, lines, stop, [
+        (answers < 0, lambda i: f"bad response record: {messages[-1 - answers[i]]}")])
+    return Responses(path, list(code), codes, lines, answers)
 
 
 def _response_rows(task_ids: Sequence[str], responses: Responses) -> np.ndarray:
-    """Row in task_ids of each response's task; the first response of an
-    unknown task exits as ``file:line``."""
+    """Row in task_ids of each response's task, from one lookup per distinct
+    id; the first response of an unknown task exits as ``file:line``."""
     row = {tid: i for i, tid in enumerate(task_ids)}
-    owner = np.fromiter(map(row.get, responses.task_ids, itertools.repeat(-1)),
-                        dtype=np.int64, count=len(responses))
+    rows = np.fromiter(map(row.get, responses.ids, itertools.repeat(-1)),
+                       dtype=np.int64, count=len(responses.ids))
+    owner = rows[responses.codes]
     orphans = np.flatnonzero(owner < 0)
     if orphans.size:
         i = orphans[0]
         raise InputError(f"{responses.path}:{responses.lines[i]}: response references "
-                         f"unknown task {brief.repr(responses.task_ids[i])}")
+                         f"unknown task {brief.repr(responses.ids[responses.codes[i]])}")
     return owner
 
 

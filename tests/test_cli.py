@@ -1221,8 +1221,8 @@ def test_training_set_equals_per_task_builder_bitwise(n, k, d, most, unanswered,
     owner = np.repeat(np.arange(n), counts.sum(axis=1))
     answers = np.concatenate([np.repeat(np.arange(k), row) for row in counts])
     order = rng.permutation(owner.size)
-    responses = Responses("responses.jsonl", [ids[i] for i in owner[order]],
-                          np.arange(1, owner.size + 1), answers[order])
+    responses = Responses("responses.jsonl", ids, owner[order], np.arange(1, owner.size + 1),
+                          answers[order])
 
     part = rng.choice(3, size=n, p=[0.7, 0.15, 0.15])
     part[rng.integers(n)] = 0

@@ -332,8 +332,10 @@ def test_responses_round_trip_by_name_and_index(tmp_path):
 
 def _responses(pairs, path="responses.jsonl"):
     """Responses columns of (task_id, answer) pairs on lines 1, 2, ..."""
-    return Responses(path, [tid for tid, _ in pairs], np.arange(1, len(pairs) + 1),
-                     np.array([a for _, a in pairs], dtype=np.int64))
+    code: dict = {}
+    codes = [code.setdefault(tid, len(code)) for tid, _ in pairs]
+    return Responses(path, list(code), np.array(codes, dtype=np.int64),
+                     np.arange(1, len(pairs) + 1), np.array([a for _, a in pairs], dtype=np.int64))
 
 
 def test_attach_responses_rejects_orphans():
@@ -531,6 +533,8 @@ def _response_line(kind, tid, answer, names):
         "unknown": json.dumps({"task_id": tid, "answer": "maybe?"}),
         "range": json.dumps({"task_id": tid, "answer": len(names) + answer}),
         "negative": json.dumps({"task_id": tid, "answer": -1 - answer}),
+        # past int64: out of range, never an overflow
+        "huge": json.dumps({"task_id": tid, "answer": (-1) ** answer * 2**70}),
         "bool": json.dumps({"task_id": tid, "answer": answer % 2 == 1}),
         "float": json.dumps({"task_id": tid, "answer": answer + 0.5}),
         "integral_float": json.dumps({"task_id": tid, "answer": float(answer)}),
@@ -551,7 +555,7 @@ _GOOD_LINES = ["name", "index", "annotated", "int_id", "compact", "json_space", 
                "spaces", "vt_blank", "nbsp_blank"]
 _BAD_LINES = ["vt_pad", "vt_tail", "nbsp_pad", "bom", "extra", "trailing_comma", "bad_json",
               "truncated", "array", "scalar", "null_record", "no_task", "no_answer", "unknown",
-              "range", "negative", "bool", "float", "integral_float", "nan", "list_answer",
+              "range", "negative", "huge", "bool", "float", "integral_float", "nan", "list_answer",
               "null_answer", "null_id", "bool_id", "float_id", "list_id", "object_id",
               "null_id_no_answer", "deep"]
 
@@ -591,6 +595,78 @@ def test_responses_reader_reports_each_fault_like_the_oracle(tmp_path):
         message = _responses_outcome(_read_responses_oracle, path, scheme)
         assert isinstance(message, str) and "responses.jsonl:2: bad response record" in message
         assert _responses_outcome(read_responses, path, scheme) == message, kind
+
+
+@st.composite
+def _multi_block_files(draw):
+    """Files of three to five blocks of 4 to 8 lines: blocks of a few
+    repeated lines, of lines all distinct (an annotator_id each), and of
+    lines with blanks and padded lines (read line by line); task ids, some
+    integers, recur across blocks out of order."""
+    k = draw(st.integers(2, 4))
+    names = tuple(f"c{i}" for i in range(k - 1)) + ("cs",)
+    size = draw(st.integers(4, 8))
+    record = st.tuples(st.sampled_from(["t0", "t1", "t2", 'q"\\ü', "7", 7, 12]),
+                       st.integers(0, k - 1), st.booleans())
+
+    def line(tid, answer, by_index, **extra):
+        return json.dumps({"task_id": tid, "answer": answer if by_index else names[answer],
+                           **extra})
+
+    lines = []
+    for _ in range(draw(st.integers(3, 5))):
+        kind = draw(st.sampled_from(["repeated", "distinct", "mixed"]))
+        if kind == "repeated":
+            pool = [line(*rec) for rec in draw(st.lists(record, min_size=1, max_size=3))]
+            block = [draw(st.sampled_from(pool)) for _ in range(size)]
+        elif kind == "distinct":
+            block = [line(*draw(record), annotator_id=f"a{len(lines) + i}") for i in range(size)]
+        else:
+            block = [draw(st.sampled_from(["", "  ", " " + line(*rec), line(*rec)]))
+                     for rec in draw(st.lists(record, min_size=size, max_size=size))]
+        lines += block
+    lines = lines[:len(lines) - draw(st.integers(0, size - 1))]   # a last block of 1 to size lines
+    return names, size, lines
+
+
+def _orphan_oracle(path, known):
+    """The per-response message for the first response whose task is not known."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                tid = _task_id_oracle(json.loads(line)["task_id"])
+                if tid not in known:
+                    return f"{path}:{lineno}: response references unknown task {tid!r}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_block_files(), st.data())
+def test_task_codes_hold_across_blocks(tmp_path_factory, case, data):
+    names, size, lines = case
+    scheme = CategoryScheme(names[:-1], names[-1])
+    path = tmp_path_factory.mktemp("coded") / "responses.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with mock.patch.object(core, "_BLOCK_LINES", size), mock.patch.object(core, "_PROBE_LINES", 2):
+        got = read_responses(path, scheme)
+    pairs = _read_responses_oracle(path, scheme)
+    assert got.task_ids == [tid for tid, _ in pairs] and len(got) == len(got.lines)
+    assert got.answers.tolist() == [a for _, a in pairs]
+    assert got.ids == list(dict.fromkeys(tid for tid, _ in pairs))   # one code per id
+    tasks = sorted(set(got.ids)) + ["unanswered"]
+    want = _attach_oracle(tasks, pairs)
+    assert [a.tolist() for a in attach_responses(tasks, got)] == want
+    counts = count_matrix(tasks, got, len(names))
+    assert counts.tobytes() == np.array([tally(np.array(a, dtype=np.int64), scheme)
+                                         for a in want]).tobytes()
+    if got.ids:
+        dropped = data.draw(st.sampled_from(got.ids))
+        known = [tid for tid in tasks if tid != dropped]
+        message = _orphan_oracle(path, set(known))
+        for stage in (attach_responses, lambda ids, r: count_matrix(ids, r, len(names))):
+            with pytest.raises(InputError) as exc:
+                stage(known, got)
+            assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
