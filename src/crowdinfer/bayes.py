@@ -28,7 +28,7 @@ def posterior(prior: DirichletParams, counts) -> DirichletParams:
     if counts.shape != (len(prior),):
         raise ValueError(
             f"dimension mismatch: prior has {len(prior)} components, "
-            f"counts has {counts.size}"
+            f"counts has shape {counts.shape}"
         )
     if min(counts.tolist()) < 0:   # a list: microseconds less per task than a ufunc
         raise InputError(f"negative count in {counts}")

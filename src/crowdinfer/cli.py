@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -560,9 +561,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per _COMMANDS entry.  An option's flag, type, choices and
-    metavar follow from its key and the tables that check config-file values."""
+    metavar follow from its key and the tables that check config-file values.
+
+    Built once per process: argparse ties its formatters, actions and groups
+    into reference cycles, which a parser built on every main call would
+    leave to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="crowdinfer",
         description="Truth inference and annotation automation for crowd-labeled tasks.",

@@ -108,7 +108,10 @@ class DirichletParams:
         alpha = np.asarray(self.alpha, dtype=float)
         if alpha.ndim != 1 or alpha.size == 0:
             raise InputError("alpha must be a non-empty vector")
-        if not positive_finite(alpha):
+        # one short vector: Python's min over its floats costs less than two
+        # numpy reductions, and isfinite first keeps a NaN out of the min
+        values = alpha.tolist()
+        if not (all(map(math.isfinite, values)) and min(values) > 0.0):
             raise InputError(f"alpha components must be positive and finite, got {alpha}")
         object.__setattr__(self, "alpha", alpha)
 
@@ -163,10 +166,14 @@ def tally(answers, scheme: CategoryScheme) -> np.ndarray:
     (K,) int64 row, as count_matrix makes for each task."""
     answers = np.asarray(answers)
     k = scheme.num_categories
+    if answers.ndim != 1:
+        raise InputError(f"answers must be one vector of category indices, got shape "
+                         f"{answers.shape}")
     if answers.size and answers.dtype.kind not in "iu":
         raise InputError(f"answers must be integer category indices, got {answers.dtype}")
-    invalid = (answers < 0) | (answers >= k)
-    if invalid.any():
+    values = answers.tolist()   # one task's few answers: Python's min and max cost less
+    if values and not 0 <= min(values) <= max(values) < k:
+        invalid = (answers < 0) | (answers >= k)
         raise InputError(f"invalid category index {answers[invalid][0]} (expected < {k})")
     return np.bincount(answers.astype(np.int64, copy=False), minlength=k)
 

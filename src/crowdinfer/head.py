@@ -267,8 +267,10 @@ def softmax(z: np.ndarray) -> np.ndarray:
 def _forward_batch(params, alpha0_sum: float, X: np.ndarray, n: np.ndarray):
     A, bias, W = params
     Z = X @ A + bias
-    S = softmax(Z)
-    Sigma = softmax(Z @ W.T)
+    # softmax acts row by row, so one call on Z stacked over Z W' gives both
+    # branches with the bits of two calls, and pays a call's fixed cost once
+    both = softmax(np.concatenate((Z, Z @ W.T)))
+    S, Sigma = both[: len(Z)], both[len(Z) :]
     alpha = alpha0_sum * S + n[:, None] * Sigma
     return alpha, Z, S, Sigma
 
@@ -285,7 +287,7 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
         raise ValueError(
             f"feature shape {features.shape} does not match model dimension ({model.feature_dim},)"
         )
-    if not np.isfinite(features).all():
+    if not all(map(math.isfinite, features.tolist())):
         raise ValueError("non-finite feature values")
     if not n >= 0:   # NaN too
         raise InputError("response count n must be non-negative")

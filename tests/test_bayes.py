@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,12 @@ def test_posterior_adds_counts():
     assert posterior(DirichletParams([1, 1, 1]), [0, 20, 0]).alpha.tolist() == [1.0, 21.0, 1.0]
     with pytest.raises(ValueError):
         posterior(DirichletParams([1, 1]), np.array([1, 2, 3]))
+
+
+def test_posterior_mismatch_names_the_shape_of_counts():
+    with pytest.raises(ValueError, match=re.escape(
+            "prior has 3 components, counts has shape (1, 3)")):
+        posterior(DirichletParams([1.0, 1.0, 1.0]), np.ones((1, 3), dtype=np.int64))
 
 
 def test_posterior_refuses_negative_counts():

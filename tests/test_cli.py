@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import itertools
 import json
@@ -822,6 +823,24 @@ def test_cli_surface_frozen(capsys):
             main([name, "--help"])
         assert exc.value.code == 0
         assert f"usage: crowdinfer {name}" in capsys.readouterr().out
+
+
+def test_second_main_leaves_no_argparse_cycles(tmp_path, capsys):
+    """The parser is built once per process, so a later run leaves none of
+    argparse's formatter, action and group cycles to the collector."""
+    argv = ["infer", "--outdir", str(tmp_path / "missing")]   # exits 2: no scheme file
+    assert main(argv) == 2
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 2
+        gc.collect()
+        leaked = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 @pytest.mark.parametrize("entry", [

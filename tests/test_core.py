@@ -142,11 +142,34 @@ def test_positive_finite_equals_elementwise_test(x):
     assert core.positive_finite(x) is bool((np.isfinite(x) & (x > 0)).all())
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_FLOATS + [1.7e308]) | st.floats(5e-324, 1.7e308)
+                | st.floats(), min_size=1, max_size=12))
+def test_dirichlet_params_check_equals_reduction_oracle(values):
+    """DirichletParams checks its vector as Python floats: it must accept and
+    refuse what positive_finite's two numpy reductions do, with the same message."""
+    alpha = np.array(values)
+    if core.positive_finite(alpha):
+        assert DirichletParams(values).alpha.tobytes() == alpha.tobytes()
+    else:
+        with pytest.raises(InputError, match=re.escape(
+                f"alpha components must be positive and finite, got {alpha}")):
+            DirichletParams(values)
+
+
 def test_tally_counts_per_category():
     s = CategoryScheme(("no", "yes"))
     c = tally([1, 1, 0, 2, 1], s)
     assert c.dtype == np.int64 and c.tolist() == [1, 3, 1]
     assert c.sum() == 5
+
+
+def test_tally_refuses_answers_that_are_not_one_vector():
+    s = CategoryScheme(("no", "yes"))
+    for answers, shape in ((np.array([[0, 1], [1, 2]]), "(2, 2)"), (np.int64(1), "()"),
+                           (np.zeros((0, 3), dtype=np.int64), "(0, 3)")):
+        with pytest.raises(InputError, match=re.escape(f"got shape {shape}")):
+            tally(answers, s)
 
 
 def test_tally_rejects_out_of_range():
@@ -426,6 +449,34 @@ def test_count_matrix_reports_orphans_like_attach_responses():
         assert "response references unknown task 'ghost'" in str(got.value)
     with pytest.raises(InputError, match="category index out of range"):
         count_matrix(["t0"], _responses([("t0", 3)]), 3)
+
+
+def _tally_mask_oracle(answers: np.ndarray, k: int) -> None:
+    """The range check as a mask over the whole vector, naming its first bad index."""
+    invalid = (answers < 0) | (answers >= k)
+    if invalid.any():
+        raise InputError(f"invalid category index {answers[invalid][0]} (expected < {k})")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]),
+       st.lists(st.integers(-2, 10) | st.sampled_from([-(2**63), 2**63 - 1, 2**64 - 1]),
+                max_size=20))
+def test_tally_range_check_equals_mask_oracle(k, dtype, values):
+    """tally checks a task's answers with Python's min and max: it must refuse
+    what the mask refuses, naming the same first bad index."""
+    info = np.iinfo(dtype)
+    answers = np.array([v for v in values if info.min <= v <= info.max], dtype=dtype)
+    scheme = CategoryScheme(tuple(f"c{i}" for i in range(k - 1)))
+    try:
+        _tally_mask_oracle(answers, k)
+    except InputError as want:
+        with pytest.raises(InputError) as got:
+            tally(answers, scheme)
+        assert str(got.value) == str(want)
+        return
+    got = tally(answers, scheme)
+    assert got.tolist() == [answers.tolist().count(c) for c in range(k)]
 
 
 def _tally_oracle(answers, k):

@@ -1,7 +1,11 @@
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from crowdinfer.head import (
     TrainConfig,
     _chernoff,
     _columns,
+    _forward_batch,
     _loss_grads,
     _row_sum,
     _target_term,
@@ -69,6 +74,16 @@ def _softmax_oracle(z):
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _forward_batch_oracle(params, alpha0_sum, X, n):
+    """The forward with one softmax call per branch."""
+    A, bias, W = params
+    Z = X @ A + bias
+    S = softmax(Z)
+    Sigma = softmax(Z @ W.T)
+    alpha = alpha0_sum * S + n[:, None] * Sigma
+    return alpha, Z, S, Sigma
 
 
 def _same_bits(a, b) -> bool:
@@ -228,6 +243,46 @@ def test_softmax_equals_numpy_formula_bitwise(x, scale):
     z = np.arcsinh(x) * scale   # scores within +-7000, signed zeros kept
     assert _same_bits(softmax(z), _softmax_oracle(z))
     assert _same_bits(softmax(z[0]), _softmax_oracle(z[0]))
+
+
+@st.composite
+def _forward_cases(draw):
+    """Parameters, features (N, d) and counts (N,) for N 1-600, K 2-12 and
+    d 1-16, at scales from flat to saturated scores, signed zeros included."""
+    n, k, d = draw(st.integers(1, 600)), draw(st.integers(2, 12)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]))
+    X = rng.standard_normal((n, d)) * scale
+    X[rng.random((n, d)) < 0.1] = -0.0
+    params = (rng.standard_normal((d, k)), rng.standard_normal(k), rng.standard_normal((k, k)))
+    counts = rng.integers(0, 50, size=n).astype(float)
+    return params, draw(st.floats(0.5, 20.0)), X, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forward_cases())
+def test_stacked_forward_equals_two_softmax_oracle_bitwise(case):
+    params, alpha0_sum, X, counts = case
+    with np.errstate(all="ignore"):   # saturated scores may underflow a branch to 0
+        for rows in (slice(None), slice(0, 1), slice(-1, None)):   # single rows too
+            got = _forward_batch(params, alpha0_sum, X[rows], counts[rows])
+            want = _forward_batch_oracle(params, alpha0_sum, X[rows], counts[rows])
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def test_stacked_forward_equals_oracle_under_other_cpu_dispatch():
+    """The equality above must hold whatever kernels numpy dispatches to:
+    rerun it with the AVX-512 dispatch targets switched off (numpy 2.4 names;
+    a name a numpy build lacks is ignored with an ImportWarning)."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
+                                                      os.environ.get("PYTHONPATH")]))}
+    test = f"{Path(__file__).resolve()}::test_stacked_forward_equals_two_softmax_oracle_bitwise"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert "1 passed" in done.stdout
 
 
 @settings(max_examples=100, deadline=None)
@@ -442,6 +497,28 @@ def test_head_forward_validates():
     # finite features whose scores overflow: a numeric error, not a bad input
     with pytest.raises(FloatingPointError, match="forward alpha not positive and finite"):
         head_forward(model, np.full(4, 1e308), 1)
+
+
+_EDGE_FEATURES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308,
+                  -1.7e308, 1.0, -2.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_FEATURES) | st.floats(), min_size=4, max_size=4))
+def test_head_forward_feature_check_equals_isfinite_oracle(values):
+    """head_forward checks a task's features as Python floats; a vector
+    np.isfinite(x).all() refuses must be refused, and no other."""
+    model = init_model(4, 3, 3.0, np.random.default_rng(0))
+    x = np.array(values)
+    with np.errstate(all="ignore"):
+        if not np.isfinite(x).all():
+            with pytest.raises(ValueError, match="^non-finite feature values$"):
+                head_forward(model, x, 1)
+            return
+        try:   # finite features, though large ones overflow the scores
+            head_forward(model, x, 1)
+        except FloatingPointError:
+            pass
 
 
 def test_head_forward_refuses_a_nan_count():
