@@ -26,6 +26,7 @@ from .core import (
     split_dataset,
     tally,
     task_rng,
+    task_rngs,
 )
 from .head import (
     HeadModel,
@@ -87,6 +88,7 @@ __all__ = [
     "split_dataset",
     "tally",
     "task_rng",
+    "task_rngs",
     "train_head",
     "uniform_prior",
 ]

@@ -9,13 +9,14 @@ because confidences live in [0, 1].
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import InputError, check_seed, check_size, json_ready, write_csv
+from .core import InputError, check_seed, check_size, json_ready, spawn_rngs, write_csv
 
 
 def _as_curve_inputs(confidences, correct):
@@ -107,13 +108,14 @@ def _check_resamples(B: int, n: int) -> None:
 
 def _realization_rngs(seed: int, B: int, step: int):
     """The B realization generators of ``seed``, ``step`` at a time as
-    (first realization, generators).  Each block's are spawned as it is
-    drawn, so only one block of them is alive; successive spawns of one
-    SeedSequence continue its children, the streams of one spawn(B)."""
+    (first realization, generators): the streams of one
+    ``SeedSequence(seed).spawn(B)``.  The seed states of all B are computed
+    once (32 bytes each) and the generators are built a block at a time, as
+    each block is drawn, so only one block of them is alive."""
     check_seed(seed)
-    root = np.random.SeedSequence(seed)
+    rngs = spawn_rngs(seed, B)
     for b0 in range(0, B, step):
-        yield b0, [np.random.default_rng(ss) for ss in root.spawn(min(step, B - b0))]
+        yield b0, list(itertools.islice(rngs, step))
 
 
 def _resamples(n: int, B: int, seed: int, width: int):

@@ -14,6 +14,7 @@ import hashlib
 import json
 import itertools
 import math
+import operator
 import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -189,6 +190,85 @@ def empirical_soft_label(counts) -> SoftLabel:
     return SoftLabel(counts / counts.sum())
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); its pool
+# holds four 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _seed_states(entropy) -> np.ndarray:
+    """``np.random.SeedSequence(row).generate_state(4, np.uint64)`` for each
+    row of an (N, E) uint32 entropy matrix, as an (N, 4) uint64 array.
+
+    numpy's algorithm on columns: each entropy word is hashed into a pool of
+    four (zero words past E), every pool word is mixed into every other, the
+    words past the fourth are mixed into each pool word, and the pool is
+    hashed out to eight 32-bit words read as four little-endian 64-bit ones.
+    The hash constant runs the same way for every row, so it is a Python
+    integer; the wrapping arithmetic is all on uint32 arrays, which wrap
+    silently where numpy scalars warn.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    n, e = entropy.shape
+    const = _INIT_A
+
+    def hashed(value, mult):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mixed(x, y):
+        x *= _MIX_MULT_L
+        y *= _MIX_MULT_R
+        x -= y
+        x ^= x >> 16
+        return x
+
+    zero = np.zeros(n, np.uint32)
+    pool = [hashed(entropy[:, i] if i < e else zero, _MULT_A) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mixed(pool[dst], hashed(pool[src], _MULT_A))
+    for src in range(_POOL, e):
+        for dst in range(_POOL):
+            pool[dst] = mixed(pool[dst], hashed(entropy[:, src], _MULT_A))
+    words = np.empty((n, 2 * _POOL), "<u4")
+    const = _INIT_B
+    for i in range(2 * _POOL):
+        words[:, i] = hashed(pool[i % _POOL], _MULT_B)
+    return words.view("<u8").astype(np.uint64)
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose output is already computed: PCG64 asks it once
+    for ``generate_state(4, np.uint64)`` and gets ``state``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _rngs(states: np.ndarray):
+    """A generator for each row of an (N, 4) uint64 state matrix, each one
+    built as it is drawn."""
+    return (np.random.Generator(np.random.PCG64(_State(row))) for row in states)
+
+
+def _task_digest(global_seed: int, task_id) -> bytes:
+    # surrogatepass takes a lone surrogate (a JSON "\ud800" escape); other ids keep their bytes
+    return hashlib.blake2b(
+        f"{global_seed}\x1f{task_id}".encode("utf-8", "surrogatepass"), digest_size=16
+    ).digest()
+
+
 def task_rng(global_seed: int, task_id) -> np.random.Generator:
     """Deterministic per-task random stream.
 
@@ -196,12 +276,31 @@ def task_rng(global_seed: int, task_id) -> np.random.Generator:
     task ids decorrelate through a stable byte-level hash, so streams do
     not depend on Python's per-process hash randomization.
     """
-    # surrogatepass takes a lone surrogate (a JSON "\ud800" escape); other ids keep their bytes
-    digest = hashlib.blake2b(
-        f"{global_seed}\x1f{task_id}".encode("utf-8", "surrogatepass"), digest_size=16
-    ).digest()
     # the digest as four little-endian 32-bit entropy words
-    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(digest, "<u4")))
+    return np.random.default_rng(
+        np.random.SeedSequence(np.frombuffer(_task_digest(global_seed, task_id), "<u4")))
+
+
+def task_rngs(global_seed: int, task_ids):
+    """``task_rng(global_seed, tid)``'s stream for each of ``task_ids``, in
+    order, each generator built as it is drawn.  The seed states of all the
+    ids are computed in one batch, 32 bytes each; the generators have no
+    SeedSequence to spawn from."""
+    digests = b"".join([_task_digest(global_seed, tid) for tid in task_ids])
+    return _rngs(_seed_states(np.frombuffer(digests, "<u4").reshape(-1, 4)))
+
+
+def spawn_rngs(seed: int, n: int):
+    """The streams of ``np.random.SeedSequence(seed).spawn(n)``'s children,
+    in order, each generator built as it is drawn from states computed in one
+    batch (32 bytes each).  A child's entropy is the seed's little-endian
+    32-bit words, padded with zero words to the pool size, then its index."""
+    seed = operator.index(seed)
+    words = max(_POOL, -(-seed.bit_length() // 32))
+    entropy = np.empty((n, words + 1), np.uint32)
+    entropy[:, :words] = np.frombuffer(seed.to_bytes(4 * words, "little"), "<u4")
+    entropy[:, words] = np.arange(n)
+    return _rngs(_seed_states(entropy))
 
 
 def _quota(n_groups: int, ratios: Sequence[float]) -> list:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .bayes import point_estimates
-from .core import DirichletParams, InputError, check_size, positive_finite, task_rng, write_csv
+from .core import DirichletParams, InputError, check_size, positive_finite, task_rngs, write_csv
 
 _REPEATS_STREAM = "repeats"
 
@@ -129,12 +129,12 @@ def repeats_summary(
     (v, k), steps = stack.shape[1:], sum(len(a) + 1 for a in answers)
     check_size("permutations", permutations, v * k * steps,
                f"replays of {steps} steps from {v} priors in {k} categories")
-    per_task: List[np.ndarray] = []
-    for task_id, task_answers, prior in zip(task_ids, answers, stack):
-        if len(task_answers) == 0:
-            continue
-        rng = task_rng(seed, f"{_REPEATS_STREAM}:{task_id}")
-        per_task.append(repeats_run(task_answers, prior, permutations, rng))
+    replayed = [(task_id, task_answers, prior)
+                for task_id, task_answers, prior in zip(task_ids, answers, stack)
+                if len(task_answers)]
+    rngs = task_rngs(seed, [f"{_REPEATS_STREAM}:{task_id}" for task_id, _, _ in replayed])
+    per_task = [repeats_run(task_answers, prior, permutations, rng)
+                for (_, task_answers, prior), rng in zip(replayed, rngs)]
     if not per_task:
         raise ValueError("no tasks with responses")
 

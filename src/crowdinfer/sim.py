@@ -27,6 +27,7 @@ from .core import (
     check_size,
     check_soft_labels,
     task_rng,
+    task_rngs,
 )
 from .head import softmax
 
@@ -103,8 +104,7 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     q = np.empty((n, config.num_categories))
     noise = np.empty((n, d))
     u = np.empty((n, config.repeats))
-    for i, tid in enumerate(ids):
-        rng = task_rng(config.seed, tid)
+    for i, rng in enumerate(task_rngs(config.seed, ids)):
         q[i] = rng.dirichlet(alpha)
         if noisy:
             rng.standard_normal(out=noise[i])

@@ -462,15 +462,22 @@ def test_bootstrap_blocks_stay_bounded():
 
 @pytest.mark.parametrize("B", [1, 16, 17, 1024])
 def test_blockwise_generators_draw_like_one_spawn(B):
-    """Each block's generators are spawned as it is drawn (16 resamples of
+    """Each block's generators are built as it is drawn (16 resamples of
     1000 tasks a block): the draws are those of one SeedSequence.spawn(B),
-    at B = 1, at a block edge and at B = 1024."""
-    n, seed = 1000, 5
-    blocks = list(autothresh._resamples(n, B, seed, n + 1))
-    assert [b0 for b0, _ in blocks] == list(range(0, B, 16))
-    want = np.stack([np.random.default_rng(ss).integers(0, n, size=n)
-                     for ss in np.random.SeedSequence(seed).spawn(B)])
-    assert np.concatenate([draws for _, draws in blocks]).tobytes() == want.tobytes()
+    at B = 1, at a block edge and at B = 1024, for seeds of one to seven
+    32-bit words and a numpy integer seed."""
+    n = 1000
+    for seed in (0, 1, 5, 2**32 - 1, 2**32, 2**64 + 5, 2**200, np.uint64(2**64 - 1)):
+        children = np.random.SeedSequence(seed).spawn(B)
+        blocks = list(autothresh._realization_rngs(seed, B, 16))
+        assert [b0 for b0, _ in blocks] == list(range(0, B, 16))
+        rngs = [rng for _, block in blocks for rng in block]
+        assert [rng.bit_generator.state for rng in rngs] == \
+            [np.random.default_rng(ss).bit_generator.state for ss in children]
+        blocks = list(autothresh._resamples(n, B, seed, n + 1))
+        assert [b0 for b0, _ in blocks] == list(range(0, B, 16))
+        want = np.stack([np.random.default_rng(ss).integers(0, n, size=n) for ss in children])
+        assert np.concatenate([draws for _, draws in blocks]).tobytes() == want.tobytes()
 
 
 def test_rescore_sized_set_equals_per_resample_oracles_bitwise():

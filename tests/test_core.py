@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdinfer import core
@@ -30,6 +30,7 @@ from crowdinfer.core import (
     split_dataset,
     tally,
     task_rng,
+    task_rngs,
     write_alpha_records,
     write_responses,
     write_scheme,
@@ -198,6 +199,47 @@ def test_task_rng_deterministic_and_decorrelated():
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+_WORD = st.one_of(st.sampled_from([0, 0xFFFFFFFF]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda e: st.lists(
+    st.lists(_WORD, min_size=e, max_size=e), min_size=1, max_size=6)))
+@example([[0]])
+@example([[0xFFFFFFFF] * 8, [0] * 8, list(range(8))])
+def test_seed_states_equal_seed_sequence(rows):
+    """The batched kernel is numpy's SeedSequence for each row, with fewer
+    words than the pool (zero-padded), as many, and more."""
+    want = np.stack([np.random.SeedSequence(row).generate_state(4, np.uint64) for row in rows])
+    got = core._seed_states(np.array(rows, dtype=np.uint32))
+    assert got.dtype == np.uint64 and got.shape == (len(rows), 4)
+    assert got.tobytes() == want.tobytes()
+
+
+_TASK_ID = st.one_of(st.text(st.characters(max_codepoint=127)),
+                     st.text(st.characters(min_codepoint=128)),
+                     st.integers(-2**70, 2**70))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**63), st.lists(_TASK_ID, max_size=12))
+@example(0, [1, "", "\ud800", "tâche-é", "repeats:t000001", "t000001", 2**64])
+def test_task_rngs_equal_task_rng(seed, task_ids):
+    """Each batched stream starts in the state task_rng's does and draws alike."""
+    rngs = list(task_rngs(seed, task_ids))
+    assert len(rngs) == len(task_ids)
+    for rng, task_id in zip(rngs, task_ids):
+        want = task_rng(seed, task_id)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random(3).tobytes() == want.random(3).tobytes()
+
+
+def test_task_rngs_cannot_spawn():
+    """Built from precomputed states, the generators hold no SeedSequence."""
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        next(task_rngs(0, ["t1"])).spawn(1)
 
 
 def test_split_partitions_all_tasks():
