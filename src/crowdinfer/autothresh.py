@@ -39,9 +39,8 @@ def _grid(conf: np.ndarray) -> np.ndarray:
 
 
 # Elements per block of the bootstrap work arrays (resample draws, their
-# keyed per-slot counts, the accuracy rows each np.quantile call sorts and
-# copies), so memory beyond the two integer (grid, B) totals matrices stays
-# flat in B and n.
+# keyed per-slot counts, the sorted accuracy rows), so memory beyond the two
+# integer (grid, B) totals matrices stays flat in B and n.
 _BLOCK = 1 << 14
 _QUANTILES = (0.025, 0.5, 0.975)
 
@@ -127,23 +126,31 @@ def _resamples(n: int, B: int, seed: int, width: int):
         yield b0, np.stack([rng.integers(0, n, size=n) for rng in rngs])
 
 
+def _sorted_quantiles(acc: np.ndarray) -> np.ndarray:
+    """The _QUANTILES of each row of ``acc``, sorted with NaN last, over its m
+    finite entries (NaN where m is 0), bitwise as np.quantile's linear method:
+    virtual index (m - 1) * q, its floor and fraction gamma, _lerp's two sides."""
+    m = acc.shape[1] - np.isnan(acc).sum(axis=1)
+    virtual = (m - 1) * np.array(_QUANTILES)[:, None]
+    below = np.floor(virtual)
+    gamma = virtual - below
+    rows = np.arange(len(acc))
+    a = acc[rows, below.astype(np.intp)]   # index -1 where m is 0: a NaN
+    b = acc[rows, np.minimum(below + 1, m - 1).astype(np.intp)]
+    return np.where(gamma >= 0.5, b - (b - a) * (1 - gamma), a + (b - a) * gamma)
+
+
 def _row_quantiles(retained: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """The 2.5/50/97.5% quantiles of each row of _accuracy(retained, hits)
-    over its finite entries (NaN where it has none).  The accuracy rows are
-    built, sorted (NaN last) and passed to np.quantile a block of about
-    _BLOCK entries at a time, so beyond the two totals matrices memory is
-    bounded by one block; a block's rows ending in NaN are then redone over
-    their finite entries."""
+    over its finite entries (NaN where it has none), built, sorted and read
+    off a block of about _BLOCK entries at a time, so beyond the two totals
+    matrices memory is bounded by one block."""
     out = np.empty((len(_QUANTILES), retained.shape[0]))
     step = max(1, _BLOCK // retained.shape[1])
     for r0 in range(0, retained.shape[0], step):
         acc = _accuracy(retained[r0:r0 + step], hits[r0:r0 + step])
         acc.sort(axis=1)
-        out[:, r0:r0 + step] = np.quantile(acc, _QUANTILES, axis=1)
-        for j in np.flatnonzero(np.isnan(acc[:, -1])):
-            finite = acc[j, np.isfinite(acc[j])]
-            if finite.size:
-                out[:, r0 + j] = np.quantile(finite, _QUANTILES)
+        out[:, r0:r0 + step] = _sorted_quantiles(acc)
     return out
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .autothresh import (
+    _at_thresholds,
     ambiguity_calibration,
     bootstrap_curves,
     calibrate,
@@ -453,9 +454,11 @@ def cmd_calibrate(cfg: dict) -> int:
                                             "point_estimate": cfg["point_estimate"],
                                             **result.to_dict()})
     lo, hi = result.accuracy_ci
+    [automated], [accuracy] = _at_thresholds(test_conf, test_corr, [result.deployment_threshold])
     print(
         f"calibrated threshold {result.deployment_threshold:.4f} "
-        f"(target {cfg['target_accuracy']}, test accuracy CI [{lo:.4f}, {hi:.4f}])"
+        f"(target {cfg['target_accuracy']}, test accuracy CI [{lo:.4f}, {hi:.4f}])\n"
+        f"at it: {automated:.4f} of test tasks automated, retained accuracy {accuracy:.4f}"
     )
     return 0
 

@@ -584,9 +584,9 @@ def _decode_lines(block: list, start: int, what: str):
 
 @contextlib.contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector.  Values decoded from JSON hold no
-    reference cycles, so its passes while a file is read free nothing; with a
-    block of records alive at once they would run about twice as often."""
+    """Pause the cyclic garbage collector for a whole reader.  Decoded JSON
+    holds no reference cycles, so passes over the reader's per-record lists,
+    while it reads or after it if the pause ended earlier, free nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -618,7 +618,7 @@ def _scan(path, pick, width: int, what: str):
     lines = [np.zeros(0, dtype=np.int64)]
     stop = None
     start = 1   # line number of the block's first line
-    with _collector_paused(), open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         while stop is None:
             try:
                 block = list(itertools.islice(fh, _BLOCK_LINES))
@@ -808,6 +808,7 @@ class TaskTable:
         return len(self.task_ids)
 
 
+@_collector_paused()
 def read_tasks(path) -> TaskTable:
     """Read a tasks file as columns, checking features and true_q as matrices.
 
@@ -912,6 +913,7 @@ class Responses:
         return list(map(self.ids.__getitem__, self.codes.tolist()))
 
 
+@_collector_paused()
 def read_responses(path, scheme: CategoryScheme) -> Responses:
     """Read a responses file as integer columns.
 
@@ -1035,15 +1037,16 @@ class AlphaRecords:
         return np.array([self._row[tid] for tid in task_ids], dtype=np.intp)
 
 
+@_collector_paused()
 def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     """Read a posterior/prediction file as columns, checked as a whole.
 
     The first failing record exits as ``file:line``: a bad JSON line, a
     missing task_id or alpha, a task_id that is not a string or an integer,
-    an alpha that is not a non-empty list of positive finite numbers (a bool
-    or a string is not a number), an ``n`` that is missing or not a
-    non-negative integer, a repeated task_id, or an alpha whose length is not
-    num_categories, the scheme's K.
+    an alpha that is not a non-empty list of positive finite numbers with a
+    finite sum (a bool or a string is not a number), an ``n`` that is missing
+    or not a non-negative integer, a repeated task_id, or an alpha whose
+    length is not num_categories, the scheme's K.
     """
     lines, (ids, alphas, ns), stop = _scan(
         path,
@@ -1055,12 +1058,16 @@ def read_alpha_records(path, num_categories: int) -> AlphaRecords:
     shape_fault = "alpha must be a non-empty vector"
     alpha = _Column(alphas, np.ones(len(ids), dtype=bool), "alpha", "a non-empty vector")
     bad_n = np.array([not (type(v) is int and 0 <= v <= _INT64_MAX) for v in ns], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):   # a sum past the float range, inf - inf
+        infinite_sum = alpha.failing(lambda a: ~np.isfinite(a.sum(axis=-1)))
     _raise_first(path, lines, stop, [
         (alpha.faulty | (alpha.sizes == 0),
          lambda i: f"bad record: {alpha.faults.get(i, shape_fault)}"),
         (alpha.failing(lambda a: ~(np.isfinite(a) & (a > 0)).all(axis=-1)),
          lambda i: f"bad record: alpha components must be positive and finite, "
                    f"got {alpha.row(i)}"),
+        (infinite_sum,
+         lambda i: f"bad record: alpha components must have a finite sum, got {alpha.row(i)}"),
         (bad_n, lambda i: "bad record: 'n'" if ns[i] is _ABSENT
          else f"bad record: n must be a non-negative integer, got {brief.repr(ns[i])}"),
         (_repeated(ids), lambda i: f"duplicate task_id {brief.repr(ids[i])}"),

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdinfer import autothresh
@@ -499,6 +499,36 @@ def test_rescore_sized_set_equals_per_resample_oracles_bitwise():
     assert got_quantiles.tobytes() == quantiles.tobytes()
     for target, thresholds in got.items():
         assert thresholds == _select_threshold_oracle(conf, corr, target, B, seed)
+
+
+# accuracies as the bootstrap makes them, hits / retained, NaN where nothing
+# is retained; few retained counts make ties
+_accuracies = st.one_of(
+    st.just(math.nan),
+    st.integers(1, 6).flatmap(lambda kept: st.integers(0, kept).map(lambda hits: hits / kept)),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda width: st.lists(
+    st.lists(_accuracies, min_size=width, max_size=width), min_size=1, max_size=6)))
+@example([[math.nan, math.nan, math.nan], [0.5, math.nan, math.nan], [0.5, 0.5, 0.5],
+          [0.0, 1.0, math.nan], [1.0, 1.0, 0.0]])
+@example([[0.75]])
+@example([[math.nan]])
+def test_sorted_quantiles_equal_np_quantile_bitwise(rows):
+    """The read-off equals np.quantile over each sorted row's finite entries
+    bit for bit: NaN tails, all-NaN rows (NaN), one finite value, ties."""
+    acc = np.sort(np.array(rows, dtype=float), axis=1)
+    got = autothresh._sorted_quantiles(acc)
+    assert got.shape == (3, len(rows))
+    for j, row in enumerate(acc):
+        finite = row[~np.isnan(row)]
+        if finite.size:
+            assert got[:, j].tobytes() == np.quantile(finite, (0.025, 0.5, 0.975)).tobytes()
+        else:
+            assert np.isnan(got[:, j]).all()
 
 
 def _bootstrap_float_matrix_oracle(conf, corr, B, seed):

@@ -27,6 +27,7 @@ from crowdinfer.core import (
     read_alpha_records,
     split_dataset,
     tally,
+    write_alpha_records,
     write_responses,
     write_scheme,
     write_tasks,
@@ -438,6 +439,25 @@ def test_non_number_values_exit_2(pipeline, tmp_path, capsys, item):
     assert run(tmp_path, "eval", "--split", "all") == 2
     assert (f"predictions.jsonl:5: bad record: alpha must hold numbers, got "
             f"{json.dumps(item)}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["predictions.jsonl", "posteriors.jsonl"])
+@pytest.mark.parametrize("argv", [("eval", "--split", "all"),
+                                  ("curve", "--split", "all", "--bootstrap", "4")])
+def test_alpha_summing_past_the_float_range_exit_2(pipeline, tmp_path, capsys, name, argv):
+    """Finite components whose sum is inf are refused where the record file
+    is read, with its line, and nothing is written."""
+    _copy_inputs(pipeline, tmp_path, "scheme.json", "tasks.jsonl", "predictions.jsonl",
+                 "posteriors.jsonl")
+    records = read_jsonl(pipeline / name)
+    records[4]["alpha"] = [1e308] * len(records[4]["alpha"])
+    (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in records))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {tmp_path / name}:5: bad record: alpha components must have a "
+                   f"finite sum, got [1.e+308 1.e+308 1.e+308]\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -1127,6 +1147,36 @@ def test_repeats_gates_with_the_point_estimate_calibrate_used(tmp_path, monkeypa
 
     assert replayed == [below("mean")]   # one replay serves both priors
     assert below("mean") != below("mode")   # the posterior mode would replay other tasks
+
+
+def test_calibrate_prints_the_point_values_at_the_deployed_threshold(tmp_path, capsys):
+    """The automated share and retained accuracy on test that calibrate
+    prints, recomputed from predictions.jsonl, posteriors.jsonl and
+    calibration.json: the test tasks whose confidence reaches the threshold.
+    The predictions are the posteriors with the least confident 30% of them
+    reversed, so accuracy grows with confidence."""
+    assert run(tmp_path, "simulate", "--num-tasks", "400", "--repeats", "8", "--seed", "0") == 0
+    assert run(tmp_path, "infer") == 0
+    posts = read_alpha_records(tmp_path / "posteriors.jsonl", 3)
+    posterior_conf = confidence(point_estimates(posts.alpha))
+    alpha = posts.alpha.copy()
+    reversed_rows = posterior_conf < np.quantile(posterior_conf, 0.3)
+    alpha[reversed_rows] = alpha[reversed_rows, ::-1]
+    write_alpha_records(tmp_path / "predictions.jsonl", posts.task_ids, alpha, posts.n)
+    capsys.readouterr()
+    assert run(tmp_path, "calibrate", "--target-accuracy", "0.8", "--bootstrap", "32",
+               "--seed", "1") == 0
+    out = capsys.readouterr().out
+
+    threshold = json.loads((tmp_path / "calibration.json").read_text())["deployment_threshold"]
+    preds = read_alpha_records(tmp_path / "predictions.jsonl", 3)
+    test = split_dataset(preds.task_ids, seed=1) == 2
+    q_hat = point_estimates(preds.alpha[test])
+    correct = q_hat.argmax(axis=1) == point_estimates(posts.alpha[test]).argmax(axis=1)
+    automated = confidence(q_hat) >= threshold
+    assert 0 < automated.sum() < test.sum() and not correct[automated].all()
+    assert out.splitlines()[1] == (f"at it: {automated.mean():.4f} of test tasks automated, "
+                                   f"retained accuracy {correct[automated].mean():.4f}")
 
 
 def test_repeats_refuses_a_threshold_calibrated_on_another_point_estimate(pipeline, tmp_path,

@@ -932,24 +932,65 @@ def test_undecodable_line_is_reported_at_its_line(tmp_path, fault):
 
 
 def test_reading_leaves_the_collector_as_it_was(tmp_path):
-    path = tmp_path / "responses.jsonl"
+    """Each reader restores the collector's state after a good file, a fault
+    found while the file is scanned, one raised after it (an unknown answer,
+    a duplicate id) and an open that fails."""
     scheme = CategoryScheme(("no", "yes"))
+    alpha = '{"task_id": "t0", "alpha": [1.0, 2.0], "n": 1}\n'
+    readers = [
+        (lambda path: read_responses(path, scheme),
+         ['{"task_id": "t0", "answer": "yes"}\n', '{"task_id": "t0"}\n',
+          '{"task_id": "t0", "answer": "maybe"}\n']),
+        (read_tasks, ['{"task_id": "t0"}\n', '{"id": "t0"}\n', '{"task_id": "t0"}\n' * 2]),
+        (lambda path: read_alpha_records(path, 2), [alpha, '{"task_id": "t0"}\n', alpha * 2]),
+    ]
+    path = tmp_path / "records.jsonl"
     was = gc.isenabled()
     try:
-        for enabled in (True, False):
-            gc.enable() if enabled else gc.disable()
-            for text in ('{"task_id": "t0", "answer": "yes"}\n', '{"task_id": "t0"}\n', None):
-                if text is None:
-                    path.unlink()   # open fails inside the pause
-                else:
-                    path.write_text(text)
-                try:
-                    read_responses(path, scheme)
-                except (InputError, FileNotFoundError):
-                    pass
-                assert gc.isenabled() == enabled
+        for read, texts in readers:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                for text in texts + [None]:
+                    if text is None:
+                        path.unlink()   # open fails inside the pause
+                    else:
+                        path.write_text(text)
+                    try:
+                        read(path)
+                    except (InputError, FileNotFoundError):
+                        pass
+                    assert gc.isenabled() == enabled
     finally:
         gc.enable() if was else gc.disable()
+
+
+def test_reading_runs_no_collector_pass_over_the_decoded_records(tmp_path):
+    """The collector stays paused until the reader has freed its per-record
+    lists, so neither the read of a few thousand records nor the next few
+    allocations after it run a pass, which would free nothing."""
+    path = tmp_path / "predictions.jsonl"
+    write_alpha_records(path, [f"t{i}" for i in range(3000)], np.ones((3000, 3)),
+                        np.zeros(3000, dtype=np.int64))
+    passes = []
+
+    def started(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(700, 10, 10)
+    gc.collect()
+    gc.callbacks.append(started)
+    try:
+        records = read_alpha_records(path, 3)
+        allocated = [[i] for i in range(50)]
+    finally:
+        gc.callbacks.remove(started)
+        gc.set_threshold(*threshold)
+        gc.enable() if was else gc.disable()
+    assert len(records) == 3000 and len(allocated) == 50
+    assert passes == []
 
 
 def test_response_ids_are_one_string_per_task(tmp_path):
@@ -1120,6 +1161,13 @@ def test_templated_alpha_writer_equals_per_record_writer(tmp_path_factory, case)
                         np.array([n for _, _, n in rows], dtype=np.int64))
     _write_alpha_records_oracle(folder / "want.jsonl", records)
     assert (folder / "got.jsonl").read_bytes() == (folder / "want.jsonl").read_bytes()
+    with np.errstate(over="ignore"):
+        overflowing = [i for i, (_, alpha, _) in enumerate(rows) if np.sum(alpha) == math.inf]
+    if overflowing:   # written as given, but an alpha whose sum is inf is refused on reading
+        with pytest.raises(InputError, match=f"got.jsonl:{overflowing[0] + 1}: bad record: "
+                                             f"alpha components must have a finite sum"):
+            read_alpha_records(folder / "got.jsonl", k)
+        return
     back = read_alpha_records(folder / "got.jsonl", k)
     assert back.task_ids == [tid for tid, _, _ in rows]
     assert back.alpha.reshape(-1).tolist() == [a for _, alpha, _ in rows for a in alpha]
@@ -1175,7 +1223,12 @@ def _read_alpha_records_oracle(path, num_categories):
                     for v in alpha:
                         if type(v) not in (int, float):
                             raise TypeError(f"alpha must hold numbers, got {json.dumps(v)}")
-                record = (DirichletParams(np.asarray(alpha, dtype=float)), rec["n"])
+                params = DirichletParams(np.asarray(alpha, dtype=float))
+                with np.errstate(over="ignore"):
+                    if params.alpha.sum() == math.inf:
+                        raise ValueError(f"alpha components must have a finite sum, "
+                                         f"got {params.alpha}")
+                record = (params, rec["n"])
             except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise InputError(f"{path}:{lineno}: bad record: {exc}") from exc
             n = record[1]
@@ -1256,6 +1309,10 @@ def _mutate(record, kind, records, i):
         rec["alpha"][0] = -1.0
     elif kind in ("nan", "inf"):
         rec["alpha"][0] = {"nan": math.nan, "inf": math.inf}[kind]
+    elif kind == "overflow":
+        rec["alpha"][:2] = [1e308, 1e308]
+    elif kind == "opposite_inf":
+        rec["alpha"][:2] = [math.inf, -math.inf]
     elif kind == "string":
         rec["alpha"][-1] = "x"
     elif kind == "length":
@@ -1291,12 +1348,13 @@ def _mutate(record, kind, records, i):
     return rec
 
 
-_FAULTS = ["value", "nan", "inf", "string", "length", "short", "empty", "duplicate", "n",
-           "bool_n", "no_n", "scalar", "nested", "no_alpha", "json", "null_id", "bool_id",
-           "list_id", "deep"]
+_FAULTS = ["value", "nan", "inf", "overflow", "opposite_inf", "string", "length", "short",
+           "empty", "duplicate", "n", "bool_n", "no_n", "scalar", "nested", "no_alpha", "json",
+           "null_id", "bool_id", "list_id", "deep"]
 
 
-@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n", "null_id", "deep"])
+@pytest.mark.parametrize("first", ["value", "length", "duplicate", "n", "null_id", "deep",
+                                   "opposite_inf"])
 @pytest.mark.parametrize("second", [None, "value", "length", "duplicate", "n", "null_id"])
 def test_alpha_reader_error_parity(tmp_path, first, second):
     """Each fault alone, and with a second one on an earlier line or on the same line."""
