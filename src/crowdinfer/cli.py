@@ -242,7 +242,10 @@ def _inference_counts(cfg: dict, counts: Optional[np.ndarray], rows) -> np.ndarr
 def _forwards(model, table, rows, ns, featureless: str):
     """head_forward of each of the table's rows at its count in ns, in row
     order and one at a time.  A featureless task exits 2 ("task <id>
-    <featureless>"), a forward not positive and finite 3, naming the task."""
+    <featureless>"), a forward not positive and finite 3, naming the task.
+    That check refuses every overflow and NaN, so each stage drives the
+    forwards under one np.errstate that silences numpy's warnings of them
+    (entered here, it would stay in force in the consumer between yields)."""
     ids, has_x = table.task_ids, table.has_features.tolist()
     for i, n in zip(rows, ns):
         if not has_x[i]:
@@ -271,7 +274,8 @@ def _in_splits(cfg: dict, task_ids: List[str], splits: List[str]) -> list:
 def _scored(cfg: dict, scheme, task_ids: List[str], splits: List[str]) -> list:
     """Per named split, in order: the predictions' point estimates (per cfg)
     and the reference modes of the split's ids, which both record files must
-    hold, as rows in sorted id order.  Each record file is read once.
+    hold, as rows in sorted id order, and the index in task_ids of each row.
+    Each record file is read once.
 
     A reference posterior of a task without responses (n = 0) is only its
     prior, so it exits 2 with its file line.
@@ -281,7 +285,8 @@ def _scored(cfg: dict, scheme, task_ids: List[str], splits: List[str]) -> list:
     posts = read_alpha_records(_path(cfg, "posteriors"), scheme.num_categories)
     scored = []
     for split, mask in zip(splits, masks):
-        ordered = sorted(itertools.compress(task_ids, mask))
+        rows = sorted(np.flatnonzero(mask).tolist(), key=task_ids.__getitem__)
+        ordered = [task_ids[i] for i in rows]
         pred_rows, ref_rows = preds.rows(ordered), posts.rows(ordered)
         if not ordered:
             raise InputError(f"no tasks to score in split {split}")
@@ -293,7 +298,7 @@ def _scored(cfg: dict, scheme, task_ids: List[str], splits: List[str]) -> list:
                 f"no responses (n = 0), so it cannot be a scoring reference"
             )
         scored.append((point_estimates(preds.alpha[pred_rows], cfg["point_estimate"]),
-                       point_estimates(posts.alpha[ref_rows])))
+                       point_estimates(posts.alpha[ref_rows]), rows))
     return scored
 
 
@@ -335,7 +340,9 @@ def cmd_infer(cfg: dict) -> int:
         counts = count_matrix(table.task_ids, responses, k)
         forwards = _forwards(_load_model(cfg, scheme, table), table, range(len(table)),
                              itertools.repeat(0), "has no features for the model prior")
-        alpha = _stacked((blend_prior(a, cfg["blend"]).alpha for a in forwards), k) + counts
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = _stacked((blend_prior(a, cfg["blend"]).alpha for a in forwards), k)
+        alpha += counts
         n = counts.sum(axis=1)
     else:
         prior = uniform_prior(scheme)
@@ -400,8 +407,9 @@ def cmd_predict(cfg: dict) -> int:
     model = _load_model(cfg, scheme, table)
     ns = _inference_counts(cfg, counts, range(len(table)))
     forwards = _forwards(model, table, range(len(table)), ns, "has no features to predict from")
-    write_alpha_records(_path(cfg, "predictions"), table.task_ids,
-                        _stacked((a.alpha for a in forwards), scheme.num_categories), ns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _stacked((a.alpha for a in forwards), scheme.num_categories)
+    write_alpha_records(_path(cfg, "predictions"), table.task_ids, alpha, ns)
     print(f"predicted {len(table)} tasks")
     return 0
 
@@ -412,7 +420,7 @@ def cmd_eval(cfg: dict) -> int:
     if scheme.num_proper < 2:
         raise InputError(f"{_path(cfg, 'scheme')}: eval scores ambiguity, which needs at "
                          f"least two proper categories; the scheme has {scheme.num_proper}")
-    [(q_hat, q_ref)] = _scored(cfg, scheme, table.task_ids, [cfg["split"]])
+    [(q_hat, q_ref, _)] = _scored(cfg, scheme, table.task_ids, [cfg["split"]])
     weights = hard_weights(np.bincount(q_ref.argmax(axis=1), minlength=scheme.num_categories))
     report = evaluate(q_hat, q_ref, weights)
     bins_ = ambiguity_calibration(ambiguity(q_hat, amb_cfg), ambiguity(q_ref, amb_cfg),
@@ -431,8 +439,8 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_curve(cfg: dict) -> int:
     scheme, table, _ = _load_dataset(cfg, responses=False)
-    [scored] = _scored(cfg, scheme, table.task_ids, [cfg["split"]])
-    conf, correct = _conf_correct(*scored)
+    [(q_hat, q_ref, _)] = _scored(cfg, scheme, table.task_ids, [cfg["split"]])
+    conf, correct = _conf_correct(q_hat, q_ref)
     bands = bootstrap_curves(conf, correct, cfg["bootstrap"], cfg["seed"])
     write_curve_csv(_path(cfg, "curve"), bands, provenance(cfg))
     print(
@@ -444,8 +452,10 @@ def cmd_curve(cfg: dict) -> int:
 
 def cmd_calibrate(cfg: dict) -> int:
     scheme, table, _ = _load_dataset(cfg, responses=False)
-    (val_conf, val_corr), (test_conf, test_corr) = (
-        _conf_correct(*scored) for scored in _scored(cfg, scheme, table.task_ids, ["val", "test"]))
+    (val_hat, val_ref, _), (test_hat, test_ref, test_rows) = _scored(
+        cfg, scheme, table.task_ids, ["val", "test"])
+    val_conf, val_corr = _conf_correct(val_hat, val_ref)
+    test_conf, test_corr = _conf_correct(test_hat, test_ref)
     result = calibrate(
         val_conf, val_corr, test_conf, test_corr,
         target_accuracy=cfg["target_accuracy"], B=cfg["bootstrap"], seed=cfg["seed"],
@@ -454,11 +464,18 @@ def cmd_calibrate(cfg: dict) -> int:
                                             "point_estimate": cfg["point_estimate"],
                                             **result.to_dict()})
     lo, hi = result.accuracy_ci
-    [automated], [accuracy] = _at_thresholds(test_conf, test_corr, [result.deployment_threshold])
+    threshold = [result.deployment_threshold]
+    [automated], [accuracy] = _at_thresholds(test_conf, test_corr, threshold)
+    latent = ""
+    if table.has_true_q[test_rows].all():   # simulated tasks: the latent label is known
+        on_truth = test_hat.argmax(axis=1) == table.true_q[test_rows].argmax(axis=1)
+        latent = (f"\nagainst the latent true_q, retained accuracy "
+                  f"{_at_thresholds(test_conf, on_truth, threshold)[1][0]:.4f}")
     print(
         f"calibrated threshold {result.deployment_threshold:.4f} "
         f"(target {cfg['target_accuracy']}, test accuracy CI [{lo:.4f}, {hi:.4f}])\n"
         f"at it: {automated:.4f} of test tasks automated, retained accuracy {accuracy:.4f}"
+        f"{latent}"
     )
     return 0
 
@@ -499,7 +516,9 @@ def cmd_repeats(cfg: dict) -> int:
         raise InputError(f"no task in split {cfg['split']} has responses to replay")
     ns = _inference_counts(cfg, counts, scored)
     forwards = _forwards(model, table, scored, ns, "has no features")
-    conf = confidence(_stacked((estimate(a).q for a in forwards), scheme.num_categories))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_hat = _stacked((estimate(a).q for a in forwards), scheme.num_categories)
+    conf = confidence(q_hat)
     kept = scored[conf < threshold]
     if not kept.size:
         raise InputError(f"no non-automated tasks left for the repeats analysis "
@@ -507,8 +526,9 @@ def cmd_repeats(cfg: dict) -> int:
 
     ids, answers = [table.task_ids[i] for i in kept], [answers[i] for i in kept]
     forwards = _forwards(model, table, kept, itertools.repeat(0), "has no features")
-    informed = _stacked((blend_prior(a, cfg["blend"]).alpha for a in forwards),
-                        scheme.num_categories)
+    with np.errstate(over="ignore", invalid="ignore"):
+        informed = _stacked((blend_prior(a, cfg["blend"]).alpha for a in forwards),
+                            scheme.num_categories)
     summaries = repeats_summary(ids, answers, {"uniform": np.ones_like(informed),
                                                "informed": informed},
                                 max_repeats=cfg["max_repeats"], permutations=cfg["permutations"],

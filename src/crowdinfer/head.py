@@ -154,9 +154,11 @@ def _target_term(b: np.ndarray, tau: float) -> np.ndarray:
                           - lg[b.size :].reshape(b.shape[:-1]))
 
 
-def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool = False):
+def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool = False,
+              value: bool = True):
     """Closed-form Chernoff distance, and with grad=True also its gradient with
-    respect to a's components; a, b have shape (..., K).
+    respect to a's components; a, b have shape (..., K).  With value=False
+    (and grad=True) the distance is not computed, and is None.
 
     target is _target_term(b, tau), which callers that score the same b many
     times compute once.  log_gamma, and digamma for the gradient, run once on
@@ -164,7 +166,7 @@ def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool 
     both act element by element, so each term has the value a separate call
     would give it.
     """
-    if target is None:
+    if value and target is None:
         target = _target_term(b, tau)
     m = tau * a + (1.0 - tau) * b
     rows, size = a.shape[:-1], a.size
@@ -176,8 +178,10 @@ def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool 
                 values[n + size : n + 2 * size].reshape(a.shape),
                 values[n + 2 * size :].reshape(rows))
 
-    lg_sm, lg_m, lg_a, lg_sa = split(log_gamma(x))
-    J = lg_sm - _row_sum(lg_m) + tau * (_row_sum(lg_a) - lg_sa) + target
+    J = None
+    if value:
+        lg_sm, lg_m, lg_a, lg_sa = split(log_gamma(x))
+        J = lg_sm - _row_sum(lg_m) + tau * (_row_sum(lg_a) - lg_sa) + target
     if not grad:
         return J
     psi_sm, psi_m, psi_a, psi_sa = split(digamma(x))
@@ -360,14 +364,16 @@ def _arrays(data, name: str):
     return X, T, n, w
 
 
-def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
+def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False, value=True):
     """Weighted mean Chernoff loss, the per-row losses J and, with grad=True,
     the gradients (dA, dbias, dW).
 
     target is _target_term(T, tau) when the caller has it.  A degenerate
     prediction makes the loss and its rows of J infinite, without gradients;
     so does, with grad=True, a row whose gradient is not finite (digamma of
-    a subnormal component is -inf while the loss stays finite).
+    a subnormal component is -inf while the loss stays finite).  value=False
+    (with grad=True) skips the loss: it and J are None where the gradients
+    are returned, and where they are not J is 0 on the good rows.
     """
     alpha, Z, S, Sigma = _forward_batch(params, alpha0_sum, X, n)
     if not positive_finite(alpha):
@@ -379,10 +385,10 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     if not grad:
         J = _chernoff(alpha, T, tau, target)
         return float(J @ wn), J, None
-    J, G = _chernoff(alpha, T, tau, target, grad=True)
+    J, G = _chernoff(alpha, T, tau, target, grad=True, value=value)
     finite = np.isfinite(G).all(axis=-1)
     if not finite.all():
-        return math.inf, np.where(finite, J, np.inf), None
+        return math.inf, np.where(finite, 0.0 if J is None else J, np.inf), None
     G = G * wn[:, None]
     W = params[2]
     dS = alpha0_sum * G
@@ -393,7 +399,30 @@ def _loss_grads(params, alpha0_sum, X, T, n, w, tau, target=None, grad=False):
     dW = dU.T @ Z
     dA = X.T @ dZ
     dbias = dZ.sum(axis=0)
-    return float(J @ wn), J, (dA, dbias, dW)
+    return None if J is None else float(J @ wn), J, (dA, dbias, dW)
+
+
+# Components below this keep every log_gamma argument of a minibatch loss,
+# row sums of up to 1e200 categories included, far below the 2.5e305 past
+# which log_gamma overflows.
+_LOSS_BOUND = 1e100
+
+
+def _losses_finite(alpha0_sum: float, T, n, w, tau: float) -> bool:
+    """Whether every minibatch loss over these examples is finite wherever its
+    forward is positive and finite, so that a training step need not compute
+    it to check.
+
+    Both softmax branches are at most 1, so a predicted component is at most
+    |alpha0_sum| + |n|; each component of m = tau*a + (1-tau)*T lies between
+    those of a and T, and is positive while (1-tau)*T does not round to 0.
+    T itself is positive and finite, or _target_term refuses it.  Weights
+    that are positive and finite keep the weighted mean finite.  A NaN fails
+    every comparison, so it keeps the loss.
+    """
+    return bool(abs(alpha0_sum) < _LOSS_BOUND and np.abs(n).max() < _LOSS_BOUND
+                and T.max() < _LOSS_BOUND and (1.0 - tau) * T.min() > 0.0
+                and positive_finite(w))
 
 
 def init_model(feature_dim: int, num_categories: int, alpha0_sum: float,
@@ -443,6 +472,9 @@ def train_head(
     target = _target_term(T, cfg.tau)
     if alpha0_sum is None:
         alpha0_sum = float(k)
+    # Adam reads only the gradient: a step computes its loss only where it
+    # might not be finite, to name the example that makes it so
+    check_loss = not _losses_finite(alpha0_sum, T, n, w, cfg.tau)
     if val_dataset is not None and len(val_dataset[0]):
         Xv, Tv, nv, wv = _arrays(val_dataset, "val_dataset")
         if (Xv.shape[1], Tv.shape[1]) != (X.shape[1], k):
@@ -463,18 +495,22 @@ def train_head(
     best_theta = theta.copy()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(N)
-        for start in range(0, N, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
-                                         cfg.tau, target[idx], grad=True)
-            t += 1
-            if not math.isfinite(loss):
-                bad = idx[~np.isfinite(J)]
-                bad_id = brief_text(str(task_ids[bad[0]])) if bad.size else "unknown"
-                raise RuntimeError(f"non-finite training loss at iteration {t}, example {bad_id}")
-            _adam_step(theta, m, v, np.concatenate(grads, axis=None), t, cfg)
-            if not np.isfinite(theta).all():
-                _check_finite_params(params)
+        # an overflow or NaN in a step is refused by the checks on its forward,
+        # gradient, loss and parameters, not left to numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, N, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
+                                             cfg.tau, target[idx], grad=True, value=check_loss)
+                t += 1
+                if grads is None or check_loss and not math.isfinite(loss):
+                    bad = idx[~np.isfinite(J)]
+                    bad_id = brief_text(str(task_ids[bad[0]])) if bad.size else "unknown"
+                    raise RuntimeError(f"non-finite training loss at iteration {t}, "
+                                       f"example {bad_id}")
+                _adam_step(theta, m, v, np.concatenate(grads, axis=None), t, cfg)
+                if not np.isfinite(theta).all():
+                    _check_finite_params(params)
 
         report = callback is not None and (epoch == cfg.epochs or not last_epoch_only)
         train_loss = val_loss = None

@@ -1109,6 +1109,33 @@ def test_forward_that_is_not_positive_and_finite_exit_3(pipeline, tmp_path, caps
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before   # nothing written
 
 
+@pytest.mark.filterwarnings("error")   # a numpy warning would reach stderr
+@pytest.mark.parametrize("argv", [("predict",), ("infer", "--prior", "model"),
+                                  ("repeats", "--split", "all", "--permutations", "2")])
+def test_model_too_large_for_its_scores_exit_3_with_one_line(pipeline, tmp_path, capsys, argv):
+    # every A entry at 1e308 overflows the first task's scores to inf and NaN
+    _copy_inputs(pipeline, tmp_path, *_ALL_INPUTS)
+    model = json.loads((pipeline / "model.json").read_text())
+    model["A"] = [[1e308] * len(row) for row in model["A"]]
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    first = read_jsonl(pipeline / "tasks.jsonl")[0]["task_id"]
+    assert run(tmp_path, *argv) == 3
+    assert capsys.readouterr().err == (f"numeric error: task {first}: forward alpha not "
+                                       f"positive and finite: [nan, nan, nan]\n")
+
+
+@pytest.mark.filterwarnings("error")   # a numpy warning would reach stderr
+def test_overflowing_training_step_exit_3_with_one_line(tmp_path, capsys):
+    assert run(tmp_path, "simulate", "--num-tasks", "200") == 0
+    assert run(tmp_path, "infer") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "train", "--batch-size", "1", "--epochs", "1",
+               "--learning-rate", "1e308") == 3
+    assert capsys.readouterr().err == ("numeric error: non-finite training loss at "
+                                       "iteration 2, example t000132\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_repeats_ignores_featureless_tasks_outside_its_split(pipeline, tmp_path):
     argv = ("repeats", "--split", "test", "--permutations", "2", "--deployment-threshold", "2.0")
     assert run(pipeline, *argv, "--repeats-csv", str(tmp_path / "want.csv")) == 0
@@ -1177,6 +1204,47 @@ def test_calibrate_prints_the_point_values_at_the_deployed_threshold(tmp_path, c
     assert 0 < automated.sum() < test.sum() and not correct[automated].all()
     assert out.splitlines()[1] == (f"at it: {automated.mean():.4f} of test tasks automated, "
                                    f"retained accuracy {correct[automated].mean():.4f}")
+
+
+def test_calibrate_prints_the_latent_accuracy_where_test_tasks_carry_true_q(tmp_path, capsys):
+    """The retained accuracy against argmax(true_q) that calibrate prints,
+    recomputed from tasks.jsonl, predictions.jsonl and calibration.json: the
+    test tasks whose confidence reaches the threshold.  Without a true_q on
+    every test task the line is left out."""
+    assert run(tmp_path, "simulate", "--num-tasks", "400", "--repeats", "4", "--seed", "2") == 0
+    assert run(tmp_path, "infer") == 0
+    posts = read_alpha_records(tmp_path / "posteriors.jsonl", 3)
+    posterior_conf = confidence(point_estimates(posts.alpha))
+    alpha = posts.alpha.copy()
+    reversed_rows = posterior_conf < np.quantile(posterior_conf, 0.3)
+    alpha[reversed_rows] = alpha[reversed_rows, ::-1]
+    write_alpha_records(tmp_path / "predictions.jsonl", posts.task_ids, alpha, posts.n)
+    capsys.readouterr()
+    argv = ("calibrate", "--target-accuracy", "0.8", "--bootstrap", "32", "--seed", "2")
+    assert run(tmp_path, *argv) == 0
+    out = capsys.readouterr().out.splitlines()
+
+    true_q = {rec["task_id"]: rec["true_q"] for rec in read_jsonl(tmp_path / "tasks.jsonl")}
+    threshold = json.loads((tmp_path / "calibration.json").read_text())["deployment_threshold"]
+    preds = read_alpha_records(tmp_path / "predictions.jsonl", 3)
+    test = split_dataset(preds.task_ids, seed=2) == 2
+    q_hat = point_estimates(preds.alpha[test])
+    truth = np.array([true_q[t] for t in itertools.compress(preds.task_ids, test)])
+    correct = q_hat.argmax(axis=1) == truth.argmax(axis=1)
+    automated = confidence(q_hat) >= threshold
+    assert 0 < automated.sum() < test.sum() and 0 < correct[automated].mean() < 1
+    assert len(out) == 3
+    assert out[2] == f"against the latent true_q, retained accuracy {correct[automated].mean():.4f}"
+
+    # one test task without its true_q: the line is left out
+    first_test = next(itertools.compress(preds.task_ids, test))
+    records = read_jsonl(tmp_path / "tasks.jsonl")
+    for rec in records:
+        if rec["task_id"] == first_test:
+            del rec["true_q"]
+    (tmp_path / "tasks.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run(tmp_path, *argv) == 0
+    assert capsys.readouterr().out.splitlines() == out[:2]
 
 
 def test_repeats_refuses_a_threshold_calibrated_on_another_point_estimate(pipeline, tmp_path,

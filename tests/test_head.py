@@ -544,8 +544,9 @@ def test_identity_mixer_can_express_any_interior_target():
 
 
 def _train_head_oracle(data, cfg, val_dataset=None, alpha0_sum=None, callback=None):
-    """train_head with Adam state kept per parameter array (A, bias, W): the
-    reference for the flat-vector trainer.  Skips the input checks."""
+    """train_head with Adam state kept per parameter array (A, bias, W) and
+    every minibatch loss computed: the reference for the flat-vector trainer,
+    which skips that loss where it is bounded.  Skips the input checks."""
     X, T, n, w = data
     N, k = T.shape
     alpha0_sum = float(k) if alpha0_sum is None else alpha0_sum
@@ -560,23 +561,24 @@ def _train_head_oracle(data, cfg, val_dataset=None, alpha0_sum=None, callback=No
     best_loss, best_params = math.inf, [p.copy() for p in params]
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(N)
-        for start in range(0, N, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
-                                         cfg.tau, target[idx], grad=True)
-            t += 1
-            if not math.isfinite(loss):
-                raise RuntimeError(f"non-finite training loss at iteration {t}, "
-                                   f"example row {idx[~np.isfinite(J)][0]}")
-            lr = cfg.learning_rate * min(1.0, t / max(cfg.warmup_iters, 1))
-            out = []
-            for i, (p, g) in enumerate(zip(params, grads)):
-                m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-                v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
-                mhat = m[i] / (1 - cfg.beta1 ** t)
-                vhat = v[i] / (1 - cfg.beta2 ** t)
-                out.append(p - lr * mhat / (np.sqrt(vhat) + 1e-8))
-            params = out
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, N, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                loss, J, grads = _loss_grads(params, alpha0_sum, X[idx], T[idx], n[idx], w[idx],
+                                             cfg.tau, target[idx], grad=True)
+                t += 1
+                if not math.isfinite(loss):
+                    raise RuntimeError(f"non-finite training loss at iteration {t}, "
+                                       f"example row {idx[~np.isfinite(J)][0]}")
+                lr = cfg.learning_rate * min(1.0, t / max(cfg.warmup_iters, 1))
+                out = []
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    m[i] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+                    v[i] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+                    mhat = m[i] / (1 - cfg.beta1 ** t)
+                    vhat = v[i] / (1 - cfg.beta2 ** t)
+                    out.append(p - lr * mhat / (np.sqrt(vhat) + 1e-8))
+                params = out
         train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
         val_loss = (_loss_grads(params, alpha0_sum, *val_dataset, cfg.tau, target_v)[0]
                     if val_dataset is not None else None)
@@ -598,6 +600,11 @@ def _training_cases(draw):
         return rng.normal(size=(rows, d)), targets, counts, rng.uniform(0.1, 2.0, size=rows)
 
     val = examples(draw(st.integers(1, 40))) if draw(st.booleans()) else None
+    data = examples(N)
+    if draw(st.integers(0, 4)) == 0:
+        # a target row past the bound under which steps skip their loss, with
+        # a finite log_gamma, so training takes the loss-checking steps to the end
+        data[1][draw(st.integers(0, N - 1))] *= 1e200
     cfg = TrainConfig(
         learning_rate=draw(st.sampled_from([2e-4, 1e-2, 0.1])),
         beta1=draw(st.sampled_from([0.0, 0.9])),
@@ -608,7 +615,8 @@ def _training_cases(draw):
         seed=draw(st.integers(0, 2**16)),
         select=draw(st.sampled_from(["best", "last"])),
     )
-    return examples(N), val, draw(st.sampled_from([None, 1.0, 7.5])), cfg
+    # alpha0_sum 1e150 is past that bound too; at 1e306 the first step's loss is not finite
+    return data, val, draw(st.sampled_from([None, 1.0, 7.5, 1e150, 1e306])), cfg
 
 
 def _trained(trainer, case):
@@ -682,6 +690,81 @@ def _toy_dataset(rng, n=64, d=6, k=3):
     logits = X @ A
     targets = (3.0 + 20.0) * softmax(logits)
     return X, targets, np.full(n, 20.0), np.ones(n)
+
+
+def _scaled(data, part, row, factor):
+    """data with one entry of X, T, n or w (part 0-3), or one row of it, scaled."""
+    out = [a.copy() for a in data]
+    out[part][row] *= factor
+    return tuple(out)
+
+
+@pytest.mark.parametrize("alpha0_sum, part, factor, bounded", [
+    (None, 0, 1.0, True),
+    (None, 0, 1e300, True),         # features do not bound the loss's arguments
+    (1e100, 0, 1.0, False),
+    (-1e100, 0, 1.0, False),
+    (None, 1, 1e100, False),        # a target row past 1e100
+    (None, 2, 1e100, False),        # a response count of 2e101
+    (None, 2, -1e100, False),
+    (None, 2, math.nan, False),
+    (None, 3, 0.0, False),          # a weight of 0: a minibatch may weigh nothing
+    (None, 3, math.inf, False),
+])
+def test_loss_bound_decision(alpha0_sum, part, factor, bounded):
+    from crowdinfer import head
+
+    data = _scaled(_toy_dataset(np.random.default_rng(13), n=8), part, 0, factor)
+    a0 = 3.0 if alpha0_sum is None else alpha0_sum
+    assert head._losses_finite(a0, data[1], data[2], data[3], 0.5) is bounded
+
+
+def test_loss_bound_decision_needs_m_positive():
+    """(1 - tau) * T rounding to 0 could leave a component of m at 0, where
+    log_gamma, not digamma, would name the fault."""
+    from crowdinfer import head
+
+    T = np.array([[5e-324, 1.0]])
+    one = (np.ones(1), np.ones(1))
+    assert head._losses_finite(2.0, T, *one, 0.25)
+    assert not head._losses_finite(2.0, T, *one, 0.5)
+    assert not head._losses_finite(2.0, T, *one, 1.0 - 2.0 ** -53)
+
+
+def test_minibatch_steps_compute_their_loss_only_past_the_bound(monkeypatch):
+    """log_gamma runs for the two target terms and each full-set loss; only
+    training on data past the bound also runs it once per minibatch step.
+    Either way the model and the losses the callback sees are the same bits
+    as the per-array oracle's, which computes every step's loss."""
+    from crowdinfer import head
+
+    calls = []
+    log_gamma = head.log_gamma
+    monkeypatch.setattr(head, "log_gamma", lambda x: calls.append(1) or log_gamma(x))
+    rng = np.random.default_rng(11)
+    data, val = _toy_dataset(rng, n=48), _toy_dataset(rng, n=16)
+    epochs, steps = 4, 4 * 3
+    cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, batch_size=16)
+    for case, per_step in [((data, None), 0), ((_scaled(data, 1, 5, 1e150), None), 1),
+                           ((data, 1e100), 1), ((_scaled(data, 3, 7, 0.0), None), 1)]:
+        calls.clear()
+        trained = _trained(functools.partial(train_head, last_epoch_only=True),
+                           (case[0], val, case[1], cfg))
+        # validation losses every epoch for model selection, the final train loss once
+        assert len(calls) == 2 + epochs + 1 + per_step * steps
+        assert not isinstance(trained[0], str)
+        oracle = _trained(_train_head_oracle, (case[0], val, case[1], cfg))
+        assert trained == (oracle[0], oracle[1][-1:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_step_raises_without_a_numpy_warning():
+    """A learning rate of 1e308 overflows the second step's scores; the
+    forward check refuses them, and numpy's warnings of it stay silent."""
+    data = _toy_dataset(np.random.default_rng(14), n=8)
+    cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=1, seed=0)
+    with pytest.raises(RuntimeError, match="non-finite training loss at iteration 2, example"):
+        train_head(data, cfg)
 
 
 def test_training_decreases_loss():
