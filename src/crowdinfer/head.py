@@ -148,10 +148,16 @@ def _check_tau(tau: float) -> None:
 
 
 def _target_term(b: np.ndarray, tau: float) -> np.ndarray:
-    """The part of the closed form that depends on b alone, per row of b."""
+    """The part of the closed form that depends on b alone, per row of b.
+
+    Components near the largest float have an infinite log_gamma, and the
+    term is then inf or NaN without numpy's warnings: the loss it enters
+    is checked for that.
+    """
     lg = log_gamma(np.concatenate([b.ravel(), np.ravel(_row_sum(b))]))
-    return (1.0 - tau) * (_row_sum(lg[: b.size].reshape(b.shape))
-                          - lg[b.size :].reshape(b.shape[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (1.0 - tau) * (_row_sum(lg[: b.size].reshape(b.shape))
+                              - lg[b.size :].reshape(b.shape[:-1]))
 
 
 def _chernoff(a: np.ndarray, b: np.ndarray, tau: float, target=None, grad: bool = False,
@@ -285,6 +291,12 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
     By construction the components sum to alpha0_sum + n.  Features too large
     for the model's scores leave components that are not positive and finite:
     that raises FloatingPointError.
+
+    The bits are those of _forward_batch on this one row, without its N-row
+    softmax: the two products, one max-shift, one exp and numpy's row sums of
+    the stacked (2, K) scores stay numpy's (from 8 components on the row sum
+    is pairwise, which a Python sum is not), and the divisions and the blend
+    are the same IEEE operations on Python floats.
     """
     features = np.asarray(features, dtype=float)
     if features.shape != (model.feature_dim,):
@@ -295,12 +307,18 @@ def head_forward(model: HeadModel, features: np.ndarray, n: int) -> DirichletPar
         raise ValueError("non-finite feature values")
     if not n >= 0:   # NaN too
         raise InputError("response count n must be non-negative")
-    alpha, _, _, _ = _forward_batch(model.params, model.alpha0_sum, features[None, :],
-                                    np.array([float(n)]))
+    Z = features[None, :] @ model.A + model.bias
+    rows = np.concatenate((Z, Z @ model.W.T))
+    rows -= np.maximum.reduce(rows, axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    # each row sums to at least 1, its maximum's exp, or to NaN: no division by zero
+    (s, t), (e, f) = np.add.reduce(rows, axis=1).tolist(), rows.tolist()
+    a0, n = float(model.alpha0_sum), float(n)
+    alpha = [a0 * (x / s) + n * (y / t) for x, y in zip(e, f)]
     try:
-        return DirichletParams(alpha[0])
+        return DirichletParams(alpha)
     except InputError:   # features too large for the model's scores
-        raise FloatingPointError(f"forward alpha not positive and finite: {alpha[0].tolist()}")
+        raise FloatingPointError(f"forward alpha not positive and finite: {alpha}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +513,11 @@ def train_head(
     best_theta = theta.copy()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(N)
+        report = callback is not None and (epoch == cfg.epochs or not last_epoch_only)
+        train_loss = val_loss = None
         # an overflow or NaN in a step is refused by the checks on its forward,
-        # gradient, loss and parameters, not left to numpy's warnings
+        # gradient, loss and parameters, not left to numpy's warnings; a
+        # full-set loss past the float range is passed on as inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, N, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
@@ -511,13 +532,11 @@ def train_head(
                 _adam_step(theta, m, v, np.concatenate(grads, axis=None), t, cfg)
                 if not np.isfinite(theta).all():
                     _check_finite_params(params)
+            if report or (monitor and val_dataset is None):
+                train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
+            if val_dataset is not None and (report or monitor):
+                val_loss = _loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
 
-        report = callback is not None and (epoch == cfg.epochs or not last_epoch_only)
-        train_loss = val_loss = None
-        if report or (monitor and val_dataset is None):
-            train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
-        if val_dataset is not None and (report or monitor):
-            val_loss = _loss_grads(params, alpha0_sum, Xv, Tv, nv, wv, cfg.tau, target_v)[0]
         if monitor:
             monitored = train_loss if val_loss is None else val_loss
             if monitored < best_loss:

@@ -270,19 +270,58 @@ def test_stacked_forward_equals_two_softmax_oracle_bitwise(case):
             assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
-def test_stacked_forward_equals_oracle_under_other_cpu_dispatch():
-    """The equality above must hold whatever kernels numpy dispatches to:
-    rerun it with the AVX-512 dispatch targets switched off (numpy 2.4 names;
-    a name a numpy build lacks is ignored with an ImportWarning)."""
+@settings(max_examples=150, deadline=None)
+@given(_forward_cases())
+def test_one_row_forward_equals_batch_forward_bitwise(case):
+    """head_forward does its own one-row arithmetic: its alpha must be
+    _forward_batch's on that row, bit for bit, and where that row is not
+    positive and finite (saturated scores) it raises the same error text."""
+    params, alpha0_sum, X, counts = case
+    model = HeadModel(*params, alpha0_sum)
+    with np.errstate(all="ignore"):
+        for x, count in zip(X[:8], counts.tolist()):
+            for n in (0, int(count), 2**62):
+                want = _forward_batch(params, alpha0_sum, x[None, :], np.array([float(n)]))[0][0]
+                if np.isfinite(want).all() and (want > 0).all():
+                    assert _same_bits(head_forward(model, x, n).alpha, want)
+                    continue
+                with pytest.raises(FloatingPointError) as raised:
+                    head_forward(model, x, n)
+                assert str(raised.value) == f"forward alpha not positive and finite: {want.tolist()}"
+
+
+# numpy 2.4 names; a name a numpy build lacks is ignored with an ImportWarning
+_OTHER_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _passes_in_a_subprocess(test: str, env: dict) -> None:
+    """Run one test of this file in a fresh interpreter with env added to the
+    environment, and require that it passed."""
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
                                                       os.environ.get("PYTHONPATH")]))}
-    test = f"{Path(__file__).resolve()}::test_stacked_forward_equals_two_softmax_oracle_bitwise"
+    test = f"{Path(__file__).resolve()}::{test}"
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
                           cwd=root, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert "1 passed" in done.stdout
+
+
+def test_stacked_forward_equals_oracle_under_other_cpu_dispatch():
+    """The equality above must hold whatever kernels numpy dispatches to:
+    rerun it with the AVX-512 dispatch targets switched off."""
+    _passes_in_a_subprocess("test_stacked_forward_equals_two_softmax_oracle_bitwise",
+                            _OTHER_DISPATCH)
+
+
+@pytest.mark.parametrize("env", [_OTHER_DISPATCH, {"OPENBLAS_CORETYPE": "Haswell"}],
+                         ids=["other_cpu_dispatch", "haswell_blas_kernel"])
+def test_one_row_forward_equals_batch_forward_under(env):
+    """The one-row forward keeps the batch's bits with numpy's AVX-512
+    dispatch switched off, and with OpenBLAS's AVX2 kernel in place of the
+    one it picks for this CPU."""
+    _passes_in_a_subprocess("test_one_row_forward_equals_batch_forward_bitwise", env)
 
 
 @settings(max_examples=100, deadline=None)
@@ -765,6 +804,34 @@ def test_overflowing_step_raises_without_a_numpy_warning():
     cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=1, seed=0)
     with pytest.raises(RuntimeError, match="non-finite training loss at iteration 2, example"):
         train_head(data, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_target_past_the_float_range_raises_without_a_numpy_warning():
+    """A target row near the largest float has an infinite log_gamma, so its
+    target term is NaN; training refuses that loss with its one error, and
+    numpy does not warn of the inf - inf first."""
+    X, T, n, w = _toy_dataset(np.random.default_rng(15), n=10)
+    T[3] = [1e306, 1.0, 1.0]
+    cfg = TrainConfig(epochs=1, batch_size=10, seed=0)
+    with pytest.raises(RuntimeError,
+                       match="^non-finite training loss at iteration 1, example row 3$"):
+        train_head((X, T, n, w), cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_val_loss_past_the_float_range_is_nan_without_a_numpy_warning():
+    """A full-set loss is passed on as it is, and one past the float range
+    (a validation target near the largest float) reads NaN, without
+    numpy's warnings of the inf - inf that makes it."""
+    X, T, n, w = _toy_dataset(np.random.default_rng(16), n=10)
+    Tv = T.copy()
+    Tv[3] = [1e306, 1.0, 1.0]
+    losses = []
+    train_head((X, T, n, w), TrainConfig(epochs=2, batch_size=4, seed=0),
+               val_dataset=(X, Tv, n, w), callback=lambda *entry: losses.append(entry))
+    assert [epoch for epoch, _, _ in losses] == [1, 2]
+    assert all(math.isfinite(train) and math.isnan(val) for _, train, val in losses)
 
 
 def test_training_decreases_loss():
