@@ -236,7 +236,11 @@ class HeadModel:
         if A.ndim != 2 or A.shape[1] != k or W.shape != (k, k):
             raise ValueError(f"inconsistent parameter shapes: A {A.shape}, bias {bias.shape}, W {W.shape}")
         _check_finite_params((A, bias, W))
-        if not 0 < self.alpha0_sum < math.inf:
+        try:   # an int past the float range compares below inf, but no float holds it
+            finite = 0 < self.alpha0_sum < math.inf and math.isfinite(self.alpha0_sum)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"alpha0_sum must be positive and finite, got {self.alpha0_sum}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "bias", bias)
@@ -473,7 +477,9 @@ def train_head(
 
     Model selection keeps the epoch with the lowest monitored loss
     (validation loss when a validation set is given, else training loss);
-    cfg.select="last" disables the snapshotting.  The optional callback
+    cfg.select="last" disables the snapshotting.  Where no epoch's monitored
+    loss is finite, there is no epoch to keep, and RuntimeError is raised
+    after the last epoch.  The optional callback
     receives (epoch, train_loss, val_loss) after every epoch, or with
     last_epoch_only=True after the last one only.  Each full-set loss costs a
     forward and a Chernoff pass, so an epoch computes one only where model
@@ -545,6 +551,9 @@ def train_head(
         if report:
             callback(epoch, train_loss, val_loss)
 
+    if monitor and best_loss == math.inf:   # every loss was NaN or inf
+        which = "training" if val_dataset is None else "validation"
+        raise RuntimeError(f"non-finite {which} loss in every epoch: no epoch to select")
     return HeadModel(*_unflatten(best_theta if monitor else theta, d, k), alpha0_sum)
 
 

@@ -89,7 +89,12 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
 
     Each task's own named stream draws its latent label, its feature noise,
     then the uniforms of its responses, so a task's row is a pure function of
-    the config and its index.  Features and answers are then computed for
+    the config and its index.  For a symmetric alpha0 whose component is at
+    least 0.1 (the default 0.5 included) the latent label is K gamma draws of
+    that one shape, normalized after the loop as numpy's ``dirichlet``
+    normalizes them; any other alpha0 draws it with ``rng.dirichlet``.  Both
+    give the bits of ``rng.dirichlet(alpha0)``, which tests/test_sim.py pins
+    on both branches.  Features and answers are then computed for
     all tasks at once, with the arithmetic the per-task draws implied: a
     task's answers are what ``rng.choice(K, size=repeats, p=q)`` makes of its
     uniforms.  A latent draw that is not a soft label (a huge alpha0) and
@@ -97,6 +102,9 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     first such task.
     """
     alpha = np.array(config.alpha0 or (0.5,) * config.num_categories)
+    # dirichlet normalizes gammas unless every component is below 0.1; one
+    # scalar shape draws the same gammas at a fraction of dirichlet's cost
+    shape = alpha[0] if (alpha == alpha[0]).all() and alpha[0] >= 0.1 else None
     fmap = feature_map(config)
     n, d = config.num_tasks, config.feature_dim
     noisy = config.feature_noise > 0
@@ -105,10 +113,15 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
     noise = np.empty((n, d))
     u = np.empty((n, config.repeats))
     for i, rng in enumerate(task_rngs(config.seed, ids)):
-        q[i] = rng.dirichlet(alpha)
+        if shape is None:
+            q[i] = rng.dirichlet(alpha)
+        else:
+            rng.standard_gamma(shape, out=q[i])
         if noisy:
             rng.standard_normal(out=noise[i])
         rng.random(out=u[i])
+    if shape is not None:
+        _normalize_gammas(q)
     soft = abs(q.sum(axis=1) - 1.0) <= SIMPLEX_ATOL   # draws are non-negative
     if not soft.all():   # a huge alpha0 overflows them to zeros or NaN
         i = soft.argmin()
@@ -126,6 +139,18 @@ def simulate_dataset(config: SimConfig) -> Tuple[CategoryScheme, TaskTable, np.n
         raise InputError(f"non-finite feature values in task {brief.repr(ids[bad.argmax()])}")
     present = np.ones(n, dtype=bool)
     return scheme_for(config), TaskTable(ids, x, present, q, present.copy()), _answers(q, u)
+
+
+def _normalize_gammas(g: np.ndarray) -> None:
+    """Scale each row of gamma draws to sum 1 in place, as numpy's
+    ``Generator.dirichlet`` scales them: a running sum from column 0, its
+    reciprocal, one product per entry.  A huge alpha0 overflows rows to zeros
+    or NaN, which the caller's soft-label check refuses."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        acc = g[:, 0].copy()
+        for column in g.T[1:]:
+            acc += column
+        g *= (1.0 / acc)[:, None]
 
 
 def _answers(q: np.ndarray, u: np.ndarray) -> np.ndarray:

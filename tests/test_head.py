@@ -828,10 +828,25 @@ def test_val_loss_past_the_float_range_is_nan_without_a_numpy_warning():
     Tv = T.copy()
     Tv[3] = [1e306, 1.0, 1.0]
     losses = []
-    train_head((X, T, n, w), TrainConfig(epochs=2, batch_size=4, seed=0),
-               val_dataset=(X, Tv, n, w), callback=lambda *entry: losses.append(entry))
+    # every validation loss is NaN, so model selection then has no epoch to keep
+    with pytest.raises(RuntimeError, match="non-finite validation loss in every epoch"):
+        train_head((X, T, n, w), TrainConfig(epochs=2, batch_size=4, seed=0),
+                   val_dataset=(X, Tv, n, w), callback=lambda *entry: losses.append(entry))
     assert [epoch for epoch, _, _ in losses] == [1, 2]
     assert all(math.isfinite(train) and math.isnan(val) for _, train, val in losses)
+
+
+def test_selection_without_a_finite_loss_raises():
+    """NaN compares below no loss, so where every epoch's validation loss
+    is NaN no epoch is selected: training raises instead of returning the
+    initial parameters."""
+    X, T, n, w = _toy_dataset(np.random.default_rng(17), n=10)
+    Tv = T.copy()
+    Tv[3] = [1e306, 1.0, 1.0]
+    cfg = TrainConfig(epochs=5, batch_size=4, seed=0)
+    with pytest.raises(RuntimeError,
+                       match="^non-finite validation loss in every epoch: no epoch to select$"):
+        train_head((X, T, n, w), cfg, val_dataset=(X, Tv, n, w))
 
 
 def test_training_decreases_loss():
@@ -1013,7 +1028,15 @@ def test_head_model_validates_shapes():
         HeadModel(A=np.zeros((2, 3)), bias=np.zeros(3), W=np.eye(3), alpha0_sum=0.0)
 
 
-@pytest.mark.parametrize("alpha0_sum", [0.0, -1.0, float("inf"), float("nan")])
+# 10**400 compares below inf, but no float holds it
+@pytest.mark.parametrize("alpha0_sum", [0.0, -1.0, float("inf"), float("nan"),
+                                        pytest.param(10**400, id="10**400")])
 def test_head_model_requires_positive_finite_alpha0_sum(alpha0_sum):
     with pytest.raises(ValueError, match="alpha0_sum must be positive and finite"):
         HeadModel(A=np.zeros((2, 3)), bias=np.zeros(3), W=np.eye(3), alpha0_sum=alpha0_sum)
+
+
+def test_head_model_keeps_an_int_alpha0_sum_in_the_float_range():
+    model = HeadModel(A=np.zeros((2, 3)), bias=np.zeros(3), W=np.eye(3), alpha0_sum=10**300)
+    assert type(model.alpha0_sum) is int and model.alpha0_sum == 10**300
+    assert head_forward(model, np.zeros(2), 0).alpha.tolist() == [10.0**300 / 3] * 3

@@ -70,8 +70,10 @@ def _sim_configs(draw):
     # features and 12 categories
     large = draw(st.booleans())
     num_proper = draw(st.integers(1, 11 if large else 5))
+    # symmetric vectors from 0.1 up draw scalar-shape gammas, the rest dirichlet
     alpha0 = draw(st.one_of(
         st.none(),
+        st.floats(0.05, 20.0).map(lambda a: [a] * (num_proper + 1)),
         st.lists(st.floats(0.05, 20.0), min_size=num_proper + 1, max_size=num_proper + 1),
     ))
     return SimConfig(
@@ -87,6 +89,13 @@ def _sim_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_sim_configs())
+# symmetric below 0.1: numpy's dirichlet breaks sticks, and simulate_dataset calls it
+@example(SimConfig(num_tasks=40, repeats=7, alpha0=(0.05,) * 3, seed=3))
+# symmetric at 0.1 and symmetric at K = 12: scalar-shape gammas, normalized
+@example(SimConfig(num_tasks=40, repeats=7, alpha0=(0.1,) * 3, seed=4))
+@example(SimConfig(num_tasks=40, num_proper=11, repeats=7, alpha0=(2.5,) * 12, seed=5))
+# asymmetric: dirichlet with its shape vector
+@example(SimConfig(num_tasks=40, repeats=7, alpha0=(0.5, 2.0, 7.5), seed=6))
 def test_simulate_dataset_equals_per_task_generator_bitwise(cfg):
     scheme, table, answers = simulate_dataset(cfg)
     want = _per_task_oracle(cfg)
@@ -126,10 +135,11 @@ def test_alpha0_must_be_finite():
 
 
 def test_overflowing_latent_draw_names_task_and_alpha0():
-    cfg = SimConfig(num_tasks=3, alpha0=(1e308, 1e308, 1.0))
-    with pytest.raises(InputError, match=r"task 't000000' from alpha0 \(1e\+308, 1e\+308, 1\.0\) "
-                                         r"is not a soft label"):
-        simulate_dataset(cfg)
+    # through dirichlet, then through the normalized scalar-shape gammas
+    for alpha0 in (1e308, 1e308, 1.0), (1e308,) * 3:
+        with pytest.raises(InputError, match=r"task 't000000' from alpha0 "
+                                             + re.escape(repr(alpha0)) + " is not a soft label"):
+            simulate_dataset(SimConfig(num_tasks=3, alpha0=alpha0))
 
 
 def test_config_size_limit():
