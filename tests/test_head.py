@@ -585,7 +585,9 @@ def test_identity_mixer_can_express_any_interior_target():
 def _train_head_oracle(data, cfg, val_dataset=None, alpha0_sum=None, callback=None):
     """train_head with Adam state kept per parameter array (A, bias, W) and
     every minibatch loss computed: the reference for the flat-vector trainer,
-    which skips that loss where it is bounded.  Skips the input checks."""
+    which skips that loss where it is bounded.  Skips the input checks, but
+    refuses a step's non-finite parameters and a selection without a finite
+    loss as train_head does."""
     X, T, n, w = data
     N, k = T.shape
     alpha0_sum = float(k) if alpha0_sum is None else alpha0_sum
@@ -618,6 +620,9 @@ def _train_head_oracle(data, cfg, val_dataset=None, alpha0_sum=None, callback=No
                     vhat = v[i] / (1 - cfg.beta2 ** t)
                     out.append(p - lr * mhat / (np.sqrt(vhat) + 1e-8))
                 params = out
+                for name, p in zip(("A", "bias", "W"), params):
+                    if not np.isfinite(p).all():
+                        raise ValueError(f"non-finite entries in {name}")
         train_loss = _loss_grads(params, alpha0_sum, X, T, n, w, cfg.tau, target)[0]
         val_loss = (_loss_grads(params, alpha0_sum, *val_dataset, cfg.tau, target_v)[0]
                     if val_dataset is not None else None)
@@ -625,6 +630,9 @@ def _train_head_oracle(data, cfg, val_dataset=None, alpha0_sum=None, callback=No
         if monitored < best_loss:
             best_loss, best_params = monitored, [p.copy() for p in params]
         callback(epoch, train_loss, val_loss)
+    if cfg.select == "best" and best_loss == math.inf:
+        which = "training" if val_dataset is None else "validation"
+        raise RuntimeError(f"non-finite {which} loss in every epoch: no epoch to select")
     return HeadModel(*(best_params if cfg.select == "best" else params), alpha0_sum)
 
 
@@ -665,8 +673,8 @@ def _trained(trainer, case):
     losses = []
     try:
         model = trainer(data, cfg, val, alpha0_sum, callback=lambda *e: losses.append(e))
-    except RuntimeError as exc:
-        return str(exc), losses
+    except (RuntimeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}", losses
     return [model.A.tobytes(), model.bias.tobytes(), model.W.tobytes(), model.alpha0_sum], losses
 
 
